@@ -18,10 +18,6 @@ from math import factorial
 Rat = Fraction
 
 
-def rat(p, q=1) -> Fraction:
-    return Fraction(p, q)
-
-
 # ----------------------------------------------------------------- binomials
 
 

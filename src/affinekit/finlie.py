@@ -320,10 +320,6 @@ def sigma_aut(g):
     return DiagramAut(2, mapping)
 
 
-def identity_aut(g):
-    return DiagramAut(1, {a: (a, 1) for a in g.basis})
-
-
 def sigma_a2(g, x):
     return sigma_aut(g).apply(x)
 

@@ -100,10 +100,6 @@ def _as_vec(v):
     return {v: _ONE}
 
 
-def _is_zero(M, elt):
-    return elt.is_zero()
-
-
 def _gen_elt(M, X):
     if isinstance(X, (LieElt, AffElt)):
         return X
@@ -207,6 +203,32 @@ def f_power(M, f_elt, v, p, cache=None):
 # ----------------------------------------------------- conjugation series
 
 
+def _lowering_chain(M, f_elt, u, length=None):
+    """The nonzero terms u, ad(f)u, ad(f)^2 u, ..., at most length of them."""
+    chain = []
+    while not u.is_zero() and len(chain) != length:
+        if len(chain) > 40:
+            raise IncompatibleData("the lowering chain did not terminate")
+        chain.append(u)
+        u = _bracket(M, f_elt, u)
+    return chain
+
+
+def _theta_series(M, spec, u):
+    """The terms (binom(x, i), ad(f)^i u) of Theta_x(u), cut at i = x for x in N."""
+    x = spec.x
+    length = int(x) + 1 if x.denominator == 1 and x >= 0 else None
+    chain = _lowering_chain(M, spec.f_elt, u, length)
+    return [(gen_binom(x, i), ui) for i, ui in enumerate(chain)]
+
+
+def _rung(M, f_elt, ladder, i, cache):
+    """ladder[i] = f^{-i} ladder[0], extending the ladder one solve at a time."""
+    while len(ladder) <= i:
+        ladder.append(_f_inverse(M, f_elt, ladder[-1], cache))
+    return ladder[i]
+
+
 def theta_action(M, spec, X, v, cache=None, touched=None):
     """Theta_{spec.x}(X) . v evaluated through the stored action tables.
 
@@ -214,27 +236,28 @@ def theta_action(M, spec, X, v, cache=None, touched=None):
     ValueError when the series needs an untabulated generator.  When a set
     is passed as touched it collects every label the series read a row at,
     so callers can tell whether a masked (possibly incomplete) row was used.
+
+    A cache may be shared by calls on one module with one f_alpha: besides
+    the band inverses it keeps the series of each generator key and the
+    ladder f^{-i} v of each v, so repeated calls redo neither.
     """
     if cache is None:
         cache = {}
-    u = _gen_elt(M, X)
+    if isinstance(X, (LieElt, AffElt)):
+        series = _theta_series(M, spec, X)
+    else:
+        memo = cache.setdefault("_series", {})
+        series = memo.get((spec.x, X))
+        if series is None:
+            series = memo[(spec.x, X)] = _theta_series(M, spec, _gen_elt(M, X))
     fv = _as_vec(v)
+    ladder = cache.setdefault("_ladders", {}).setdefault(frozenset(fv.items()), [fv])
     out = {}
-    i = 0
-    integer = spec.x.denominator == 1 and spec.x >= 0
-    while not _is_zero(M, u):
-        if i > 40:
-            raise IncompatibleData("the lowering chain did not terminate")
+    for i, (c, u) in enumerate(series):
+        rung = _rung(M, spec.f_elt, ladder, i, cache)
         if touched is not None:
-            touched.update(fv)
-        c = gen_binom(spec.x, i)
-        if c:
-            _acc(out, M.apply_elt(u, fv), c)
-        u = _bracket(M, spec.f_elt, u)
-        if _is_zero(M, u) or (integer and i >= spec.x):
-            break
-        i += 1
-        fv = _f_inverse(M, spec.f_elt, fv, cache)
+            touched.update(rung)
+        _acc(out, M.apply_elt(u, rung), c)
     return out
 
 
@@ -245,6 +268,9 @@ def twist_module(M, spec):
     f_alpha^{-x}, so its weight gains x alpha and the row of u becomes
     Theta_x(u).  Labels whose series leaves the window keep an empty row and
     join the mask, as do labels whose series routed through a masked row.
+    Any other error, such as an untabulated generator, propagates.  All rows
+    share one cache, so each generator's series and each label's ladder of
+    inverse powers are built once per call.
     """
     x = spec.x
     weight_of = {lab: _wshift(w, spec.weight, x) for lab, w in M.weight_of.items()}
@@ -256,10 +282,10 @@ def twist_module(M, spec):
             if gk == "K":
                 action[(gk, lab)] = dict(M.action[(gk, lab)])
                 continue
+            touched = set()
             try:
-                touched = set()
                 row = theta_action(M, spec, gk, {lab: _ONE}, cache, touched)
-            except (BandError, ValueError):
+            except BandError:
                 action[(gk, lab)] = {}
                 boundary.add(lab)
                 continue
@@ -578,19 +604,11 @@ def find_twist_parameter(M, alpha, lam, v):
             raise IncompatibleData("the lowering chain left the f_alpha^{-1} line")
         return c
 
-    chain = []
-    u = spec.e_elt
-    fv = dict(vec)
-    i = 0
-    while not _is_zero(M, u):
-        if i > 40:
-            raise IncompatibleData("the lowering chain did not terminate")
-        chain.append(M.apply_elt(u, fv))
-        u = _bracket(M, spec.f_elt, u)
-        if _is_zero(M, u):
-            break
-        i += 1
-        fv = _f_inverse(M, spec.f_elt, fv, cache)
+    ladder = [vec, ref]
+    chain = [
+        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, cache))
+        for i, u in enumerate(_lowering_chain(M, spec.f_elt, spec.e_elt))
+    ]
 
     q = Poly()
     for i, wv in enumerate(chain):

@@ -33,6 +33,7 @@ from affinekit.modrep import (
     finite_dim_sl2,
     imaginary_verma,
     levi_dense_module,
+    loop_module,
 )
 from affinekit.locfun import (
     BandError,
@@ -185,6 +186,61 @@ def test_twist_composition(x, y):
             continue
         for name in ("E12", "E21", "H1"):
             assert T1.action[(("fin", name), lab)] == T2.action[(("fin", name), lab)]
+
+
+def _loop_line():
+    # a dense line tensored with the trivial module, one mode either side
+    L0 = _dense(F(1, 2), 3, -4, 4)
+    return loop_module(
+        A1aff, [L0, finite_dim_sl2(1)], [F(1), F(2)], DegreeWindow(-2, 2),
+        gen_window=1,
+    )
+
+
+def _rowwise_twist(M, spec):
+    """Rows and mask of the twist, each row from theta_action with a fresh cache."""
+    action, boundary = {}, set()
+    for lab in M.weight_of:
+        for gk in M.gens:
+            if gk == "K":
+                action[(gk, lab)] = M.action[(gk, lab)]
+                continue
+            touched = set()
+            try:
+                action[(gk, lab)] = theta_action(M, spec, gk, {lab: F(1)}, None, touched)
+            except BandError:
+                action[(gk, lab)] = {}
+                boundary.add(lab)
+            if touched & M.boundary:
+                boundary.add(lab)
+    return action, boundary
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: _dense(F(1, 2), 3), _loop_line, _vac_loc],
+    ids=["dense", "loop", "vacuum"],
+)
+def test_twist_module_matches_rowwise_series(build):
+    # the series and ladders twist_module shares across rows change no row:
+    # one x per class (integer >= 0, integer < 0, half > 0, half < 0)
+    M = build()
+    for x in (F(2), F(-1), F(3, 2), F(-1, 2)):
+        spec = make_twist_spec(M, (F(2),), x)
+        T = twist_module(M, spec)
+        action, boundary = _rowwise_twist(M, spec)
+        assert T.action == action
+        assert T.boundary == boundary
+        assert boundary - M.boundary  # the window edge really truncates
+
+
+def test_twist_untabulated_generator_raises():
+    # ad(f t) carries the degree -1 generators to degree -2, which the
+    # loop module does not tabulate: an error, not a fully masked module
+    M = _loop_line()
+    spec = make_twist_spec(M, ((F(2),), 1), F(1, 2))
+    with pytest.raises(ValueError, match="not tabulated") as err:
+        twist_module(M, spec)
+    assert not isinstance(err.value, BandError)
 
 
 # ---------------------------------------------------------------- localize
