@@ -292,6 +292,43 @@ def invert(mat):
     return [row[n:] for row in m]
 
 
+# ------------------------------------------------------------ matrix groups
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def group_closure(gens, dim, cap=100000):
+    """Sorted elements of the group the dim x dim matrices gens generate.
+
+    Matrices are tuples of row tuples.  Breadth-first search from the
+    identity, multiplying by generators on the left; raises ValueError once
+    more than cap elements have been found.
+    """
+    ident = tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
+    )
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for s in gens:
+                p = _mat_mul(s, m)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+                    if len(seen) > cap:
+                        raise ValueError("group generation exceeded cap")
+        frontier = nxt
+    return sorted(seen)
+
+
 # ----------------------------------------------------- integer lattice solve
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import invert, solve_unique
+from .exact import group_closure, invert, solve_unique
 
 
 class LieElt:
@@ -353,32 +353,7 @@ def weyl_group(g, indices=None, cap=100000):
     """All elements of the Weyl group (or parabolic subgroup) as fw-matrices."""
     if indices is None:
         indices = range(1, g.rank + 1)
-    gens = [_refl_matrix(g, i) for i in indices]
-    ident = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(g.rank)) for i in range(g.rank)
-    )
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for s in gens:
-                p = tuple(tuple(row) for row in _mmul_sq(s, m))
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-                    if len(seen) > cap:
-                        raise ValueError("group generation exceeded cap")
-        frontier = nxt
-    return sorted(seen)
-
-
-def _mmul_sq(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
+    return group_closure([_refl_matrix(g, i) for i in indices], g.rank, cap)
 
 
 def weyl_orbit(g, elements, v):

@@ -22,18 +22,17 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import Poly, det, gen_binom, gen_multinom, invert, kernel, solve_unique
-from .finlie import LieElt, build_simple
-from .affine import (
-    AffElt,
-    AffRoot,
-    AffWeight,
-    DegreeWindow,
-    aff_bracket,
-    build_affine,
-    is_positive_root,
-    sl2_triple,
+from .finlie import LieElt
+from .affine import AffElt, AffRoot, AffWeight, aff_bracket, is_positive_root, sl2_triple
+from .modrep import (
+    GradedModule,
+    IncompatibleData,
+    _acc,
+    _scaled,
+    check_bracket_compat,
+    imaginary_verma,
+    induced_truncated,
 )
-from .modrep import GradedModule, IncompatibleData, _acc, _scaled, induced_truncated
 
 _Z = Fraction(0)
 _ONE = Fraction(1)
@@ -41,6 +40,10 @@ _ONE = Fraction(1)
 
 class BandError(ValueError):
     """A bandwise inverse of the lowering generator does not exist."""
+
+
+# the zero-mode real root of the affine sl2, as make_twist_spec keys it
+_ZERO_MODE = ((Fraction(2),), 0)
 
 
 @dataclass
@@ -223,19 +226,32 @@ def _theta_series(M, spec, u):
 
 
 def _rung(M, f_elt, ladder, i, cache):
-    """ladder[i] = f^{-i} ladder[0], extending the ladder one solve at a time."""
-    while len(ladder) <= i:
-        ladder.append(_f_inverse(M, f_elt, ladder[-1], cache))
-    return ladder[i]
+    """ladder[i] = f^{-i} ladder[0], extending the ladder one solve at a time.
+
+    A failed solve ends the ladder: its BandError is kept as the last rung
+    and raised again for that rung and every deeper one, never retried.
+    The kept error holds no traceback and each raise is a fresh copy, so
+    no frame, and no cache a frame holds, stays alive through the ladder.
+    """
+    while len(ladder) <= i and not isinstance(ladder[-1], BandError):
+        try:
+            ladder.append(_f_inverse(M, f_elt, ladder[-1], cache))
+        except BandError as exc:
+            ladder.append(exc.with_traceback(None))
+    rung = ladder[min(i, len(ladder) - 1)]
+    if isinstance(rung, BandError):
+        raise BandError(*rung.args)
+    return rung
 
 
 def theta_action(M, spec, X, v, cache=None, touched=None):
     """Theta_{spec.x}(X) . v evaluated through the stored action tables.
 
     Raises BandError when an inverse power falls off the window and
-    ValueError when the series needs an untabulated generator.  When a set
-    is passed as touched it collects every label the series read a row at,
-    so callers can tell whether a masked (possibly incomplete) row was used.
+    UntabulatedGenerator when the series needs a generator M lacks.  When a
+    set is passed as touched it collects every label the series read a row
+    at, so callers can tell whether a masked (possibly incomplete) row was
+    used.
 
     A cache may be shared by calls on one module with one f_alpha: besides
     the band inverses it keeps the series of each generator key and the
@@ -292,13 +308,103 @@ def twist_module(M, spec):
             action[(gk, lab)] = row
             if touched & M.boundary:
                 boundary.add(lab)
-    T = GradedModule(
+    return GradedModule(
         M.algebra, M.kind, M.window, weight_of, action, boundary,
         M.k_value, list(M.gens), dict(M.gen_disp),
     )
-    T.twist = spec
-    T.twist_base = M
-    return T
+
+
+# ------------------------------------------------------------- twist laws
+
+
+TWIST_LAWS = (
+    "twist_composition",
+    "integer_twist_is_conjugation",
+    "inverse_power_law",
+    "twist_respects_brackets",
+)
+
+
+def _clean(M, vec):
+    return all(lab not in M.boundary for lab in vec)
+
+
+def _guarded_power(M, f_elt, vec, p):
+    """f^p, with honest steps refusing masked routes (a masked label has an
+    empty tabulated row, which would silently drop terms) and inverse
+    solves raising BandError when they fail."""
+    if p >= 0:
+        for _ in range(p):
+            if not _clean(M, vec):
+                raise BandError("truncated route")
+            vec = M.apply_elt(f_elt, vec)
+        return vec
+    return f_power(M, f_elt, vec, p)
+
+
+def twist_laws(M, alpha, x, y, m, p, q, labs):
+    """Check the four twist laws on M along alpha; (compared, failed) per law.
+
+    Keys are TWIST_LAWS, in order:
+      twist_composition: twisting by x then y against twisting by x + y;
+        the weight tables count as one pair, then every row at a label
+        unmasked in both;
+      integer_twist_is_conjugation: the rows of the twist by the integer m
+        at labs against f^m u f^{-m}, computed with honest powers;
+      inverse_power_law: f^p f^q against f^{p+q} at labs;
+      twist_respects_brackets: bracket compatibility of the twist by x,
+        one pair for the whole module.
+    A pair whose route meets a masked label or a failed band solve is not
+    compared.  Any other error propagates.
+    """
+    T1 = twist_module(M, make_twist_spec(M, alpha, x))
+    T1 = twist_module(T1, make_twist_spec(T1, alpha, y))
+    T2 = twist_module(M, make_twist_spec(M, alpha, x + y))
+    comp = [1, int(T1.weight_of != T2.weight_of)]
+    for lab in M.weight_of:
+        if lab in T1.boundary or lab in T2.boundary:
+            continue
+        for gk in M.gens:
+            comp[0] += 1
+            comp[1] += T1.action[(gk, lab)] != T2.action[(gk, lab)]
+
+    spec = make_twist_spec(M, alpha, Fraction(m))
+    T = twist_module(M, spec)
+    conj = [0, 0]
+    for lab in labs:
+        if lab in T.boundary:
+            continue
+        try:
+            down = _guarded_power(M, spec.f_elt, {lab: _ONE}, -m)
+        except BandError:
+            continue
+        if not _clean(M, down):
+            continue
+        for gk in M.gens:
+            mid = M.apply_gen(gk, down)
+            if not _clean(M, mid):
+                continue
+            try:
+                want = _guarded_power(M, spec.f_elt, mid, m)
+            except BandError:
+                continue
+            conj[0] += 1
+            conj[1] += T.action[(gk, lab)] != want
+
+    power = [0, 0]
+    for lab in labs:
+        try:
+            inner = _guarded_power(M, spec.f_elt, {lab: _ONE}, q)
+            two = _guarded_power(M, spec.f_elt, inner, p)
+            one = _guarded_power(M, spec.f_elt, {lab: _ONE}, p + q)
+        except BandError:
+            continue
+        power[0] += 1
+        power[1] += two != one
+
+    Tx = twist_module(M, make_twist_spec(M, alpha, x))
+    brackets = (1, int(check_bracket_compat(Tx) != []))
+    return dict(zip(TWIST_LAWS, (tuple(comp), tuple(conj), tuple(power), brackets)))
 
 
 # ------------------------------------------------------------ localization
@@ -307,14 +413,16 @@ def twist_module(M, spec):
 def localize(M, alpha, n0_ext=None):
     """Invert f_alpha on M.
 
-    Bandwise bijective f_alpha means M is its own localization.  A module
-    carrying its construction data (the truncated rank-one vacuum modules)
-    is rebuilt with the zero-mode letter running over negative powers, down
-    to -n0_ext.  Non-injective f_alpha or a module without a rebuild recipe
-    is an error.
+    Bandwise bijective f_alpha means M is its own localization, and a
+    vacuum module already built with negative zero-mode powers is returned
+    as it is.  Any other vacuum module (provenance "imaginary_verma") is
+    rebuilt with the zero-mode letter running over negative powers, down to
+    -n0_ext.  Non-injective f_alpha or a module without a rebuild recipe is
+    an error.  M itself is never modified.
     """
     spec = make_twist_spec(M, alpha, _Z)
-    if getattr(M, "loc_root", None) == spec.alpha:
+    recipe = (M.provenance or {}).get("imaginary_verma")
+    if recipe is not None and recipe["n0_ext"] and spec.alpha == _ZERO_MODE:
         return M
     disp = _elt_disp(M, spec.f_elt)
     injective = True
@@ -351,23 +459,16 @@ def localize(M, alpha, n0_ext=None):
         if invert(mat) is None:
             bijective = False
     if bijective:
-        M.loc_root = spec.alpha
         return M
-    vd = getattr(M, "verma_data", None)
-    if vd is None:
+    if recipe is None:
         raise IncompatibleData("no localisation rule for this module family")
-    if spec.alpha != ((Fraction(2),), 0):
+    if spec.alpha != _ZERO_MODE:
         raise IncompatibleData(
             "localisation of the vacuum module needs the zero-mode real root"
         )
     if n0_ext is None:
-        n0_ext = vd["length_cap"] + 1
-    L = imverma_localized(
-        vd["lam"], vd["depth"], vd["length_cap"], mode_cap=vd["mode_cap"],
-        gen_window=vd["gen_window"], n0_ext=n0_ext, algebra=vd["algebra"],
-    )
-    L.loc_base = M
-    return L
+        n0_ext = recipe["length_cap"] + 1
+    return imverma_localized(**dict(recipe, n0_ext=n0_ext))
 
 
 def imverma_localized(
@@ -375,155 +476,13 @@ def imverma_localized(
 ):
     """Vacuum module with the zero-mode lowering letter raised to any power.
 
-    The basis is ("m", n0, mon) with mon an ordered monomial in the nonzero
-    modes f t^k and n0 an integer exponent of f t^0, subject to
-    |degree| <= depth, sum of mon powers <= length_cap,
-    n0 + length <= length_cap, |modes| <= mode_cap and n0 >= -n0_ext.  The
-    n0 >= 0 slice is the untruncated-letter module; commuting a generator
-    past the f t^0 block uses the exact two-step chain
-    [X, f_0], [[X, f_0], f_0] which closes after two brackets.
+    This is imaginary_verma with the zero-mode exponent n0 running down to
+    -n0_ext; see there for the basis ("m", n0, mon) and the caps.
     """
-    lam = Fraction(lam)
-    if mode_cap is None:
-        mode_cap = depth
-    A = algebra or build_affine(build_simple("A1"))
-
-    modes = [k for k in range(-mode_cap, mode_cap + 1) if k]
-    mons = []
-
-    def rec(i, cur, length):
-        if i == len(modes):
-            if abs(sum(k * nk for k, nk in cur)) <= depth:
-                mons.append(tuple(cur))
-            return
-        k = modes[i]
-        rec(i + 1, cur, length)
-        for nk in range(1, length_cap - length + 1):
-            cur.append((k, nk))
-            rec(i + 1, cur, length + nk)
-            cur.pop()
-
-    rec(0, [], 0)
-
-    def length_of(mon):
-        return sum(nk for _, nk in mon)
-
-    def grade_of(mon):
-        return sum(k * nk for k, nk in mon)
-
-    basis = set()
-    weight_of = {}
-    for mon in mons:
-        L = length_of(mon)
-        for n0 in range(-n0_ext, length_cap - L + 1):
-            lab = ("m", n0, mon)
-            basis.add(lab)
-            weight_of[lab] = AffWeight(
-                (lam - 2 * (n0 + L),), Fraction(grade_of(mon)), _Z
-            )
-
-    def bump(mon, k, delta):
-        d = dict(mon)
-        d[k] = d.get(k, 0) + delta
-        if d[k] < 0:
-            return None
-        return tuple(sorted((m, n) for m, n in d.items() if n))
-
-    action, boundary = {}, set()
-
-    for lab in basis:
-        _, n0, mon = lab
-        L = length_of(mon)
-        g = grade_of(mon)
-        occ = dict(mon)
-        drops = []
-
-        def put(vec, np, nm, coeff):
-            if nm is None:
-                return
-            tg = ("m", np, nm)
-            if tg in basis:
-                _acc(vec, {tg: Fraction(coeff)})
-            else:
-                drops.append(tg)
-
-        def put_mode(vec, np, base, k, coeff):
-            # insert a factor f t^k, folding mode zero into the n0 exponent
-            if base is None:
-                return
-            if k == 0:
-                put(vec, np + 1, base, coeff)
-            else:
-                put(vec, np, bump(base, k, +1), coeff)
-
-        action[("D", lab)] = {lab: Fraction(g)} if g else {}
-        action[("K", lab)] = {}
-        for m in range(-gen_window, gen_window + 1):
-            # f_m
-            vec = {}
-            put_mode(vec, n0, mon, m, _ONE)
-            action[(("t", "E21", m), lab)] = vec
-            # h_m
-            if m == 0:
-                val = lam - 2 * (n0 + L)
-                action[(("t", "H1", 0), lab)] = {lab: val} if val else {}
-            else:
-                vec = {}
-                for k, nk in mon:
-                    put_mode(vec, n0, bump(mon, k, -1), k + m, -2 * nk)
-                if n0:
-                    put_mode(vec, n0 - 1, mon, m, -2 * n0)
-                action[(("t", "H1", m), lab)] = vec
-            # e_m: act on mon, then push the two-step chain past f_0^{n0}
-            vec = {}
-            if occ.get(-m, 0) and lam:
-                put(vec, n0, bump(mon, -m, -1), lam * occ[-m])
-            ks = sorted(occ)
-            for ai in range(len(ks)):
-                for bi in range(ai, len(ks)):
-                    ka, kb = ks[ai], ks[bi]
-                    cnt = (
-                        occ[ka] * (occ[ka] - 1) // 2
-                        if ai == bi
-                        else occ[ka] * occ[kb]
-                    )
-                    if not cnt:
-                        continue
-                    base = bump(bump(mon, ka, -1), kb, -1)
-                    put_mode(vec, n0, base, m + ka + kb, -2 * cnt)
-            if n0:
-                if m == 0:
-                    put(vec, n0 - 1, mon, n0 * (lam - 2 * L))
-                else:
-                    for k, nk in mon:
-                        put_mode(vec, n0 - 1, bump(mon, k, -1), k + m, -2 * n0 * nk)
-            c3 = -n0 * (n0 - 1)
-            if c3:
-                put_mode(vec, n0 - 2, mon, m, c3)
-            action[(("t", "E12", m), lab)] = vec
-        if drops:
-            boundary.add(lab)
-
-    gens = []
-    for m in range(-gen_window, gen_window + 1):
-        gens.extend((("t", "E12", m), ("t", "E21", m), ("t", "H1", m)))
-    gens += ["D", "K"]
-    gen_disp = {}
-    for gk in gens:
-        if gk in ("D", "K"):
-            gen_disp[gk] = AffWeight((_Z,), _Z, _Z)
-        else:
-            gen_disp[gk] = AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
-    M = GradedModule(
-        A, "aff", DegreeWindow(-depth, depth), weight_of, action, boundary,
-        _Z, gens, gen_disp,
+    return imaginary_verma(
+        lam, depth, length_cap, mode_cap=mode_cap, gen_window=gen_window,
+        algebra=algebra, n0_ext=n0_ext,
     )
-    M.loc_root = ((Fraction(2),), 0)
-    M.loc_data = dict(
-        lam=lam, depth=depth, length_cap=length_cap, mode_cap=mode_cap,
-        gen_window=gen_window, n0_ext=n0_ext,
-    )
-    return M
 
 
 # -------------------------------------------------------- twist parameters

@@ -45,6 +45,10 @@ class IncompatibleData(ValueError):
     """Input data does not satisfy a structural compatibility condition."""
 
 
+class UntabulatedGenerator(ValueError):
+    """A generator was applied at a label where no action row is stored."""
+
+
 # ----------------------------------------------------------- sparse vectors
 
 
@@ -76,6 +80,9 @@ class GradedModule:
     ("t", label, m), "D", "K" for kind "aff".  action maps (gen, label) to a
     sparse vector over labels.  boundary is the truncation mask: the set of
     labels whose tabulated action lost at least one term to the window.
+    provenance holds what a later step reads back about the construction:
+    {"imaginary_verma": its arguments} on a vacuum module, so localize can
+    rebuild it, and {"letters": ...} on an induced module; None otherwise.
     """
 
     algebra: object
@@ -87,6 +94,7 @@ class GradedModule:
     k_value: Fraction
     gens: list
     gen_disp: dict
+    provenance: dict | None = None
 
     @cached_property
     def weights(self):
@@ -109,7 +117,7 @@ class GradedModule:
             try:
                 row = self.action[(gen, lab)]
             except KeyError:
-                raise ValueError(f"generator {gen!r} is not tabulated")
+                raise UntabulatedGenerator(f"generator {gen!r} is not tabulated")
             _acc(out, row, c)
         return out
 
@@ -604,7 +612,6 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2, return
                     vec[tl] = coords[tl[2]]
             action[(gk, lab)] = vec
     M = GradedModule(At, "aff", window, weight_of, action, boundary, _Z, gens, gen_disp)
-    M.combos = combos
     if return_involution:
         return M, S
     return M
@@ -613,35 +620,43 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2, return
 # ------------------------------------------------------- imaginary Verma
 
 
-def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, algebra=None):
+def imaginary_verma(
+    lam, depth, length_cap, mode_cap=None, gen_window=2, algebra=None, n0_ext=0
+):
     """Truncated imaginary Verma module over the affine sl2.
 
     The vacuum is killed by every e t^n and by h t^n for n != 0, carries
-    h-eigenvalue lam, degree 0 and level 0.  The basis consists of ordered
-    monomials in the f t^k (all k), recorded as tuples of (mode, power).
-    Three caps truncate: |degree| <= depth, total length <= length_cap,
-    |mode| <= mode_cap (default depth).  Actions follow from the relations
-    [e_m, f_k] = h_{m+k} (+ central term), [h_p, f_k] = -2 f_{p+k}:
+    h-eigenvalue lam, degree 0 and level 0.  The basis is ("m", n0, mon):
+    mon is an ordered monomial in the nonzero modes f t^k, recorded as a
+    tuple of (mode, power), and n0 is the exponent of the zero-mode letter
+    f t^0.  Four caps truncate: |degree| <= depth, n0 + length(mon) <=
+    length_cap, |mode| <= mode_cap (default depth) and n0 >= -n0_ext.
+
+    With n0_ext = 0 this is the vacuum module itself.  With n0_ext > 0 the
+    zero-mode letter also runs over negative powers, which is the
+    localization along the zero-mode real root; its n0 >= 0 labels are the
+    labels of the n0_ext = 0 module, with the same rows.  Actions follow
+    from [e_m, f_k] = h_{m+k} (+ central term), [h_p, f_k] = -2 f_{p+k}:
 
       f_m: insert a mode-m factor
       h_m (m != 0): sum_k (-2 n_k) (replace one f_k by f_{k+m})
-      h_0: lam - 2 L, D: degree, K: 0
-      e_m: sum over unordered occurrence pairs {a, b}:
+      h_0: lam - 2 (n0 + L), D: degree, K: 0
+      e_m: sum over unordered occurrence pairs {a, b} in mon:
              -2 (drop f_{k_a}, f_{k_b}; insert f_{m+k_a+k_b})
-           plus lam n_{-m} (drop one f_{-m})
+           plus lam n_{-m} (drop one f_{-m}); commuting past f_0^{n0} adds
+           the exact two-step chain [e_m, f_0] = h_m, [h_m, f_0] = -2 f_m.
     """
     lam = Fraction(lam)
     if mode_cap is None:
         mode_cap = depth
     A = algebra or build_affine(build_simple("A1"))
 
-    modes = list(range(-mode_cap, mode_cap + 1))
+    modes = [k for k in range(-mode_cap, mode_cap + 1) if k]
     mons = []
 
     def rec(i, cur, length):
         if i == len(modes):
-            grade = sum(k * nk for k, nk in cur)
-            if abs(grade) <= depth:
+            if abs(sum(k * nk for k, nk in cur)) <= depth:
                 mons.append(tuple(cur))
             return
         k = modes[i]
@@ -652,13 +667,12 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, algebra
             cur.pop()
 
     rec(0, [], 0)
-    basis = {("m", mon) for mon in mons}
-
-    def grade_of(mon):
-        return sum(k * nk for k, nk in mon)
 
     def length_of(mon):
         return sum(nk for _, nk in mon)
+
+    def grade_of(mon):
+        return sum(k * nk for k, nk in mon)
 
     def bump(mon, k, delta):
         """mon with the multiplicity of mode k changed by delta, or None."""
@@ -668,57 +682,84 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, algebra
             return None
         return tuple(sorted((m, n) for m, n in d.items() if n))
 
-    weight_of = {
-        ("m", mon): AffWeight((lam - 2 * length_of(mon),), Fraction(grade_of(mon)), _Z)
-        for mon in mons
-    }
-    action, boundary = {}, set()
-
-    def put(vec, mon, coeff, drops):
-        if ("m", mon) in basis:
-            _acc(vec, {("m", mon): coeff})
-        else:
-            drops.append(mon)
-
+    weight_of = {}
     for mon in mons:
-        lab = ("m", mon)
         L = length_of(mon)
-        action[("D", lab)] = {lab: Fraction(grade_of(mon))} if grade_of(mon) else {}
-        action[("K", lab)] = {}
+        for n0 in range(-n0_ext, length_cap - L + 1):
+            weight_of[("m", n0, mon)] = AffWeight(
+                (lam - 2 * (n0 + L),), Fraction(grade_of(mon)), _Z
+            )
+
+    action, boundary = {}, set()
+    for lab in weight_of:
+        _, n0, mon = lab
+        L = length_of(mon)
+        g = grade_of(mon)
+        occ = dict(mon)
         drops = []
+
+        def put(vec, np, nm, coeff):
+            if nm is None:
+                return
+            tg = ("m", np, nm)
+            if tg in weight_of:
+                _acc(vec, {tg: Fraction(coeff)})
+            else:
+                drops.append(tg)
+
+        def put_mode(vec, np, base, k, coeff):
+            # insert a factor f t^k, folding mode zero into the n0 exponent
+            if base is None:
+                return
+            if k == 0:
+                put(vec, np + 1, base, coeff)
+            else:
+                put(vec, np, bump(base, k, +1), coeff)
+
+        action[("D", lab)] = {lab: Fraction(g)} if g else {}
+        action[("K", lab)] = {}
         for m in range(-gen_window, gen_window + 1):
-            # f_m inserts a factor
+            # f_m
             vec = {}
-            nm = bump(mon, m, +1)
-            put(vec, nm, _ONE, drops)
+            put_mode(vec, n0, mon, m, _ONE)
             action[(("t", "E21", m), lab)] = vec
             # h_m
             if m == 0:
-                action[(("t", "H1", 0), lab)] = {lab: lam - 2 * L} if lam != 2 * L else {}
+                val = lam - 2 * (n0 + L)
+                action[(("t", "H1", 0), lab)] = {lab: val} if val else {}
             else:
                 vec = {}
                 for k, nk in mon:
-                    nm = bump(bump(mon, k, -1), k + m, +1)
-                    put(vec, nm, Fraction(-2 * nk), drops)
+                    put_mode(vec, n0, bump(mon, k, -1), k + m, -2 * nk)
+                if n0:
+                    put_mode(vec, n0 - 1, mon, m, -2 * n0)
                 action[(("t", "H1", m), lab)] = vec
-            # e_m
+            # e_m: act on mon, then push the two-step chain past f_0^{n0}
             vec = {}
-            occ = dict(mon)
             if occ.get(-m, 0) and lam:
-                nm = bump(mon, -m, -1)
-                put(vec, nm, lam * occ[-m], drops)
+                put(vec, n0, bump(mon, -m, -1), lam * occ[-m])
             ks = sorted(occ)
             for ai in range(len(ks)):
                 for bi in range(ai, len(ks)):
                     ka, kb = ks[ai], ks[bi]
-                    if ai == bi:
-                        cnt = occ[ka] * (occ[ka] - 1) // 2
-                    else:
-                        cnt = occ[ka] * occ[kb]
+                    cnt = (
+                        occ[ka] * (occ[ka] - 1) // 2
+                        if ai == bi
+                        else occ[ka] * occ[kb]
+                    )
                     if not cnt:
                         continue
-                    nm = bump(bump(bump(mon, ka, -1), kb, -1), m + ka + kb, +1)
-                    put(vec, nm, Fraction(-2 * cnt), drops)
+                    base = bump(bump(mon, ka, -1), kb, -1)
+                    put_mode(vec, n0, base, m + ka + kb, -2 * cnt)
+            if n0:
+                if m == 0:
+                    put(vec, n0 - 1, mon, n0 * (lam - 2 * L))
+                else:
+                    for k, nk in mon:
+                        put_mode(vec, n0 - 1, bump(mon, k, -1), k + m, -2 * n0 * nk)
+            c3 = -n0 * (n0 - 1)
+            if c3:
+                put_mode(vec, n0 - 2, mon, m, c3)
             action[(("t", "E12", m), lab)] = vec
         if drops:
             boundary.add(lab)
@@ -733,14 +774,14 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, algebra
             gen_disp[gk] = AffWeight((_Z,), _Z, _Z)
         else:
             gen_disp[gk] = AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
-    window = DegreeWindow(-depth, depth)
-    M = GradedModule(A, "aff", window, weight_of, action, boundary, _Z, gens, gen_disp)
-    # construction data, kept so a localization can rebuild the same truncation
-    M.verma_data = dict(
+    recipe = dict(
         lam=lam, depth=depth, length_cap=length_cap, mode_cap=mode_cap,
-        gen_window=gen_window, algebra=A,
+        gen_window=gen_window, algebra=A, n0_ext=n0_ext,
     )
-    return M
+    return GradedModule(
+        A, "aff", DegreeWindow(-depth, depth), weight_of, action, boundary,
+        _Z, gens, gen_disp, provenance={"imaginary_verma": recipe},
+    )
 
 
 # ----------------------------------------------------- parabolic induction
@@ -947,7 +988,7 @@ def induced_truncated(P, N, depth, gen_window=None):
             else:
                 gk = ("t", lab, m)
                 if (gk, nl) not in N.action:
-                    raise ValueError(f"Levi generator {gk!r} is not tabulated in N")
+                    raise UntabulatedGenerator(f"Levi generator {gk!r} is not tabulated in N")
                 vec = {((), t): c for t, c in N.action[(gk, nl)].items()}
                 res = (vec, nl in N.boundary)
         else:
@@ -1012,11 +1053,10 @@ def induced_truncated(P, N, depth, gen_window=None):
             action[(gk, lab)] = dict(vec)
             if taint:
                 boundary.add(lab)
-    M = GradedModule(
-        A, "aff", P.window, weight_of, action, boundary, N.k_value, gens, gen_disp
+    return GradedModule(
+        A, "aff", P.window, weight_of, action, boundary, N.k_value, gens, gen_disp,
+        provenance={"letters": letters},
     )
-    M.letters = letters
-    return M
 
 
 def _no_solution(mat, vec):

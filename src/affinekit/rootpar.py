@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import roots_window
-from .exact import integer_solve, mat_rank, solve_unique
+from .exact import group_closure, integer_solve, mat_rank, solve_unique
 
 
 @dataclass(frozen=True)
@@ -474,14 +474,6 @@ def _reflection_matrix(A, key):
     return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _apply(m, key):
     vec = list(key[0]) + [Fraction(key[1])]
     out = [
@@ -492,28 +484,6 @@ def _apply(m, key):
     if n.denominator != 1:
         raise ValueError("reflection left the root lattice")
     return (tuple(out[:-1]), int(n))
-
-
-def _reflection_group(A, keys, cap=100000):
-    dim = A.fin_rank + 1
-    ident = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-    )
-    gens = [_reflection_matrix(A, k) for k in keys]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for s in gens:
-                p = _mat_mul(s, m)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-                    if len(seen) > cap:
-                        raise ValueError("Levi Weyl group exceeded the generation cap")
-        frontier = nxt
-    return sorted(seen)
 
 
 def phi_P(P):
@@ -538,7 +508,7 @@ def phi_P(P):
         raise ValueError("delta is not interior to the base cone")
     I = [i for i in range(dim) if flag_value(psi, base[i][0], base[i][1]) == 0]
     J = [i for i in range(dim) if i not in I]
-    group = _reflection_group(A, [base[i] for i in I])
+    group = group_closure([_reflection_matrix(A, base[i]) for i in I], dim)
     d = {}
     for w in group:
         for j in J:

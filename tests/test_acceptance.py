@@ -43,10 +43,8 @@ from affinekit.modrep import (
     prop42_matrix,
 )
 from affinekit.locfun import (
-    BandError,
     efloc_admissible,
     efloc_product,
-    f_power,
     induction_commutes_probe,
     localize,
     loop_loc_iso,
@@ -54,6 +52,7 @@ from affinekit.locfun import (
     loop_pair_act,
     make_loop_data,
     make_twist_spec,
+    twist_laws,
     twist_module,
 )
 
@@ -299,68 +298,6 @@ def test_loop_module_suite():
 # 6 ---------------------------------------------------------------------
 
 
-def _clean(M, vec):
-    return all(lab not in M.boundary for lab in vec)
-
-
-def _guarded_power(M, f_elt, vec, p):
-    if p >= 0:
-        for _ in range(p):
-            if not _clean(M, vec):
-                raise BandError("truncated route")
-            vec = M.apply_elt(f_elt, vec)
-        return vec
-    return f_power(M, f_elt, vec, p)
-
-
-def _laws_hold(M, alpha, x, y, m, p, q, labs):
-    fails = []
-    T1 = twist_module(M, make_twist_spec(M, alpha, x))
-    T1 = twist_module(T1, make_twist_spec(T1, alpha, y))
-    T2 = twist_module(M, make_twist_spec(M, alpha, x + y))
-    if T1.weight_of != T2.weight_of:
-        fails.append("composition weights")
-    for lab in M.weight_of:
-        if lab in T1.boundary or lab in T2.boundary:
-            continue
-        for gk in M.gens:
-            if T1.action[(gk, lab)] != T2.action[(gk, lab)]:
-                fails.append(("composition", gk, lab))
-    spec = make_twist_spec(M, alpha, F(m))
-    T = twist_module(M, spec)
-    for lab in labs:
-        if lab in T.boundary:
-            continue
-        for gk in M.gens:
-            try:
-                down = _guarded_power(M, spec.f_elt, {lab: _ONE}, -m)
-                if not _clean(M, down):
-                    continue
-                mid = M.apply_gen(gk, down)
-                if not _clean(M, mid):
-                    continue
-                want = _guarded_power(M, spec.f_elt, mid, m)
-            except (BandError, ValueError):
-                continue
-            if T.action[(gk, lab)] != want:
-                fails.append(("collapse", gk, lab))
-    spec0 = make_twist_spec(M, alpha, _Z)
-    for lab in labs:
-        try:
-            inner = _guarded_power(M, spec0.f_elt, {lab: _ONE}, q)
-            two = _guarded_power(M, spec0.f_elt, inner, p)
-            one = _guarded_power(M, spec0.f_elt, {lab: _ONE}, p + q)
-        except (BandError, ValueError):
-            continue
-        if two != one:
-            fails.append(("power", lab))
-    from affinekit.modrep import check_bracket_compat
-
-    if check_bracket_compat(twist_module(M, make_twist_spec(M, alpha, x))) != []:
-        fails.append(("conjugation", x))
-    return fails
-
-
 def test_localization_laws():
     rng = random.Random(106)
     dense = dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-8, 8))
@@ -382,9 +319,10 @@ def test_localization_laws():
             m = rng.randint(-2, 2)
             p, q = rng.randint(-2, 2), rng.randint(-2, 2)
             labs = rng.sample(labs_all, min(6, len(labs_all)))
-            fails = _laws_hold(M, alpha, x, y, m, p, q, labs)
+            laws = twist_laws(M, alpha, x, y, m, p, q, labs)
+            fails = {law: failed for law, (_, failed) in laws.items() if failed}
             if fails:
-                bad.append((tag, i, x, y, fails[:2]))
+                bad.append((tag, i, x, y, fails))
     _line("localization laws (dense + loop, 50 rational pairs each)", bad)
 
 

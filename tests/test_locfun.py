@@ -7,6 +7,7 @@ is pinned by explicit multinomial expansions plus the defining property that
 the honest generator undoes one formal inverse letter.
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -34,7 +35,9 @@ from affinekit.modrep import (
     imaginary_verma,
     levi_dense_module,
     loop_module,
+    UntabulatedGenerator,
 )
+from affinekit import locfun
 from affinekit.locfun import (
     BandError,
     efloc_admissible,
@@ -238,9 +241,37 @@ def test_twist_untabulated_generator_raises():
     # loop module does not tabulate: an error, not a fully masked module
     M = _loop_line()
     spec = make_twist_spec(M, ((F(2),), 1), F(1, 2))
-    with pytest.raises(ValueError, match="not tabulated") as err:
+    with pytest.raises(UntabulatedGenerator, match="not tabulated"):
         twist_module(M, spec)
-    assert not isinstance(err.value, BandError)
+
+
+def test_twist_keeps_a_failed_rung(monkeypatch):
+    # a band solve that failed ends the label's ladder and is raised again
+    # for every later generator that needs the rung, never retried: one
+    # raising solve per label whose rows raise
+    M = _loop_line()
+    raised, raising_labels = [], set()
+    solve, theta = locfun._f_inverse, locfun.theta_action
+
+    def counting_solve(M, f_elt, vec, cache):
+        try:
+            return solve(M, f_elt, vec, cache)
+        except BandError:
+            raised.append(vec)
+            raise
+
+    def counting_theta(M, spec, X, v, cache=None, touched=None):
+        try:
+            return theta(M, spec, X, v, cache, touched)
+        except BandError:
+            raising_labels.update(v)
+            raise
+
+    monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
+    monkeypatch.setattr(locfun, "theta_action", counting_theta)
+    T = twist_module(M, make_twist_spec(M, (F(2),), F(5, 2)))
+    assert raising_labels <= T.boundary
+    assert len(raised) == len(raising_labels) > 0
 
 
 # ---------------------------------------------------------------- localize
@@ -311,9 +342,8 @@ def test_localized_commutation_line():
 def test_localize_needs_a_rule():
     # non-bijective lowering with no rebuild recipe must fail loudly
     M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1)
-    del M.verma_data
     with pytest.raises(IncompatibleData):
-        localize(M, ALPHA)
+        localize(dataclasses.replace(M, provenance=None), ALPHA)
 
 
 # ------------------------------------------------------- twist parameters

@@ -263,7 +263,7 @@ def test_twisted_rejects_bad_scalars():
 def test_imverma_vacuum_relations():
     lam = F(5, 2)
     M = imaginary_verma(lam, depth=3, length_cap=3)
-    vac = ("m", ())
+    vac = ("m", 0, ())
     assert M.apply_gen(("t", "H1", 0), {vac: F(1)}) == {vac: lam}
     for m in (-2, -1, 0, 1, 2):
         assert M.apply_gen(("t", "E12", m), {vac: F(1)}) == {}
@@ -276,7 +276,7 @@ def test_imverma_vacuum_relations():
 def test_imverma_weight_of_monomial():
     lam = F(5, 2)
     M = imaginary_verma(lam, depth=3, length_cap=3)
-    lab = ("m", ((-1, 2), (2, 1)))  # f_{-1}^2 f_2 . v
+    lab = ("m", 0, ((-1, 2), (2, 1)))  # f_{-1}^2 f_2 . v
     w = M.weight(lab)
     assert w.fin == (lam - 6,)
     assert w.d == 0
@@ -285,8 +285,8 @@ def test_imverma_weight_of_monomial():
 def test_imverma_ef_pairing():
     lam = F(5, 2)
     M = imaginary_verma(lam, depth=3, length_cap=3)
-    out = M.apply_gen(("t", "E12", 1), {("m", ((-1, 1),)): F(1)})
-    assert out == {("m", ()): lam}
+    out = M.apply_gen(("t", "E12", 1), {("m", 0, ((-1, 1),)): F(1)})
+    assert out == {("m", 0, ()): lam}
 
 
 def _imverma_count_oracle(depth, length_cap, mode_cap):
@@ -425,7 +425,7 @@ def test_induced_layer_dims_match_pbw():
     P = _standard_P()
     N = _levi_N()
     M = induced_truncated(P, N, depth=2)
-    letters = M.letters
+    letters = M.provenance["letters"]
     for r in (0, 1, 2):
         # independent count: monomials of length r over the letters, times N
         expect = 0
