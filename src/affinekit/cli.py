@@ -34,6 +34,7 @@ from .finlie import build_simple, sigma_aut
 from .locfun import (
     TWIST_LAWS,
     BandError,
+    _wshift,
     efloc_product,
     localize,
     make_twist_spec,
@@ -103,6 +104,13 @@ def _int(value, name):
         return int(str(value))
     except ValueError:
         raise UsageError(f"{name} wants an integer, got {value!r}")
+
+
+def _count(value, name):
+    n = _int(value, name)
+    if n < 0:
+        raise UsageError(f"{name} wants a nonnegative integer, got {value!r}")
+    return n
 
 
 def _frac(value, name):
@@ -200,14 +208,6 @@ def _mult_table(M, fin_rank, name="multiplicity"):
     return (name, header, rows)
 
 
-def _shift_weight(w, disp, t):
-    return AffWeight(
-        tuple(a + t * b for a, b in zip(w.fin, disp.fin)),
-        w.d + t * disp.d,
-        w.k + t * disp.k,
-    )
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -267,7 +267,7 @@ def cmd_parabolic_classify(cfg):
             _verify("window_doubling_stable", P.tag, classify_parabolic(P2)),
         ]
         return records, []
-    samples = _int(cfg.params["samples"], "samples")
+    samples = _count(cfg.params["samples"], "samples")
     rng = random.Random(cfg.seed)
     tags, ax_ok, cert_ok = {}, 0, 0
     for _ in range(samples):
@@ -317,7 +317,7 @@ def cmd_cone_certificate(cfg):
         _verify("coefficients_positive", True, all(db > 0 for db in cone.d.values())),
         _verify("delta_decomposition", expect, tot),
     ]
-    samples = _int(cfg.params["samples"], "samples")
+    samples = _count(cfg.params["samples"], "samples")
     rng = random.Random(cfg.seed)
     simples = A.affine_simple_roots()
     ok = 0
@@ -397,13 +397,11 @@ def cmd_loop_mult(cfg):
 
 def cmd_imverma_mult(cfg):
     lam = _frac(cfg.params["lam"], "lambda")
-    depth = _int(cfg.params["depth"], "depth")
+    depth = _count(cfg.params["depth"], "depth")
     raw_cap = cfg.params["length_cap"]
-    length_cap = depth if raw_cap is None else _int(raw_cap, "length-cap")
+    length_cap = depth if raw_cap is None else _count(raw_cap, "length-cap")
     raw_mode = cfg.params["mode_cap"]
-    mode_cap = None if raw_mode is None else _int(raw_mode, "mode-cap")
-    if depth < 0 or length_cap < 0:
-        raise UsageError("depth and length-cap must be nonnegative")
+    mode_cap = None if raw_mode is None else _count(raw_mode, "mode-cap")
     M = imaginary_verma(lam, depth, length_cap, mode_cap)
     top = AffWeight((lam,), _Z, _Z)
     records = [
@@ -461,7 +459,7 @@ def cmd_localize_demo(cfg):
             f"{cfg.params['jwindow']}; every label is masked"
         )
     shift_ok = all(
-        T.weight_of[lab] == _shift_weight(w, spec.weight, x)
+        T.weight_of[lab] == _wshift(w, spec.weight, x)
         for lab, w in M.weight_of.items()
     )
     records = [
@@ -490,7 +488,7 @@ def _support_module(cfg):
         M = loop_module(A, [dense, finite_dim_sl2(1)], [_ONE, Fraction(2)], W)
     elif kind == "imverma":
         lam = _frac(cfg.params["lam"], "lambda")
-        depth = _int(cfg.params["depth"], "depth")
+        depth = _count(cfg.params["depth"], "depth")
         M = imaginary_verma(lam, depth, depth, algebra=A)
     else:
         raise UsageError(f"module wants loop-fin, loop-dense or imverma, got {kind!r}")
@@ -549,7 +547,7 @@ def cmd_pm_build(cfg):
 
 
 def _localization_suite(cfg):
-    samples = _int(cfg.params["samples"], "samples")
+    samples = _count(cfg.params["samples"], "samples")
     target = cfg.params["target"]
     rng = random.Random(cfg.seed)
     if target == "dense":
@@ -587,7 +585,7 @@ def _localization_suite(cfg):
 
 
 def _efloc_suite(cfg):
-    samples = _int(cfg.params["samples"], "samples")
+    samples = _count(cfg.params["samples"], "samples")
     rng = random.Random(cfg.seed)
     alpha = AffRoot("real", (Fraction(2),), 0)
     checked = ok = 0
@@ -617,9 +615,7 @@ def _efloc_suite(cfg):
 def cmd_identities(cfg):
     suite = cfg.params["suite"]
     if suite == "multinomial":
-        top = _int(cfg.params["max"], "max")
-        if top < 0:
-            raise UsageError("max must be nonnegative")
+        top = _count(cfg.params["max"], "max")
         records = []
         for N in range(top + 1):
             for K in range(top + 2):

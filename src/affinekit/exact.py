@@ -2,7 +2,7 @@
 
 Everything in this package computes over the rationals: the scalar type is
 the stdlib Fraction (arbitrary precision, always in lowest terms, positive
-denominator), aliased as Rat.  This module adds generalized binomials with
+denominator).  This module adds generalized binomials with
 an arbitrary rational upper argument, generalized multinomials, dense
 univariate polynomials for identity checking, and exact Gaussian
 elimination / integer lattice solving used throughout the package.
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-
-Rat = Fraction
 
 
 # ----------------------------------------------------------------- binomials
@@ -233,36 +231,30 @@ def det(mat) -> Fraction:
     return acc * sign
 
 
-def solve_unique(A, b):
-    """Solve A x = b; returns the solution iff it exists and is unique."""
+def _solve(A, b):
+    """(x, unique) for some solution x of A x = b; (None, False) when there is none."""
     if not A:
-        return None
+        return None, False
     cols = len(A[0])
     aug = [list(row) + [bv] for row, bv in zip(A, b)]
     m, pivots = rref(aug)
     if cols in pivots:
-        return None  # inconsistent
-    if len(pivots) < cols:
-        return None  # not unique
+        return None, False  # inconsistent
     sol = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         sol[c] = m[r][cols]
-    return sol
+    return sol, len(pivots) == cols
+
+
+def solve_unique(A, b):
+    """Solve A x = b; returns the solution iff it exists and is unique."""
+    sol, unique = _solve(A, b)
+    return sol if unique else None
 
 
 def solve_any(A, b):
     """Some solution of A x = b, or None if inconsistent."""
-    if not A:
-        return None
-    cols = len(A[0])
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    m, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    sol = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        sol[c] = m[r][cols]
-    return sol
+    return _solve(A, b)[0]
 
 
 def kernel(A):

@@ -23,7 +23,7 @@ from math import isqrt
 
 from .exact import Poly, det, gen_binom, gen_multinom, invert, kernel, solve_unique
 from .finlie import LieElt
-from .affine import AffElt, AffRoot, AffWeight, aff_bracket, is_positive_root, sl2_triple
+from .affine import AffElt, AffRoot, AffWeight, is_positive_root, sl2_triple
 from .modrep import (
     GradedModule,
     IncompatibleData,
@@ -103,24 +103,6 @@ def _as_vec(v):
     return {v: _ONE}
 
 
-def _gen_elt(M, X):
-    if isinstance(X, (LieElt, AffElt)):
-        return X
-    if X == "D":
-        return AffElt(d=1)
-    if X == "K":
-        return AffElt(k=1)
-    if X[0] == "fin":
-        return LieElt({X[1]: _ONE})
-    return AffElt({(X[1], X[2]): _ONE})
-
-
-def _bracket(M, a, b):
-    if M.kind == "fin":
-        return M.algebra.bracket(a, b)
-    return aff_bracket(M.algebra, a, b)
-
-
 def _elt_disp(M, elt):
     """Common weight displacement of a homogeneous lowering element."""
     if M.kind == "fin":
@@ -147,6 +129,12 @@ def _wshift(w, aw, x):
     )
 
 
+def _band_matrix(M, f_elt, src, tgt):
+    """Matrix of f_elt from the labels src to the labels tgt, one column per source."""
+    cols = [M.apply_elt(f_elt, {s: _ONE}) for s in src]
+    return [[col.get(t, _Z) for col in cols] for t in tgt]
+
+
 def _f_inverse(M, f_elt, vec, cache):
     """Solve f_elt . u = vec one weight band at a time."""
     disp = cache.get("_disp")
@@ -166,8 +154,7 @@ def _f_inverse(M, f_elt, vec, cache):
                     f"band exhausted (window too small); f_alpha not invertible at {w}"
                 )
             tgt = M.weights[w]
-            cols = [M.apply_elt(f_elt, {s: _ONE}) for s in src]
-            mat = [[cols[j].get(t, _Z) for j in range(len(src))] for t in tgt]
+            mat = _band_matrix(M, f_elt, src, tgt)
             inv = invert(mat) if len(src) == len(tgt) else None
             entry = cache[w] = (src, tgt, mat, inv)
         src, tgt, mat, inv = entry
@@ -213,7 +200,7 @@ def _lowering_chain(M, f_elt, u, length=None):
         if len(chain) > 40:
             raise IncompatibleData("the lowering chain did not terminate")
         chain.append(u)
-        u = _bracket(M, f_elt, u)
+        u = M.bracket(f_elt, u)
     return chain
 
 
@@ -265,7 +252,7 @@ def theta_action(M, spec, X, v, cache=None, touched=None):
         memo = cache.setdefault("_series", {})
         series = memo.get((spec.x, X))
         if series is None:
-            series = memo[(spec.x, X)] = _theta_series(M, spec, _gen_elt(M, X))
+            series = memo[(spec.x, X)] = _theta_series(M, spec, M.gen_elt(X))
     fv = _as_vec(v)
     ladder = cache.setdefault("_ladders", {}).setdefault(frozenset(fv.items()), [fv])
     out = {}
@@ -309,8 +296,7 @@ def twist_module(M, spec):
             if touched & M.boundary:
                 boundary.add(lab)
     return GradedModule(
-        M.algebra, M.kind, M.window, weight_of, action, boundary,
-        M.k_value, list(M.gens), dict(M.gen_disp),
+        M.algebra, M.window, weight_of, action, boundary, M.k_value, list(M.gens)
     )
 
 
@@ -430,15 +416,13 @@ def localize(M, alpha, n0_ext=None):
     for w_src, src in M.weights.items():
         if any(l in M.boundary for l in src):
             continue
-        cols = [M.apply_elt(spec.f_elt, {s: _ONE}) for s in src]
         tgt = M.weights.get(_wshift(w_src, disp, 1))
         if not tgt:
-            if any(cols):
+            if any(M.apply_elt(spec.f_elt, {s: _ONE}) for s in src):
                 raise IncompatibleData("action escaped its weight band")
             injective = False
             continue
-        mat = [[cols[j].get(t, _Z) for j in range(len(src))] for t in tgt]
-        if kernel(mat):
+        if kernel(_band_matrix(M, spec.f_elt, src, tgt)):
             injective = False
     if not injective:
         raise IncompatibleData("f_alpha is not injective on the stored window")
@@ -454,9 +438,7 @@ def localize(M, alpha, n0_ext=None):
         if len(src) != len(tgt):
             bijective = False
             continue
-        cols = [M.apply_elt(spec.f_elt, {s: _ONE}) for s in src]
-        mat = [[cols[j].get(t, _Z) for j in range(len(src))] for t in tgt]
-        if invert(mat) is None:
+        if invert(_band_matrix(M, spec.f_elt, src, tgt)) is None:
             bijective = False
     if bijective:
         return M
@@ -690,34 +672,43 @@ def loop_loc_iso(data, N, vec):
         for _ in range(-N):
             out = data.M.apply_elt(data.F_aff, out)
         return out
+    return _loop_expand(data, vec, -N)
+
+
+def _loop_expand(data, vec, K):
+    """(f t^r)^K . vec expanded over the factors, as an honest vector.
+
+    The power splits as a generalized multinomial over the factors: each
+    nilpotent factor takes i_t < nil[t] letters and the first factor the
+    remaining K - sum(i), through its bandwise inverse when that is negative.
+    For K >= 0 the multinomial vanishes on every split with sum(i) > K.
+    """
     out = {}
-    caches = [{} for _ in data.factors]
+    cache = {}
     for (tlab, s), c0 in vec.items():
-        sp = s - N * data.r
+        sp = s + K * data.r
         if sp not in data.window:
             raise BandError("loop degree left the window; enlarge it")
         for itup in itertools.product(*[range(m) for m in data.nil]):
-            i0 = -N - sum(itup)
-            coef = c0 * gen_multinom(Fraction(-N), list(itup))
+            i0 = K - sum(itup)
+            coef = c0 * gen_multinom(Fraction(K), list(itup))
+            if not coef:
+                continue
             coef *= data.scalars[0] ** (i0 * data.r)
             for t, it in enumerate(itup):
                 coef *= data.scalars[t + 1] ** (it * data.r)
-            parts = [
-                f_power(data.factors[0], data.f_fin, {tlab[0]: _ONE}, i0, caches[0])
-            ]
+            parts = [f_power(data.factors[0], data.f_fin, {tlab[0]: _ONE}, i0, cache)]
             for t, it in enumerate(itup):
                 pt = f_power(data.factors[t + 1], data.f_fin, {tlab[t + 1]: _ONE}, it)
                 if not pt:
-                    parts = None
                     break
                 parts.append(pt)
-            if parts is None:
-                continue
-            for combo in itertools.product(*[p.items() for p in parts]):
-                cc = coef
-                for _, c in combo:
-                    cc *= c
-                _acc(out, {(tuple(l for l, _ in combo), sp): cc})
+            else:
+                for combo in itertools.product(*[p.items() for p in parts]):
+                    cc = coef
+                    for _, c in combo:
+                        cc *= c
+                    _acc(out, {(tuple(l for l, _ in combo), sp): cc})
     return out
 
 
@@ -729,19 +720,13 @@ def loop_pair_act(data, elt, N, vec):
     """
     vec = _as_vec(vec)
     out = []
-    u = elt
-    i = 0
-    while not u.is_zero():
-        if i > 12:
-            raise IncompatibleData("the lowering chain did not terminate")
+    for i, u in enumerate(_lowering_chain(data.M, data.F_aff, elt)):
         c = gen_binom(Fraction(-N), i)
         if i % 2:
             c = -c
         applied = data.M.apply_elt(u, vec)
         if applied and c:
             out.append((N + i, _scaled(applied, c)))
-        u = aff_bracket(data.A, data.F_aff, u)
-        i += 1
     return out
 
 
@@ -751,39 +736,9 @@ def loop_loc_iso_inv(data, vec, n=0, N=None):
     N defaults to the sum of the factor nilpotency degrees plus n, enough
     for every term of the expansion to carry nonnegative honest powers.
     """
-    vec = _as_vec(vec)
     if N is None:
         N = sum(data.nil) + n
-    out = {}
-    for (tlab, s), c0 in vec.items():
-        sp = s + N * data.r
-        if sp not in data.window:
-            raise BandError("loop degree left the window; enlarge it")
-        for itup in itertools.product(*[range(m) for m in data.nil]):
-            i0 = N - sum(itup)
-            if i0 < 0:
-                continue
-            coef = c0 * gen_multinom(Fraction(N), list(itup))
-            if not coef:
-                continue
-            coef *= data.scalars[0] ** (i0 * data.r)
-            for t, it in enumerate(itup):
-                coef *= data.scalars[t + 1] ** (it * data.r)
-            parts = [f_power(data.factors[0], data.f_fin, {tlab[0]: _ONE}, i0)]
-            for t, it in enumerate(itup):
-                pt = f_power(data.factors[t + 1], data.f_fin, {tlab[t + 1]: _ONE}, it)
-                if not pt:
-                    parts = None
-                    break
-                parts.append(pt)
-            if not parts:
-                continue
-            for combo in itertools.product(*[p.items() for p in parts]):
-                cc = coef
-                for _, c in combo:
-                    cc *= c
-                _acc(out, {(tuple(l for l, _ in combo), sp): cc})
-    return N, out
+    return N, _loop_expand(data, _as_vec(vec), N)
 
 
 # ------------------------------------------- induction versus localization

@@ -24,6 +24,7 @@ from functools import cached_property
 
 from .affine import (
     AffElt,
+    AffineAlgebra,
     AffRoot,
     AffWeight,
     DegreeWindow,
@@ -34,7 +35,7 @@ from .affine import (
     roots_window,
     sl2_triple,
 )
-from .exact import Poly, invert, kernel, solve_unique
+from .exact import Poly, invert, kernel, solve_any, solve_unique
 from .finlie import LieElt, build_simple
 
 _Z = Fraction(0)
@@ -75,8 +76,8 @@ def _scaled(vec, c):
 class GradedModule:
     """Finite-basis weight module with tabulated generator actions.
 
-    kind is "fin" (module over a SimpleLieAlgebra) or "aff" (module over an
-    AffineAlgebra).  Generators are keyed ("fin", name) for kind "fin" and
+    The algebra fixes kind: "aff" over an AffineAlgebra, "fin" over a
+    SimpleLieAlgebra.  Generators are keyed ("fin", name) for kind "fin" and
     ("t", label, m), "D", "K" for kind "aff".  action maps (gen, label) to a
     sparse vector over labels.  boundary is the truncation mask: the set of
     labels whose tabulated action lost at least one term to the window.
@@ -86,15 +87,30 @@ class GradedModule:
     """
 
     algebra: object
-    kind: str
     window: object
     weight_of: dict
     action: dict
     boundary: set
     k_value: Fraction
     gens: list
-    gen_disp: dict
     provenance: dict | None = None
+
+    @cached_property
+    def kind(self):
+        return "aff" if isinstance(self.algebra, AffineAlgebra) else "fin"
+
+    @cached_property
+    def gen_disp(self):
+        """The weight each generator adds, read off the algebra."""
+        A = self.algebra
+        if self.kind == "fin":
+            return {gk: AffWeight(A.weight_of[gk[1]], _Z, _Z) for gk in self.gens}
+        zero = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
+        return {
+            gk: zero if gk in ("D", "K")
+            else AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
+            for gk in self.gens
+        }
 
     @cached_property
     def weights(self):
@@ -110,6 +126,22 @@ class GradedModule:
 
     def weight(self, lab):
         return self.weight_of[lab]
+
+    def gen_elt(self, gk):
+        """The algebra element behind the generator key gk."""
+        if gk == "D":
+            return AffElt(d=1)
+        if gk == "K":
+            return AffElt(k=1)
+        if gk[0] == "fin":
+            return LieElt({gk[1]: _ONE})
+        return AffElt({(gk[1], gk[2]): _ONE})
+
+    def bracket(self, x, y):
+        """[x, y] in the algebra this module is over."""
+        if self.kind == "fin":
+            return self.algebra.bracket(x, y)
+        return aff_bracket(self.algebra, x, y)
 
     def apply_gen(self, gen, vec):
         out = {}
@@ -165,25 +197,12 @@ def check_bracket_compat(M, max_report=10):
     gens = [g for g in M.gens]
     clean = {g: _clean_labels(M, g) for g in gens}
     tgens = {g[1:] for g in gens if isinstance(g, tuple) and g[0] == "t"}
-
-    def elt_of(g):
-        if M.kind == "fin":
-            return LieElt({g[1]: _ONE})
-        if g == "D":
-            return AffElt(d=1)
-        if g == "K":
-            return AffElt(k=1)
-        return AffElt({(g[1], g[2]): _ONE})
-
     bad = []
     for i, X in enumerate(gens):
         for Y in gens[i + 1 :]:
-            if M.kind == "fin":
-                br = M.algebra.bracket(elt_of(X), elt_of(Y))
-            else:
-                br = aff_bracket(M.algebra, elt_of(X), elt_of(Y))
-                if any(key not in tgens for key in br.c):
-                    continue
+            br = M.bracket(M.gen_elt(X), M.gen_elt(Y))
+            if M.kind == "aff" and any(key not in tgens for key in br.c):
+                continue
             for lab in clean[X] & clean[Y]:
                 v = {lab: _ONE}
                 lhs = M.apply_elt(br, v)
@@ -260,8 +279,7 @@ def dense_sl2(params, window):
             boundary.add(lab)
         action[(("fin", "H1"), lab)] = {lab: b + 2 * j}
     gens = [("fin", n) for n in g.basis]
-    gen_disp = {("fin", n): AffWeight(g.weight_of[n], _Z, _Z) for n in g.basis}
-    return GradedModule(g, "fin", window, weight_of, action, boundary, _Z, gens, gen_disp)
+    return GradedModule(g, window, weight_of, action, boundary, _Z, gens)
 
 
 def finite_dim_sl2(m):
@@ -275,8 +293,7 @@ def finite_dim_sl2(m):
         action[(("fin", "E21"), lab)] = {("u", i + 1): _ONE} if i < m else {}
         action[(("fin", "H1"), lab)] = {lab: Fraction(m - 2 * i)}
     gens = [("fin", n) for n in g.basis]
-    gen_disp = {("fin", n): AffWeight(g.weight_of[n], _Z, _Z) for n in g.basis}
-    return GradedModule(g, "fin", None, weight_of, action, set(), _Z, gens, gen_disp)
+    return GradedModule(g, None, weight_of, action, set(), _Z, gens)
 
 
 def natural_rep(g):
@@ -297,8 +314,7 @@ def natural_rep(g):
                     vec[("x", i)] = Fraction(mat[i][j])
             action[(("fin", name), ("x", j))] = vec
     gens = [("fin", n) for n in g.basis]
-    gen_disp = {("fin", n): AffWeight(g.weight_of[n], _Z, _Z) for n in g.basis}
-    return GradedModule(g, "fin", None, weight_of, action, set(), _Z, gens, gen_disp)
+    return GradedModule(g, None, weight_of, action, set(), _Z, gens)
 
 
 def adjoint_rep(g):
@@ -309,8 +325,7 @@ def adjoint_rep(g):
             br = g.bracket(LieElt({x: _ONE}), LieElt({y: _ONE}))
             action[(("fin", x), ("a", y))] = {("a", n): c for n, c in br.c.items()}
     gens = [("fin", n) for n in g.basis]
-    gen_disp = {("fin", n): AffWeight(g.weight_of[n], _Z, _Z) for n in g.basis}
-    return GradedModule(g, "fin", None, weight_of, action, set(), _Z, gens, gen_disp)
+    return GradedModule(g, None, weight_of, action, set(), _Z, gens)
 
 
 def tensor_product(M1, M2):
@@ -337,13 +352,18 @@ def tensor_product(M1, M2):
                 _acc(vec, {(l1, t2): c})
             action[(("fin", name), (l1, l2))] = vec
     gens = [("fin", n) for n in g.basis]
-    gen_disp = {("fin", n): AffWeight(g.weight_of[n], _Z, _Z) for n in g.basis}
-    return GradedModule(
-        g, "fin", None, weight_of, action, boundary, M1.k_value + M2.k_value, gens, gen_disp
-    )
+    return GradedModule(g, None, weight_of, action, boundary, M1.k_value + M2.k_value, gens)
 
 
 # ------------------------------------------------------------ loop modules
+
+
+def _loop_gens(A, gen_window):
+    """Generator keys ("t", label, m) for |m| <= gen_window, then D and K."""
+    gens = []
+    for m in range(-gen_window, gen_window + 1):
+        gens.extend(("t", lab, m) for lab in A.class_labels(m))
+    return gens + ["D", "K"]
 
 
 def loop_module(A, factors, scalars, window, gen_window=2):
@@ -378,16 +398,7 @@ def loop_module(A, factors, scalars, window, gen_window=2):
             if taint0:
                 boundary.add(lab)
 
-    gens = []
-    for m in range(-gen_window, gen_window + 1):
-        gens.extend(("t", name, m) for name in g.basis)
-    gens += ["D", "K"]
-    gen_disp = {}
-    for gk in gens:
-        if gk in ("D", "K"):
-            gen_disp[gk] = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
-        else:
-            gen_disp[gk] = AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
+    gens = _loop_gens(A, gen_window)
 
     for (tlab, s) in weight_of:
         lab = (tlab, s)
@@ -406,7 +417,7 @@ def loop_module(A, factors, scalars, window, gen_window=2):
                         nl = (tlab[:i] + (tgt,) + tlab[i + 1 :], s + m)
                         _acc(vec, {nl: c * an})
                 action[(("t", name, m), lab)] = vec
-    return GradedModule(A, "aff", window, weight_of, action, boundary, _Z, gens, gen_disp)
+    return GradedModule(A, window, weight_of, action, boundary, _Z, gens)
 
 
 # ------------------------------------------------- twisted loop fixed points
@@ -568,16 +579,7 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2, return
             if any(l1 in V.boundary or l2 in V.boundary for (l1, l2) in combo):
                 boundary.add(lab)
 
-    gens = []
-    for m in range(-gen_window, gen_window + 1):
-        gens.extend(("t", cl, m) for cl in At.class_labels(m))
-    gens += ["D", "K"]
-    gen_disp = {}
-    for gk in gens:
-        if gk in ("D", "K"):
-            gen_disp[gk] = AffWeight(tuple([_Z] * At.fin_rank), _Z, _Z)
-        else:
-            gen_disp[gk] = AffWeight(At.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
+    gens = _loop_gens(At, gen_window)
 
     by_grade_index = {}
     for lab in weight_of:
@@ -611,7 +613,7 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2, return
                 if coords[tl[2]]:
                     vec[tl] = coords[tl[2]]
             action[(gk, lab)] = vec
-    M = GradedModule(At, "aff", window, weight_of, action, boundary, _Z, gens, gen_disp)
+    M = GradedModule(At, window, weight_of, action, boundary, _Z, gens)
     if return_involution:
         return M, S
     return M
@@ -764,23 +766,14 @@ def imaginary_verma(
         if drops:
             boundary.add(lab)
 
-    gens = []
-    for m in range(-gen_window, gen_window + 1):
-        gens.extend((("t", "E12", m), ("t", "E21", m), ("t", "H1", m)))
-    gens += ["D", "K"]
-    gen_disp = {}
-    for gk in gens:
-        if gk in ("D", "K"):
-            gen_disp[gk] = AffWeight((_Z,), _Z, _Z)
-        else:
-            gen_disp[gk] = AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
+    gens = _loop_gens(A, gen_window)
     recipe = dict(
         lam=lam, depth=depth, length_cap=length_cap, mode_cap=mode_cap,
         gen_window=gen_window, algebra=A, n0_ext=n0_ext,
     )
     return GradedModule(
-        A, "aff", DegreeWindow(-depth, depth), weight_of, action, boundary,
-        _Z, gens, gen_disp, provenance={"imaginary_verma": recipe},
+        A, DegreeWindow(-depth, depth), weight_of, action, boundary, _Z, gens,
+        provenance={"imaginary_verma": recipe},
     )
 
 
@@ -862,13 +855,7 @@ def levi_dense_module(P, params, jwindow, base_fin, base_d=0):
 
     gens = [("t", ekey[0], ekey[1]), ("t", fkey[0], fkey[1])]
     gens += [("t", hl, 0) for hl in carts] + ["D", "K"]
-    gen_disp = {}
-    for gk in gens:
-        if gk in ("D", "K"):
-            gen_disp[gk] = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
-        else:
-            gen_disp[gk] = AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
-    return GradedModule(A, "aff", jwindow, weight_of, action, boundary, _Z, gens, gen_disp)
+    return GradedModule(A, jwindow, weight_of, action, boundary, _Z, gens)
 
 
 def induced_truncated(P, N, depth, gen_window=None):
@@ -890,14 +877,11 @@ def induced_truncated(P, N, depth, gen_window=None):
     if gen_window is None:
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
 
-    def member(fin, n):
-        return P.member(fin, n)
-
     letters = []
     for r in P.roots:
         key = (r.fin, r.n)
         neg = (tuple(-c for c in r.fin), -r.n)
-        if not member(*key) and member(*neg):
+        if not P.member(*key) and P.member(*neg):
             letters.extend(root_space(A, r))
     letters.sort(key=lambda t: (t[1], t[0]))
     lset = set(letters)
@@ -914,7 +898,7 @@ def induced_truncated(P, N, depth, gen_window=None):
         dvec = [a - c for a, c in zip(w.fin, w0.fin)] + [w.d - w0.d]
         if levi_cols:
             mat = [[col[i] for col in levi_cols] for i in range(len(dvec))]
-            if _no_solution(mat, dvec):
+            if solve_any(mat, dvec) is None:
                 raise ValueError("N is supported on several Levi root lattice cosets")
         elif any(dvec):
             raise ValueError("N is supported on several Levi root lattice cosets")
@@ -926,8 +910,8 @@ def induced_truncated(P, N, depth, gen_window=None):
         fin = A.fin_weight(m, lab)
         if not any(fin) and m == 0:
             return "levi"
-        key_in = member(fin, m)
-        neg_in = member(tuple(-c for c in fin), -m)
+        key_in = P.member(fin, m)
+        neg_in = P.member(tuple(-c for c in fin), -m)
         if key_in and neg_in:
             return "levi"
         if key_in:
@@ -947,6 +931,20 @@ def induced_truncated(P, N, depth, gen_window=None):
 
     cache_act, cache_ins = {}, {}
 
+    def past_first(key, rest, mon, nl):
+        """key . (mon[0] mon[1:]) = mon[0] (key . mon[1:]) + [key, mon[0]] . mon[1:],
+        given rest = (key . mon[1:], taint)."""
+        l1 = mon[0]
+        out, taint = {}, rest[1]
+        for (mon2, nl2), c in rest[0].items():
+            v2, t2 = insert_letter(l1, mon2, nl2)
+            taint |= t2
+            _acc(out, v2, c)
+        br = aff_bracket(A, AffElt({key: _ONE}), AffElt({l1: _ONE}))
+        v3, t3 = act_elt(br, mon[1:], nl)
+        _acc(out, v3)
+        return out, taint | t3
+
     def insert_letter(l, mon, nl):
         key = (l, mon, nl)
         if key in cache_ins:
@@ -956,19 +954,7 @@ def induced_truncated(P, N, depth, gen_window=None):
         elif not mon or lorder[l] <= lorder[mon[0]]:
             res = ({((l,) + mon, nl): _ONE}, False)
         else:
-            l1 = mon[0]
-            out, taint = {}, False
-            sub, t1 = insert_letter(l, mon[1:], nl)
-            taint |= t1
-            for (mon2, nl2), c in sub.items():
-                v2, t2 = insert_letter(l1, mon2, nl2)
-                taint |= t2
-                _acc(out, v2, c)
-            br = aff_bracket(A, AffElt({l: _ONE}), AffElt({l1: _ONE}))
-            v3, t3 = act_elt(br, mon[1:], nl)
-            taint |= t3
-            _acc(out, v3)
-            res = (out, taint)
+            res = past_first(l, insert_letter(l, mon[1:], nl), mon, nl)
         cache_ins[key] = res
         return res
 
@@ -992,51 +978,22 @@ def induced_truncated(P, N, depth, gen_window=None):
                 vec = {((), t): c for t, c in N.action[(gk, nl)].items()}
                 res = (vec, nl in N.boundary)
         else:
-            l1 = mon[0]
-            out, taint = {}, False
-            sub, t1 = act_key(lab, m, mon[1:], nl)
-            taint |= t1
-            for (mon2, nl2), c in sub.items():
-                v2, t2 = insert_letter(l1, mon2, nl2)
-                taint |= t2
-                _acc(out, v2, c)
-            br = aff_bracket(A, AffElt({(lab, m): _ONE}), AffElt({l1: _ONE}))
-            v3, t3 = act_elt(br, mon[1:], nl)
-            taint |= t3
-            _acc(out, v3)
-            res = (out, taint)
+            res = past_first((lab, m), act_key(lab, m, mon[1:], nl), mon, nl)
         cache_act[key] = res
         return res
 
     def act_elt(x, mon, nl):
+        # x is a bracket of two loop vectors, so it has no D part
         out, taint = {}, False
         for (lab, m), c in x.c.items():
             v, t = act_key(lab, m, mon, nl)
             taint |= t
             _acc(out, v, c)
-        if x.d:
-            w = weight_of.get((mon, nl))
-            if w is None:
-                w = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
-                for l in mon:
-                    w = w + disp(l)
-                w = w + N.weight_of[nl]
-            if w.d:
-                _acc(out, {(mon, nl): w.d}, x.d)
         if x.k and N.k_value:
             _acc(out, {(mon, nl): N.k_value}, x.k)
         return out, taint
 
-    gens = []
-    for m in range(-gen_window, gen_window + 1):
-        gens.extend(("t", lab, m) for lab in A.class_labels(m))
-    gens += ["D", "K"]
-    gen_disp = {}
-    for gk in gens:
-        if gk in ("D", "K"):
-            gen_disp[gk] = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
-        else:
-            gen_disp[gk] = AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
+    gens = _loop_gens(A, gen_window)
 
     action, boundary = {}, set()
     for (mon, nl) in weight_of:
@@ -1054,15 +1011,9 @@ def induced_truncated(P, N, depth, gen_window=None):
             if taint:
                 boundary.add(lab)
     return GradedModule(
-        A, "aff", P.window, weight_of, action, boundary, N.k_value, gens, gen_disp,
+        A, P.window, weight_of, action, boundary, N.k_value, gens,
         provenance={"letters": letters},
     )
-
-
-def _no_solution(mat, vec):
-    from .exact import solve_any
-
-    return solve_any(mat, vec) is None
 
 
 # ------------------------------------------------ degree-pairing matrices

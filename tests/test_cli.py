@@ -141,6 +141,25 @@ def test_malformed_values_are_input_errors(tmp_path):
     assert main(["localize-demo", "--x", "a/b", "--out", str(tmp_path / "z")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parabolic-classify", "--samples=-3"],
+        ["cone-certificate", "--samples=-2"],
+        ["identities", "--suite=localization", "--samples=-1"],
+        ["identities", "--suite=efloc", "--samples=-1"],
+        ["identities", "--suite=multinomial", "--max=-1"],
+        ["imverma-mult", "--depth=-1"],
+        ["imverma-mult", "--length-cap=-1"],
+        ["imverma-mult", "--mode-cap=-1"],
+        ["shadow", "--module=imverma", "--depth=-1"],
+    ],
+)
+def test_negative_counts_are_input_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_csv_needs_a_table(tmp_path):
     assert main(["identities", "--format", "csv", "--out", str(tmp_path / "x")]) == 1
 

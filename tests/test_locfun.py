@@ -489,6 +489,16 @@ def test_loop_iso_inverse_roundtrip():
     assert Np == 3
     assert w2 == data.M.apply_elt(data.F_aff, {w: F(1)})
     assert loop_loc_iso(data, Np, w2) == v
+    # every interior label of the -8..8 dense factor round-trips through an
+    # explicit N = 0..4: the expansion runs at K = -N and at K = N, and for N
+    # below the nilpotency sum the vanishing multinomial drops the split terms
+    for N in range(5):
+        for j in range(-2, 3):
+            for i in range(3):
+                for s in (-1, 0, 1):
+                    w = ((("w", j), ("u", i)), s)
+                    v = loop_loc_iso(data, 2, {w: F(1)})
+                    assert loop_loc_iso(data, *loop_loc_iso_inv(data, v, N=N)) == v
 
 
 def test_loop_pair_act_formal_rule():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -11,7 +12,6 @@ from affinekit.rootpar import assemble_parabolic, make_flag, triangular_decompos
 from affinekit.modrep import (
     DenseSL2Params,
     ExpPolynomial,
-    GradedModule,
     IncompatibleData,
     adjoint_rep,
     boundedness_probe,
@@ -198,6 +198,24 @@ def test_loop_bracket_compat():
     M = _loop_small()
     assert check_bracket_compat(M) == []
     assert check_weight_additivity(M) == []
+
+
+@pytest.mark.parametrize(
+    "make, gen, lab, wrong",
+    [
+        (_loop_small, ("t", "E12", 0), ((("u", 1), ("u", 1)), 0), ((("u", 1), ("u", 1)), 1)),
+        (lambda: dense_sl2(DenseSL2Params(F(1, 3), F(2)), JW), ("fin", "E21"), ("w", 0), ("w", 1)),
+    ],
+    ids=["loop", "dense"],
+)
+def test_weight_additivity_catches_a_bad_row(make, gen, lab, wrong):
+    # one row pointed at a label of the wrong weight is reported, and only it
+    M = make()
+    assert check_weight_additivity(M) == []
+    action = dict(M.action)
+    action[(gen, lab)] = {wrong: F(1)}
+    bad = dataclasses.replace(M, action=action)
+    assert check_weight_additivity(bad) == [(gen, lab, wrong)]
 
 
 def test_loop_rejects_zero_scalar():
@@ -401,6 +419,7 @@ def test_levi_dense_module_consistency():
         j = lab[1]
         assert N.weight(lab).fin == (F(1, 2) + 2 * j, F(4) - j)
     assert check_bracket_compat(N) == []
+    assert check_weight_additivity(N) == []
 
 
 def test_induced_layers_and_top():
@@ -446,10 +465,8 @@ def test_induced_bracket_compat():
 def test_induced_rejects_scattered_support():
     P = _standard_P()
     N = _levi_N()
-    bad = GradedModule(
-        algebra=N.algebra,
-        kind=N.kind,
-        window=N.window,
+    bad = dataclasses.replace(
+        N,
         weight_of={
             lab: (
                 w
@@ -458,11 +475,6 @@ def test_induced_rejects_scattered_support():
             )
             for lab, w in N.weight_of.items()
         },
-        action=N.action,
-        boundary=N.boundary,
-        k_value=N.k_value,
-        gens=N.gens,
-        gen_disp=N.gen_disp,
     )
     with pytest.raises(ValueError):
         induced_truncated(P, bad, depth=1)
