@@ -139,6 +139,7 @@ class AffineAlgebra:
             raise ValueError("only twists of order 1 or 2 are supported")
         self.zeta = 1 if self.s == 1 else -1
         self._tw_gram_inv = None
+        self._brackets = {}
         self._build_classes()
 
     def _build_classes(self):
@@ -230,6 +231,18 @@ class AffineAlgebra:
 
     def fin_weight(self, m, label):
         return self._weights[(self.class_of(m), label)]
+
+    def basis_bracket(self, a, b):
+        """[a, b] for two loop basis keys (label, degree), tabulated per algebra.
+
+        The returned AffElt is shared by every caller: treat it as read-only
+        (never write to its c, d or k).
+        """
+        br = self._brackets.get((a, b))
+        if br is None:
+            br = aff_bracket(self, AffElt({a: Fraction(1)}), AffElt({b: Fraction(1)}))
+            self._brackets[(a, b)] = br
+        return br
 
     def cartan_labels(self, m):
         zero = tuple([Fraction(0)] * self.fin_rank)

@@ -8,7 +8,8 @@ strings "p/q", never as floats.
 
 Exit codes: 0 when every verification record passes, 2 when at least one
 record fails, 1 when the input is unusable (unknown command, malformed
-value, window or band exhaustion).
+value, zero samples, window or band exhaustion, a generator the module
+does not tabulate).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .locfun import (
 from .modrep import (
     DenseSL2Params,
     IncompatibleData,
+    UntabulatedGenerator,
     adjoint_rep,
     boundedness_probe,
     build_PM,
@@ -110,6 +112,13 @@ def _count(value, name):
     n = _int(value, name)
     if n < 0:
         raise UsageError(f"{name} wants a nonnegative integer, got {value!r}")
+    return n
+
+
+def _samples(cfg):
+    n = _count(cfg.params["samples"], "samples")
+    if n == 0:
+        raise UsageError("samples wants at least 1: zero samples verify nothing")
     return n
 
 
@@ -267,7 +276,7 @@ def cmd_parabolic_classify(cfg):
             _verify("window_doubling_stable", P.tag, classify_parabolic(P2)),
         ]
         return records, []
-    samples = _count(cfg.params["samples"], "samples")
+    samples = _samples(cfg)
     rng = random.Random(cfg.seed)
     tags, ax_ok, cert_ok = {}, 0, 0
     for _ in range(samples):
@@ -317,7 +326,7 @@ def cmd_cone_certificate(cfg):
         _verify("coefficients_positive", True, all(db > 0 for db in cone.d.values())),
         _verify("delta_decomposition", expect, tot),
     ]
-    samples = _count(cfg.params["samples"], "samples")
+    samples = _samples(cfg)
     rng = random.Random(cfg.seed)
     simples = A.affine_simple_roots()
     ok = 0
@@ -547,7 +556,7 @@ def cmd_pm_build(cfg):
 
 
 def _localization_suite(cfg):
-    samples = _count(cfg.params["samples"], "samples")
+    samples = _samples(cfg)
     target = cfg.params["target"]
     rng = random.Random(cfg.seed)
     if target == "dense":
@@ -579,13 +588,17 @@ def _localization_suite(cfg):
             if compared:
                 tally[law][0] += 1
                 tally[law][1] += not failed
-    return [_info("target", target), _info("samples", samples)] + [
-        _verify(law, checked, held) for law, (checked, held) in tally.items()
-    ]
+    records = [_info("target", target), _info("samples", samples)]
+    for law, (checked, held) in tally.items():
+        rec = _verify(law, checked, held)
+        if not checked:
+            rec["status"] = "fail"  # no sample compared a pair: nothing was verified
+        records.append(rec)
+    return records
 
 
 def _efloc_suite(cfg):
-    samples = _count(cfg.params["samples"], "samples")
+    samples = _samples(cfg)
     rng = random.Random(cfg.seed)
     alpha = AffRoot("real", (Fraction(2),), 0)
     checked = ok = 0
@@ -920,7 +933,7 @@ def run(cfg):
     handler = _HANDLERS[cfg.command]
     try:
         records, tables = handler(cfg)
-    except (BandError, IncompatibleData) as exc:
+    except (BandError, IncompatibleData, UntabulatedGenerator) as exc:
         raise UsageError(f"{cfg.command}: {exc} (parameters: {_echo(cfg)})")
     _write_report(cfg, records, tables)
     return 2 if any(r["status"] == "fail" for r in records) else 0

@@ -435,10 +435,8 @@ def localize(M, alpha, n0_ext=None):
             continue
         if any(l in M.boundary for l in src):
             continue
+        # the injectivity pass found this pair's kernel trivial: square means invertible
         if len(src) != len(tgt):
-            bijective = False
-            continue
-        if invert(_band_matrix(M, spec.f_elt, src, tgt)) is None:
             bijective = False
     if bijective:
         return M

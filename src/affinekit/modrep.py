@@ -877,12 +877,9 @@ def induced_truncated(P, N, depth, gen_window=None):
     if gen_window is None:
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
 
-    letters = []
-    for r in P.roots:
-        key = (r.fin, r.n)
-        neg = (tuple(-c for c in r.fin), -r.n)
-        if not P.member(*key) and P.member(*neg):
-            letters.extend(root_space(A, r))
+    letters = [
+        key for r in P.roots for key in root_space(A, r) if P.basis_kind(*key) == "letter"
+    ]
     letters.sort(key=lambda t: (t[1], t[0]))
     lset = set(letters)
     lorder = {l: i for i, l in enumerate(letters)}
@@ -906,18 +903,6 @@ def induced_truncated(P, N, depth, gen_window=None):
     def disp(key):
         return AffWeight(A.fin_weight(key[1], key[0]), Fraction(key[1]), _Z)
 
-    def classify(lab, m):
-        fin = A.fin_weight(m, lab)
-        if not any(fin) and m == 0:
-            return "levi"
-        key_in = P.member(fin, m)
-        neg_in = P.member(tuple(-c for c in fin), -m)
-        if key_in and neg_in:
-            return "levi"
-        if key_in:
-            return "nplus"
-        return "letter"
-
     mons = [()]
     for r in range(1, depth + 1):
         mons.extend(itertools.combinations_with_replacement(letters, r))
@@ -940,8 +925,7 @@ def induced_truncated(P, N, depth, gen_window=None):
             v2, t2 = insert_letter(l1, mon2, nl2)
             taint |= t2
             _acc(out, v2, c)
-        br = aff_bracket(A, AffElt({key: _ONE}), AffElt({l1: _ONE}))
-        v3, t3 = act_elt(br, mon[1:], nl)
+        v3, t3 = act_elt(A.basis_bracket(key, l1), mon[1:], nl)
         _acc(out, v3)
         return out, taint | t3
 
@@ -962,7 +946,7 @@ def induced_truncated(P, N, depth, gen_window=None):
         key = (lab, m, mon, nl)
         if key in cache_act:
             return cache_act[key]
-        cls = classify(lab, m)
+        cls = P.basis_kind(lab, m)
         if cls == "letter":
             if (lab, m) in lset:
                 res = insert_letter((lab, m), mon, nl)
@@ -983,7 +967,7 @@ def induced_truncated(P, N, depth, gen_window=None):
         return res
 
     def act_elt(x, mon, nl):
-        # x is a bracket of two loop vectors, so it has no D part
+        # x is a shared basis bracket (read only here), so it has no D part
         out, taint = {}, False
         for (lab, m), c in x.c.items():
             v, t = act_key(lab, m, mon, nl)

@@ -143,6 +143,7 @@ class ParabolicSet:
             }
         self.members = members
         self.tag = tag
+        self._kinds = {}
 
     def _formula(self, fin, n):
         v1 = flag_value(self.flag.phi1, fin, n)
@@ -165,6 +166,27 @@ class ParabolicSet:
 
     def member_key(self, key):
         return self.member(key[0], key[1])
+
+    def basis_kind(self, lab, m):
+        """Kind of the loop basis key (lab, m): "levi", "nplus" or "letter".
+
+        levi: the degree-zero Cartan, or a root in P together with its
+        negative; nplus: a root in P whose negative is not; letter: a root
+        outside P.  Memoised per key, apart from members, which holds roots
+        only.
+        """
+        key = (lab, m)
+        kind = self._kinds.get(key)
+        if kind is None:
+            fin = self.algebra.fin_weight(m, lab)
+            if not any(fin) and m == 0:
+                kind = "levi"
+            elif self.member(fin, m):
+                kind = "levi" if self.member(tuple(-c for c in fin), -m) else "nplus"
+            else:
+                kind = "letter"
+            self._kinds[key] = kind
+        return kind
 
     def keys(self):
         return [(r.fin, r.n) for r in self.roots]

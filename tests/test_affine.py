@@ -54,6 +54,17 @@ def test_bracket_examples_a1(algebras):
     assert aff_bracket(A, AffElt({}, d=1), AffElt({}, k=1)).is_zero()
 
 
+@pytest.mark.parametrize("key", ["A1u", "A2u", "A2t"])
+def test_basis_bracket_matches_aff_bracket(algebras, key):
+    A = algebras[key]
+    basis = [(lab, m) for m in range(-2, 3) for lab in A.class_labels(m)]
+    for a in basis:
+        for b in basis:
+            want = aff_bracket(A, AffElt({a: F(1)}), AffElt({b: F(1)}))
+            assert A.basis_bracket(a, b) == want, (a, b)
+            assert A.basis_bracket(a, b) is A.basis_bracket(a, b)
+
+
 def _random_elt(A, rng, span=3):
     terms = {}
     for _ in range(rng.randint(1, 3)):

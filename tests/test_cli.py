@@ -119,6 +119,18 @@ def test_identities_localization_skips_vacuous_samples(tmp_path):
     assert recs["twist_composition"]["expected"] == 6
 
 
+def test_identities_localization_law_never_compared_fails(tmp_path):
+    # the one sample of seed 21 masks every sampled label in the integer
+    # twist: that law verified nothing, so it is a failure, not a 0/0 pass
+    code, text = run_cli(tmp_path, "identities", "--suite", "localization",
+                         "--target", "loop", "--samples", "1", "--seed", "21")
+    assert code == 2
+    recs = {r["name"]: r for r in load(text)["records"]}
+    law = recs["integer_twist_is_conjugation"]
+    assert (law["status"], law["expected"], law["actual"]) == ("fail", 0, 0)
+    assert recs["twist_composition"]["status"] == "pass"
+
+
 def test_identities_efloc(tmp_path):
     code, text = run_cli(tmp_path, "identities", "--suite", "efloc",
                          "--samples", "4", "--seed", "2")
@@ -158,6 +170,36 @@ def test_malformed_values_are_input_errors(tmp_path):
 def test_negative_counts_are_input_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parabolic-classify", "--samples=0"],
+        ["cone-certificate", "--samples=0"],
+        ["identities", "--suite=localization", "--samples=0"],
+        ["identities", "--suite=efloc", "--samples=0"],
+    ],
+)
+def test_zero_samples_are_input_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_untabulated_generator_is_input_error(tmp_path, capsys, monkeypatch):
+    from affinekit import cli
+    from affinekit.modrep import UntabulatedGenerator
+
+    def handler(cfg):
+        raise UntabulatedGenerator("generator ('t', 'E12', 3) is not tabulated")
+
+    monkeypatch.setitem(cli._HANDLERS, "roots", handler)
+    assert main(["roots", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: roots: generator ('t', 'E12', 3) is not tabulated")
+    assert "Traceback" not in err
 
 
 def test_csv_needs_a_table(tmp_path):

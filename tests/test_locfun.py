@@ -282,6 +282,21 @@ def test_localize_bijective_returns_module():
     assert localize(M, (F(2),)) is M
 
 
+def test_localize_builds_each_band_pair_once(monkeypatch):
+    # dense line, window -8..8: 15 distinct (src, tgt) band pairs
+    M = _dense(F(1, 2), 3, -8, 8)
+    built = []
+    band_matrix = locfun._band_matrix
+
+    def counting(M, f_elt, src, tgt):
+        built.append((tuple(src), tuple(tgt)))
+        return band_matrix(M, f_elt, src, tgt)
+
+    monkeypatch.setattr(locfun, "_band_matrix", counting)
+    assert localize(M, (F(2),)) is M
+    assert len(built) == len(set(built)) == 15
+
+
 def test_localize_rejects_noninjective():
     with pytest.raises(IncompatibleData):
         localize(finite_dim_sl2(2), (F(2),))

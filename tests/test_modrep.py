@@ -462,6 +462,32 @@ def test_induced_bracket_compat():
     assert check_weight_additivity(M) == []
 
 
+def test_induced_tables_do_not_leak_between_modules():
+    # basis_kind and basis_bracket are memoised on P and its algebra: one P
+    # inducing N and then a twist of N must agree with fresh ones each time
+    from affinekit.affine import AffRoot, is_positive_root
+    from affinekit.locfun import make_twist_spec, twist_module
+
+    P = _standard_P()
+    N = _levi_N()
+    fin, n = next(
+        k for k in P.levi_keys() if any(k[0]) and is_positive_root(A2aff, k[0], k[1])
+    )
+    T = twist_module(N, make_twist_spec(N, AffRoot("real", fin, n), F(1, 2)))
+    shared = [induced_truncated(P, S, depth=1) for S in (N, T)]
+    for M, S in zip(shared, (N, T)):
+        A = build_affine(build_simple("A2"))
+        fresh = induced_truncated(
+            assemble_parabolic(A, make_flag(A, (F(1), F(2), F(5))), DegreeWindow(-1, 1)),
+            S,
+            depth=1,
+        )
+        assert M.weight_of == fresh.weight_of
+        assert M.action == fresh.action
+        assert M.boundary == fresh.boundary
+    assert shared[0].action != shared[1].action
+
+
 def test_induced_rejects_scattered_support():
     P = _standard_P()
     N = _levi_N()

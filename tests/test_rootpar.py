@@ -156,6 +156,30 @@ def test_axioms_random_flags(algebras):
             assert check_parabolic_axioms(P), (key, fl)
 
 
+@pytest.mark.parametrize("key,phi1", [("A2u", (1, 2, 5)), ("C2u", (1, 0, 3))])
+def test_basis_kind_matches_membership(algebras, key, phi1):
+    A = algebras[key]
+    P = assemble_parabolic(A, make_flag(A, tuple(F(c) for c in phi1)), DegreeWindow(-1, 1))
+    assert P.tag == "standard"
+    members = dict(P.members)
+    seen = set()
+    # degrees -3..3 reach past the window, where member falls back to the flag
+    for m in range(-3, 4):
+        for lab in A.class_labels(m):
+            fin = A.fin_weight(m, lab)
+            key_in = P.member(fin, m)
+            neg_in = P.member(tuple(-c for c in fin), -m)
+            if (not any(fin) and m == 0) or (key_in and neg_in):
+                want = "levi"
+            else:
+                want = "nplus" if key_in else "letter"
+            # the second call is answered from the memo
+            assert P.basis_kind(lab, m) == P.basis_kind(lab, m) == want, (lab, m)
+            seen.add(want)
+    assert seen == {"levi", "nplus", "letter"}
+    assert P.members == members
+
+
 # ---------------------------------------------------- classification
 
 
