@@ -18,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -352,7 +353,7 @@ def _loop_factors(A, factors_text, jwindow):
         bits = part.split(":")
         kind = bits[0]
         if kind == "fin" and len(bits) == 2:
-            Fm = finite_dim_sl2(_int(bits[1], "factor fin:m"))
+            Fm = finite_dim_sl2(_count(bits[1], "factor fin:m"))
         elif kind == "natural" and len(bits) == 1:
             Fm = natural_rep(A.g)
         elif kind == "adjoint" and len(bits) == 1:
@@ -374,6 +375,13 @@ def _loop_factors(A, factors_text, jwindow):
     return out
 
 
+def _loop_module(A, factors, scalars, window):
+    try:
+        return loop_module(A, factors, scalars, window)
+    except ValueError as exc:
+        raise UsageError(f"loop module: {exc}")
+
+
 def cmd_loop_mult(cfg):
     A = _algebra(cfg.algebra)
     if A.s != 1:
@@ -382,10 +390,7 @@ def cmd_loop_mult(cfg):
     jwindow = _window(cfg.params["jwindow"], "jwindow")
     factors = _loop_factors(A, cfg.params["factors"], jwindow)
     scalars = _frac_list(cfg.params["scalars"], "scalars")
-    try:
-        M = loop_module(A, factors, scalars, W)
-    except ValueError as exc:
-        raise UsageError(f"loop module: {exc}")
+    M = _loop_module(A, factors, scalars, W)
     records = [
         _info("labels", len(M.weight_of)),
         _info("masked", len(M.boundary)),
@@ -653,7 +658,7 @@ def cmd_probe_bounded(cfg):
 
     def make_module(N):
         W = DegreeWindow(-N, N)
-        return loop_module(A, _loop_factors(A, factors_text, W), scalars, W)
+        return _loop_module(A, _loop_factors(A, factors_text, W), scalars, W)
 
     result = boundedness_probe(make_module, sizes)
     maxima = [m for _, m in result["max_mult"]]
@@ -677,92 +682,94 @@ def cmd_probe_bounded(cfg):
 # ----------------------------------------------------------- orchestration
 
 
-_HANDLERS = {
-    "algebra-info": cmd_algebra_info,
-    "roots": cmd_roots,
-    "parabolic-classify": cmd_parabolic_classify,
-    "cone-certificate": cmd_cone_certificate,
-    "loop-mult": cmd_loop_mult,
-    "imverma-mult": cmd_imverma_mult,
-    "prop42": cmd_prop42,
-    "localize-demo": cmd_localize_demo,
-    "shadow": cmd_shadow,
-    "pm-build": cmd_pm_build,
-    "identities": cmd_identities,
-    "probe-bounded": cmd_probe_bounded,
+@dataclass(frozen=True)
+class Flag:
+    """One --name flag.  Its dest and config key is the name with dashes turned
+    into underscores, except --lambda, whose dest is lam; a config file may
+    also spell a key with dashes, or as its dest (the config_echo spelling)."""
+
+    name: str
+    default: str | None = None
+    help: str | None = None
+    choices: tuple | None = None
+
+    @property
+    def dest(self):
+        return "lam" if self.name == "lambda" else self.name.replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: everything the parser, config merge and run need."""
+
+    handler: Callable
+    help: str
+    flags: tuple
+    tabled: bool = True  # the report carries a table, so CSV is allowed
+    fmt: str = "json"  # format when neither --format nor the config sets one
+
+
+# added to every command after --config (which is never a config key)
+_COMMON = (
+    Flag("out", help="report path (default stdout)"),
+    Flag("format", choices=("json", "csv")),
+    Flag("seed", "0", "integer seed fixing all sampling"),
+)
+_MODULES = ("loop-fin", "loop-dense", "imverma")
+
+_COMMANDS = {
+    "algebra-info": Command(cmd_algebra_info, "ranks, twist data, simple roots", (
+        Flag("algebra", "A1x1", "spec like A1x1 or A2x2"),
+        Flag("window", "-2:2", "t-degree window lo:hi"),
+    ), tabled=False),
+    "roots": Command(cmd_roots, "list the windowed affine roots", (
+        Flag("algebra", "A1x1"), Flag("window", "-2:2"),
+    )),
+    "parabolic-classify": Command(cmd_parabolic_classify, "classify flag-cut root subsets", (
+        Flag("algebra", "A1x1"), Flag("window", "-3:3"),
+        Flag("phi1", help="comma separated fractions, length fin_rank+1"), Flag("phi2"),
+        Flag("samples", "25", "random flags to audit when --phi1 is absent"),
+    ), tabled=False),
+    "cone-certificate": Command(
+        cmd_cone_certificate, "positive delta decomposition and lattice test", (
+            Flag("algebra", "A2x1"), Flag("window", "-3:3"),
+            Flag("phi1", "0,0,1"), Flag("phi2"), Flag("samples", "50"),
+        ),
+    ),
+    "loop-mult": Command(cmd_loop_mult, "loop module table and structure checks", (
+        Flag("algebra", "A1x1"), Flag("window", "-3:3"),
+        Flag("factors", "fin:1,fin:2", "comma separated: fin:m, natural, adjoint, dense:b:c"),
+        Flag("scalars", "1,2", "comma separated nonzero evaluation points"),
+        Flag("jwindow", "-4:4", "weight window for dense factors"),
+    )),
+    "imverma-mult": Command(cmd_imverma_mult, "truncated imaginary Verma table", (
+        Flag("lambda", "3"), Flag("depth", "3"), Flag("length-cap"), Flag("mode-cap"),
+    )),
+    "prop42": Command(cmd_prop42, "pairing matrix and its case split", (
+        Flag("n", "6"), Flag("lambda", "1"),
+    ), fmt="csv"),
+    "localize-demo": Command(cmd_localize_demo, "before/after tables for a twisted dense line", (
+        Flag("b", "1/2"), Flag("c", "3"), Flag("x", "1/2"), Flag("jwindow", "-6:6"),
+    )),
+    "shadow": Command(cmd_shadow, "f/i direction tag read off a module support", (
+        Flag("module", "loop-fin", choices=_MODULES), Flag("lambda", "3"), Flag("depth", "3"),
+        Flag("fin", "2", "root direction, comma separated fractions"),
+        Flag("n", "0"), Flag("window", "-6:6"), Flag("expect", choices=("f", "i")),
+    ), tabled=False),
+    "pm-build": Command(cmd_pm_build, "parabolic set attached to a module shadow table", (
+        Flag("module", "imverma", choices=_MODULES), Flag("lambda", "3"), Flag("depth", "4"),
+        Flag("window", "-2:2"),
+    )),
+    "identities": Command(cmd_identities, "exact identity suites", (
+        Flag("suite", "multinomial", choices=("multinomial", "localization", "efloc")),
+        Flag("max", "4", "multinomial bound"), Flag("samples", "8"),
+        Flag("target", "dense", choices=("dense", "loop")),
+    ), tabled=False),
+    "probe-bounded": Command(cmd_probe_bounded, "multiplicity growth across windows", (
+        Flag("factors", "dense:1/2:3,fin:1"), Flag("scalars", "1,2"), Flag("sizes", "3,6,9"),
+        Flag("expect", choices=("bounded", "increasing")),
+    )),
 }
-
-# commands whose report carries a tabular payload (the only ones CSV makes
-# sense for)
-_TABLED = {
-    "roots",
-    "cone-certificate",
-    "loop-mult",
-    "imverma-mult",
-    "prop42",
-    "localize-demo",
-    "pm-build",
-    "probe-bounded",
-}
-
-_DEFAULTS = {
-    "algebra-info": {"algebra": "A1x1", "window": "-2:2"},
-    "roots": {"algebra": "A1x1", "window": "-2:2"},
-    "parabolic-classify": {
-        "algebra": "A1x1",
-        "window": "-3:3",
-        "phi1": None,
-        "phi2": None,
-        "samples": "25",
-    },
-    "cone-certificate": {
-        "algebra": "A2x1",
-        "window": "-3:3",
-        "phi1": "0,0,1",
-        "phi2": None,
-        "samples": "50",
-    },
-    "loop-mult": {
-        "algebra": "A1x1",
-        "window": "-3:3",
-        "factors": "fin:1,fin:2",
-        "scalars": "1,2",
-        "jwindow": "-4:4",
-    },
-    "imverma-mult": {"lam": "3", "depth": "3", "length_cap": None, "mode_cap": None},
-    "prop42": {"n": "6", "lam": "1"},
-    "localize-demo": {"b": "1/2", "c": "3", "x": "1/2", "jwindow": "-6:6"},
-    "shadow": {
-        "module": "loop-fin",
-        "lam": "3",
-        "depth": "3",
-        "fin": "2",
-        "n": "0",
-        "window": "-6:6",
-        "expect": None,
-    },
-    "pm-build": {"module": "imverma", "lam": "3", "depth": "4", "window": "-2:2"},
-    "identities": {"suite": "multinomial", "max": "4", "samples": "8", "target": "dense"},
-    "probe-bounded": {
-        "factors": "dense:1/2:3,fin:1",
-        "scalars": "1,2",
-        "sizes": "3,6,9",
-        "expect": None,
-    },
-}
-
-_COMMON_DEFAULTS = {"out": None, "fmt": None, "seed": "0"}
-
-# config-file keys use the flag spellings
-_KEYMAP = {"lambda": "lam", "format": "fmt"}
-
-
-def _common(p):
-    p.add_argument("--config", help="JSON file supplying flag defaults")
-    p.add_argument("--out", help="report path (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"))
-    p.add_argument("--seed", help="integer seed fixing all sampling")
-    return p
 
 
 def _build_parser():
@@ -771,85 +778,15 @@ def _build_parser():
         description="exact reports over affine root systems and weight modules",
     )
     sub = ap.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    p = _common(sub.add_parser("algebra-info", help="ranks, twist data, simple roots"))
-    p.add_argument("--algebra", help="spec like A1x1 or A2x2")
-    p.add_argument("--window", help="t-degree window lo:hi")
-
-    p = _common(sub.add_parser("roots", help="list the windowed affine roots"))
-    p.add_argument("--algebra")
-    p.add_argument("--window")
-
-    p = _common(sub.add_parser("parabolic-classify", help="classify flag-cut root subsets"))
-    p.add_argument("--algebra")
-    p.add_argument("--window")
-    p.add_argument("--phi1", help="comma separated fractions, length fin_rank+1")
-    p.add_argument("--phi2")
-    p.add_argument("--samples", help="random flags to audit when --phi1 is absent")
-
-    p = _common(
-        sub.add_parser("cone-certificate", help="positive delta decomposition and lattice test")
-    )
-    p.add_argument("--algebra")
-    p.add_argument("--window")
-    p.add_argument("--phi1")
-    p.add_argument("--phi2")
-    p.add_argument("--samples")
-
-    p = _common(sub.add_parser("loop-mult", help="loop module table and structure checks"))
-    p.add_argument("--algebra")
-    p.add_argument("--window")
-    p.add_argument("--factors", help="comma separated: fin:m, natural, adjoint, dense:b:c")
-    p.add_argument("--scalars", help="comma separated nonzero evaluation points")
-    p.add_argument("--jwindow", help="weight window for dense factors")
-
-    p = _common(sub.add_parser("imverma-mult", help="truncated imaginary Verma table"))
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--depth")
-    p.add_argument("--length-cap", dest="length_cap")
-    p.add_argument("--mode-cap", dest="mode_cap")
-
-    p = _common(sub.add_parser("prop42", help="pairing matrix and its case split"))
-    p.add_argument("--n")
-    p.add_argument("--lambda", dest="lam")
-
-    p = _common(sub.add_parser("localize-demo", help="before/after tables for a twisted dense line"))
-    p.add_argument("--b")
-    p.add_argument("--c")
-    p.add_argument("--x")
-    p.add_argument("--jwindow")
-
-    p = _common(sub.add_parser("shadow", help="f/i direction tag read off a module support"))
-    p.add_argument("--module", choices=("loop-fin", "loop-dense", "imverma"))
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--depth")
-    p.add_argument("--fin", help="root direction, comma separated fractions")
-    p.add_argument("--n")
-    p.add_argument("--window")
-    p.add_argument("--expect", choices=("f", "i"))
-
-    p = _common(sub.add_parser("pm-build", help="parabolic set attached to a module shadow table"))
-    p.add_argument("--module", choices=("loop-fin", "loop-dense", "imverma"))
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--depth")
-    p.add_argument("--window")
-
-    p = _common(sub.add_parser("identities", help="exact identity suites"))
-    p.add_argument("--suite", choices=("multinomial", "localization", "efloc"))
-    p.add_argument("--max", help="multinomial bound")
-    p.add_argument("--samples")
-    p.add_argument("--target", choices=("dense", "loop"))
-
-    p = _common(sub.add_parser("probe-bounded", help="multiplicity growth across windows"))
-    p.add_argument("--factors")
-    p.add_argument("--scalars")
-    p.add_argument("--sizes")
-    p.add_argument("--expect", choices=("bounded", "increasing"))
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON file supplying flag defaults")
+        for flag in _COMMON + command.flags:
+            p.add_argument(f"--{flag.name}", dest=flag.dest, help=flag.help, choices=flag.choices)
     return ap
 
 
-def _load_config(path, allowed):
+def _load_config(path, flags):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -859,34 +796,37 @@ def _load_config(path, allowed):
         raise UsageError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must hold a JSON object")
+    dests = {}
+    for flag in flags:
+        dests[flag.name.replace("-", "_")] = dests[flag.dest] = flag.dest
     out = {}
     for key, value in raw.items():
-        norm = _KEYMAP.get(key, str(key).replace("-", "_"))
-        if norm not in allowed:
+        norm = dests.get(key.replace("-", "_"))
+        if norm is None:
             raise UsageError(f"config {path} has an unknown key {key!r}")
         out[norm] = value
     return out
 
 
 def _resolve(args):
-    command = args.command
-    defaults = dict(_DEFAULTS[command])
-    defaults.update(_COMMON_DEFAULTS)
+    command = _COMMANDS[args.command]
+    flags = _COMMON + command.flags
+    defaults = {flag.dest: flag.default for flag in flags}
     merged = dict(defaults)
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config, set(defaults)))
+    if args.config:
+        merged.update(_load_config(args.config, flags))
     for key in defaults:
-        given = getattr(args, key, None)
+        given = getattr(args, key)
         if given is not None:
             merged[key] = given
-    fmt = merged.pop("fmt") or ("csv" if command == "prop42" else "json")
+    fmt = merged.pop("format") or command.fmt
     if fmt not in ("json", "csv"):
         raise UsageError(f"format wants json or csv, got {fmt!r}")
     seed = _int(merged.pop("seed"), "seed")
     out = merged.pop("out")
     algebra = merged.pop("algebra", None)
     window = merged.pop("window", None)
-    return RunConfig(command, algebra, window, merged, seed, out, fmt)
+    return RunConfig(args.command, algebra, window, merged, seed, out, fmt)
 
 
 def _echo(cfg):
@@ -928,11 +868,11 @@ def _write_report(cfg, records, tables):
 
 
 def run(cfg):
-    if cfg.fmt == "csv" and cfg.command not in _TABLED:
+    command = _COMMANDS[cfg.command]
+    if cfg.fmt == "csv" and not command.tabled:
         raise UsageError(f"{cfg.command} has no tabular payload; use --format json")
-    handler = _HANDLERS[cfg.command]
     try:
-        records, tables = handler(cfg)
+        records, tables = command.handler(cfg)
     except (BandError, IncompatibleData, UntabulatedGenerator) as exc:
         raise UsageError(f"{cfg.command}: {exc} (parameters: {_echo(cfg)})")
     _write_report(cfg, records, tables)

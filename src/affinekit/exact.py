@@ -13,7 +13,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 
 # ----------------------------------------------------------------- binomials
@@ -81,6 +81,17 @@ def _splittings(l):
     for first in range(l[0] + 1):
         for rest in _splittings(l[1:]):
             yield (first,) + rest
+
+
+def rational_sqrt(q):
+    """The nonnegative rational square root of q, or None when q is negative
+    or not the square of a rational."""
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 # -------------------------------------------------------------- polynomials

@@ -19,11 +19,10 @@ parameter x stands for the old vector carried by the formal power f^{-x}.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .exact import Poly, det, gen_binom, gen_multinom, invert, kernel, solve_unique
+from .exact import Poly, det, gen_binom, gen_multinom, invert, kernel, rational_sqrt, solve_unique
 from .finlie import LieElt
-from .affine import AffElt, AffRoot, AffWeight, is_positive_root, sl2_triple
+from .affine import AffElt, AffRoot, AffWeight, sl2_triple
 from .modrep import (
     GradedModule,
     IncompatibleData,
@@ -32,6 +31,7 @@ from .modrep import (
     check_bracket_compat,
     imaginary_verma,
     induced_truncated,
+    levi_sl2_root,
 )
 
 _Z = Fraction(0)
@@ -487,15 +487,6 @@ def _neg_binom_poly(i):
     return p * Poly([Fraction(1, fact)])
 
 
-def _sqrt_fraction(q):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _poly_roots(q):
     """Rational roots of a polynomial of degree at most two, ascending."""
     deg = q.degree()
@@ -506,7 +497,7 @@ def _poly_roots(q):
         return [-a0 / a1], None
     a0, a1, a2 = q.coeffs
     disc = a1 * a1 - 4 * a2 * a0
-    s = _sqrt_fraction(disc)
+    s = rational_sqrt(disc)
     if s is None:
         return [], disc
     roots = sorted({(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)})
@@ -776,15 +767,8 @@ def induction_commutes_probe(P, S, x, depth, max_bands=6):
     conjugation on one side, plain on the other) must agree.  Raises when no
     band is clean enough to compare.
     """
-    A = P.algebra
     x = Fraction(x)
-    real_levi = [k for k in P.levi_keys() if any(c for c in k[0])]
-    if len(real_levi) != 2:
-        raise IncompatibleData("the probe needs an sl2 Levi")
-    pos = [k for k in real_levi if is_positive_root(A, k[0], k[1])]
-    if len(pos) != 1:
-        raise IncompatibleData("degenerate Levi root data")
-    root = AffRoot("real", pos[0][0], pos[0][1])
+    root = levi_sl2_root(P)
 
     specS = make_twist_spec(S, root, x)
     MA = induced_truncated(P, S, depth)

@@ -17,7 +17,6 @@ h^2/2 then acts by the constant 2c + b + b^2/2.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +34,7 @@ from .affine import (
     roots_window,
     sl2_triple,
 )
-from .exact import Poly, invert, kernel, solve_any, solve_unique
+from .exact import Poly, invert, kernel, rational_sqrt, solve_any, solve_unique
 from .finlie import LieElt, build_simple
 
 _Z = Fraction(0)
@@ -284,6 +283,8 @@ def dense_sl2(params, window):
 
 def finite_dim_sl2(m):
     """The (m+1)-dimensional simple sl2 module; exact, no truncation."""
+    if m < 0:
+        raise ValueError(f"finite_dim_sl2 wants m >= 0, got {m}")
     g = build_simple("A1")
     weight_of = {("u", i): AffWeight((Fraction(m - 2 * i),), _Z, _Z) for i in range(m + 1)}
     action = {}
@@ -477,13 +478,11 @@ def sigma_intertwiner(g, aut, M):
         raise IncompatibleData("intertwiner does not square to a scalar")
     if c == 0:
         raise IncompatibleData("intertwiner is not invertible")
-    num, den = c.numerator, c.denominator
-    if num < 0:
+    if c < 0:
         raise IncompatibleData("intertwiner squares to a negative scalar")
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
+    s = rational_sqrt(c)
+    if s is None:
         raise IncompatibleData("no rational normalisation to an involution")
-    s = Fraction(rn, rd)
     T = [[v / s for v in row] for row in T]
     first = next(v for row in T for v in row if v)
     if first < 0:
@@ -798,6 +797,21 @@ def _cartan_value(A, x, fin):
     return sum(cf * fv for cf, fv in zip(coeffs, fin))
 
 
+def levi_sl2_root(P):
+    """The one positive real root of the sl2 Levi of P.
+
+    Raises IncompatibleData unless the real roots of the Levi are exactly
+    one positive root and its negative.
+    """
+    real_levi = [k for k in P.levi_keys() if any(c for c in k[0])]
+    if len(real_levi) != 2:
+        raise IncompatibleData(f"needs an sl2 Levi, got {len(real_levi)} real Levi roots")
+    pos = [k for k in real_levi if is_positive_root(P.algebra, k[0], k[1])]
+    if len(pos) != 1:
+        raise IncompatibleData("degenerate Levi root data")
+    return AffRoot("real", *pos[0])
+
+
 def levi_dense_module(P, params, jwindow, base_fin, base_d=0):
     """Dense sl2 module over the Levi of a standard parabolic.
 
@@ -807,14 +821,8 @@ def levi_dense_module(P, params, jwindow, base_fin, base_d=0):
     to params.b on the coroot of gamma.
     """
     A = P.algebra
-    real_levi = [k for k in P.levi_keys() if any(c for c in k[0])]
-    if len(real_levi) != 2:
-        raise ValueError("levi_dense_module needs an sl2 Levi")
-    pos = [k for k in real_levi if is_positive_root(A, k[0], k[1])]
-    if len(pos) != 1:
-        raise ValueError("degenerate Levi root data")
-    gfin, gn = pos[0]
-    root = AffRoot("real", gfin, gn)
+    root = levi_sl2_root(P)
+    gfin, gn = root.fin, root.n
     e, f, h = sl2_triple(A, root)
     b, c = Fraction(params.b), Fraction(params.c)
     base_fin = tuple(Fraction(v) for v in base_fin)

@@ -144,6 +144,7 @@ class ParabolicSet:
         self.members = members
         self.tag = tag
         self._kinds = {}
+        self._levi_keys = None
 
     def _formula(self, fin, n):
         v1 = flag_value(self.flag.phi1, fin, n)
@@ -192,9 +193,13 @@ class ParabolicSet:
         return [(r.fin, r.n) for r in self.roots]
 
     def levi_keys(self):
-        return [
-            k for k in self.keys() if self.member_key(k) and self.member_key(_neg(k))
-        ]
+        """Window root keys k with k and -k both in P; computed on first call
+        (members never change) and shared between callers."""
+        if self._levi_keys is None:
+            self._levi_keys = [
+                k for k in self.keys() if self.member_key(k) and self.member_key(_neg(k))
+            ]
+        return self._levi_keys
 
     def radical_keys(self):
         return [

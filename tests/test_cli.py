@@ -6,6 +6,7 @@ case split rule; plumbing tests cover config merging, fraction rendering,
 and the 0/1/2 exit code split.
 """
 
+import dataclasses
 import json
 import re
 from fractions import Fraction as F
@@ -151,6 +152,10 @@ def test_malformed_values_are_input_errors(tmp_path):
     assert main(["roots", "--window", "junk", "--out", str(tmp_path / "x")]) == 1
     assert main(["prop42", "--n", "1", "--out", str(tmp_path / "y")]) == 1
     assert main(["localize-demo", "--x", "a/b", "--out", str(tmp_path / "z")]) == 1
+    # loop data the loop module rejects: one factor for the two default
+    # scalars, and a zero evaluation point
+    assert main(["probe-bounded", "--factors=fin:1", "--out", str(tmp_path / "p")]) == 1
+    assert main(["probe-bounded", "--scalars=1,0", "--out", str(tmp_path / "q")]) == 1
 
 
 @pytest.mark.parametrize(
@@ -165,6 +170,8 @@ def test_malformed_values_are_input_errors(tmp_path):
         ["imverma-mult", "--length-cap=-1"],
         ["imverma-mult", "--mode-cap=-1"],
         ["shadow", "--module=imverma", "--depth=-1"],
+        ["loop-mult", "--factors=fin:-1", "--scalars=1"],
+        ["probe-bounded", "--factors=fin:-1", "--scalars=1"],
     ],
 )
 def test_negative_counts_are_input_errors(tmp_path, capsys, argv):
@@ -195,7 +202,8 @@ def test_untabulated_generator_is_input_error(tmp_path, capsys, monkeypatch):
     def handler(cfg):
         raise UntabulatedGenerator("generator ('t', 'E12', 3) is not tabulated")
 
-    monkeypatch.setitem(cli._HANDLERS, "roots", handler)
+    roots = dataclasses.replace(cli._COMMANDS["roots"], handler=handler)
+    monkeypatch.setitem(cli._COMMANDS, "roots", roots)
     assert main(["roots", "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: roots: generator ('t', 'E12', 3) is not tabulated")
@@ -296,6 +304,95 @@ def test_config_lambda_spelling(tmp_path):
     echo = load(text)["config_echo"]
     assert echo["n"] == 5
     assert echo["lam"] == "2"
+
+
+def test_config_dashed_and_format_spellings(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length-cap": 1, "depth": "2"}))
+    code, text = run_cli(tmp_path, "imverma-mult", "--config", str(cfg))
+    assert code == 0
+    assert load(text)["config_echo"]["length_cap"] == 1
+    # prop42 reports CSV by default, so a JSON report shows the key took
+    cfg.write_text(json.dumps({"format": "json"}))
+    code, text = run_cli(tmp_path, "prop42", "--config", str(cfg), name="p.json")
+    assert code == 0
+    assert load(text)["config_echo"]["format"] == "json"
+
+
+def test_config_rejects_another_commands_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 3}))
+    assert main(["roots", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "has an unknown key 'samples'" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- command table
+
+# every command's config echo at its defaults, in report order; prop42's
+# echo is read from a --format json run because its default report is CSV
+_DEFAULT_ECHO = {
+    "algebra-info": [("algebra", "A1x1"), ("window", "-2:2"), ("seed", 0), ("format", "json")],
+    "roots": [("algebra", "A1x1"), ("window", "-2:2"), ("seed", 0), ("format", "json")],
+    "parabolic-classify": [
+        ("algebra", "A1x1"), ("window", "-3:3"), ("phi1", None), ("phi2", None),
+        ("samples", "25"), ("seed", 0), ("format", "json"),
+    ],
+    "cone-certificate": [
+        ("algebra", "A2x1"), ("window", "-3:3"), ("phi1", "0,0,1"), ("phi2", None),
+        ("samples", "50"), ("seed", 0), ("format", "json"),
+    ],
+    "loop-mult": [
+        ("algebra", "A1x1"), ("window", "-3:3"), ("factors", "fin:1,fin:2"),
+        ("jwindow", "-4:4"), ("scalars", "1,2"), ("seed", 0), ("format", "json"),
+    ],
+    "imverma-mult": [
+        ("depth", "3"), ("lam", "3"), ("length_cap", None), ("mode_cap", None),
+        ("seed", 0), ("format", "json"),
+    ],
+    "prop42": [("lam", "1"), ("n", "6"), ("seed", 0), ("format", "json")],
+    "localize-demo": [
+        ("b", "1/2"), ("c", "3"), ("jwindow", "-6:6"), ("x", "1/2"),
+        ("seed", 0), ("format", "json"),
+    ],
+    "shadow": [
+        ("window", "-6:6"), ("depth", "3"), ("expect", None), ("fin", "2"), ("lam", "3"),
+        ("module", "loop-fin"), ("n", "0"), ("seed", 0), ("format", "json"),
+    ],
+    "pm-build": [
+        ("window", "-2:2"), ("depth", "4"), ("lam", "3"), ("module", "imverma"),
+        ("seed", 0), ("format", "json"),
+    ],
+    "identities": [
+        ("max", "4"), ("samples", "8"), ("suite", "multinomial"), ("target", "dense"),
+        ("seed", 0), ("format", "json"),
+    ],
+    "probe-bounded": [
+        ("expect", None), ("factors", "dense:1/2:3,fin:1"), ("scalars", "1,2"),
+        ("sizes", "3,6,9"), ("seed", 0), ("format", "json"),
+    ],
+}
+
+_UNTABLED = {"algebra-info", "parabolic-classify", "shadow", "identities"}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULT_ECHO))
+def test_command_defaults_format_and_csv(tmp_path, capsys, command):
+    code, text = run_cli(tmp_path, command)
+    assert code == 0
+    if command == "prop42":
+        assert text.startswith("# affinekit-report prop42 generated ")
+        code, text = run_cli(tmp_path, command, "--format", "json", name="j.json")
+        assert code == 0
+    assert list(load(text)["config_echo"].items()) == _DEFAULT_ECHO[command]
+    capsys.readouterr()
+    code, text = run_cli(tmp_path, command, "--format", "csv", name="t.csv")
+    if command in _UNTABLED:
+        assert code == 1 and text is None
+        err = capsys.readouterr().err
+        assert err == f"error: {command} has no tabular payload; use --format json\n"
+    else:
+        assert code == 0
+        assert text.startswith(f"# affinekit-report {command} generated ")
 
 
 # ------------------------------------------------------------- rendering

@@ -15,6 +15,7 @@ from affinekit.exact import (
     kernel,
     mat_rank,
     multinom_convolution_check,
+    rational_sqrt,
     solve_unique,
 )
 
@@ -141,6 +142,13 @@ def test_multinom_convolution_against_series_oracle():
                 b = series_pow_one_plus_sum(N + K, k, tot)
                 c = series_pow_one_plus_sum(K, k, tot)
                 assert _series_mul(a, b, k, tot) == c
+
+
+@given(st.integers(0, 50), st.integers(1, 50))
+def test_rational_sqrt(p, q):
+    assert rational_sqrt(F(p, q) ** 2) == F(p, q)
+    assert rational_sqrt(-F(p + 1, q) ** 2) is None
+    assert rational_sqrt(2 * F(p + 1, q) ** 2) is None
 
 
 # ------------------------------------------------------------------ Poly

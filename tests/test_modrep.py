@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affinekit.finlie import LieElt, build_simple, sigma_aut
-from affinekit.affine import AffElt, AffWeight, DegreeWindow, build_affine
+from affinekit.affine import AffElt, AffRoot, AffWeight, DegreeWindow, build_affine
 from affinekit.rootpar import assemble_parabolic, make_flag, triangular_decomposition
 from affinekit.modrep import (
     DenseSL2Params,
@@ -27,6 +27,7 @@ from affinekit.modrep import (
     induced_truncated,
     is_purely_exponential,
     levi_dense_module,
+    levi_sl2_root,
     loop_module,
     natural_rep,
     prop42_matrix,
@@ -119,6 +120,8 @@ def test_finite_dim_sl2():
     assert len(M.labels()) == 3
     assert sorted(w.fin[0] for w in M.weights) == [-2, 0, 2]
     assert M.boundary == set()
+    with pytest.raises(ValueError):
+        finite_dim_sl2(-1)
 
 
 def test_natural_and_adjoint():
@@ -420,6 +423,15 @@ def test_levi_dense_module_consistency():
         assert N.weight(lab).fin == (F(1, 2) + 2 * j, F(4) - j)
     assert check_bracket_compat(N) == []
     assert check_weight_additivity(N) == []
+
+
+def test_levi_sl2_root():
+    assert levi_sl2_root(_standard_P()) == AffRoot("real", (F(2), F(-1)), 0)
+    # real Levi roots: none, then all six of the finite A2
+    for phi1 in ((F(1), F(1), F(5)), (F(0), F(0), F(1))):
+        P = assemble_parabolic(A2aff, make_flag(A2aff, phi1), DegreeWindow(-1, 1))
+        with pytest.raises(IncompatibleData):
+            levi_sl2_root(P)
 
 
 def test_induced_layers_and_top():
