@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import invert, solve_unique
+from .exact import coordinate_map, solve_unique
 from .finlie import LieElt
 
 
@@ -138,7 +138,7 @@ class AffineAlgebra:
         if self.s not in (1, 2):
             raise ValueError("only twists of order 1 or 2 are supported")
         self.zeta = 1 if self.s == 1 else -1
-        self._tw_gram_inv = None
+        self._consts = {}
         self._brackets = {}
         self._build_classes()
 
@@ -175,19 +175,24 @@ class AffineAlgebra:
             for lab, v in pairs:
                 self._label_to_elt[(c, lab)] = v
                 self._weights[(c, lab)] = self._ad_weight(v)
-        self._expander = {}
-        if self.s != 1:
-            for c, pairs in self.class_basis.items():
-                cols = [self._coords(v) for _, v in pairs]
-                bt = cols  # row j holds the finite coordinates of vector j
-                btb = [
-                    [
-                        sum((cols[i][r] * cols[j][r] for r in range(len(cols[0]))), Fraction(0))
-                        for j in range(len(cols))
-                    ]
-                    for i in range(len(cols))
-                ]
-                self._expander[c] = (bt, invert(btb))
+        self._class_coords = {
+            c: coordinate_map([self._coords(v) for _, v in pairs])
+            for c, pairs in self.class_basis.items()
+        }
+        # the Gram matrix of tw_coroots is symmetric: its rows are its columns
+        self._coroot_dual = coordinate_map(
+            [[self.g.form(a, b) for b in self.tw_coroots] for a in self.tw_coroots]
+        )
+        # twisted: rank one, and beta has fw-coordinate 2
+        self._root_coords = coordinate_map(
+            self.g.simple_roots if self.s == 1 else [(Fraction(2),)]
+        )
+        # coordinates on tw_coroots of a degree-zero Cartan element given by
+        # its coefficients on cartan_labels(0); None outside their span
+        carts = self.cartan_labels(0)
+        self.coroot_coords = coordinate_map(
+            [[dict(self.expand(0, h)).get(lab, 0) for lab in carts] for h in self.tw_coroots]
+        )
 
     @staticmethod
     def _name(v):
@@ -248,54 +253,31 @@ class AffineAlgebra:
         zero = tuple([Fraction(0)] * self.fin_rank)
         return [lab for lab in self.class_labels(m) if self.fin_weight(m, lab) == zero]
 
+    def structure_constants(self, m, la, n, lb):
+        """(terms, form) for u = label la in degree m and v = label lb in degree n.
+
+        terms are the class-basis terms of [u, v] in degree m + n and form is
+        (u, v); one entry per (m mod s, la, n mod s, lb), filled on first use.
+        """
+        key = (m % self.s, la, n % self.s, lb)
+        entry = self._consts.get(key)
+        if entry is None:
+            u, v = self.label_elt(m, la), self.label_elt(n, lb)
+            terms = self.expand(m + n, self.g.bracket(u, v))
+            entry = self._consts[key] = (terms, self.g.form(u, v))
+        return entry
+
     def expand(self, m, v):
         """Expand a finite-algebra element in the degree-m class basis."""
         c = self.class_of(m)
-        if self.s == 1:
-            return list(v.c.items())
-        bt, btb_inv = self._expander[c]
-        vec = self._coords(v)
-        btv = [
-            sum((bt[i][r] * vec[r] for r in range(len(vec))), Fraction(0))
-            for i in range(len(bt))
-        ]
-        coords = [
-            sum((btb_inv[i][j] * btv[j] for j in range(len(btv))), Fraction(0))
-            for i in range(len(btv))
-        ]
-        residual = LieElt(
-            {
-                a: vec[r]
-                - sum(
-                    (coords[j] * self.class_basis[c][j][1].c.get(a, Fraction(0))
-                     for j in range(len(coords))),
-                    Fraction(0),
-                )
-                for r, a in enumerate(self.g.basis)
-            }
-        )
-        if not residual.is_zero():
+        coords = self._class_coords[c](self._coords(v))
+        if coords is None:
             raise ValueError(f"element does not lie in degree class {c}")
-        return [
-            (self.class_basis[c][j][0], coords[j])
-            for j in range(len(coords))
-            if coords[j]
-        ]
+        return [(lab, x) for (lab, _), x in zip(self.class_basis[c], coords) if x]
 
     def fin_form(self, v, w):
         """Invariant form on finite weights in coordinates on tw_coroots."""
-        if self._tw_gram_inv is None:
-            gram = [
-                [self.g.form(a, b) for b in self.tw_coroots] for a in self.tw_coroots
-            ]
-            self._tw_gram_inv = invert(gram)
-        gi = self._tw_gram_inv
-        r = self.fin_rank
-        bw = [
-            sum((gi[i][j] * Fraction(w[j]) for j in range(r)), Fraction(0))
-            for i in range(r)
-        ]
-        return sum((Fraction(v[i]) * bw[i] for i in range(r)), Fraction(0))
+        return sum((Fraction(a) * b for a, b in zip(v, self._coroot_dual(w))), Fraction(0))
 
     def root_families(self):
         """All degree lines of roots as (fin, step, offset, is_imaginary)."""
@@ -319,12 +301,7 @@ class AffineAlgebra:
 
     def simple_root_coords(self, fin):
         """Coordinates of a finite weight in the simple-root basis."""
-        if self.s == 1:
-            A = [[Fraction(self.g.cartan_matrix[i][j]) for j in range(self.g.rank)]
-                 for i in range(self.g.rank)]
-            return solve_unique(A, [Fraction(x) for x in fin])
-        # rank one: beta has fw-coordinate 2
-        return [Fraction(fin[0]) / 2]
+        return self._root_coords(fin)
 
     def fin_positive(self, fin):
         coords = self.simple_root_coords(fin)
@@ -386,15 +363,12 @@ def aff_bracket(A, x, y):
             out.pop(key, None)
 
     for (la, m), cx in x.c.items():
-        u = A.label_elt(m, la)
         for (lb, n), cy in y.c.items():
-            v = A.label_elt(n, lb)
-            w = A.g.bracket(u, v)
-            if not w.is_zero():
-                for lab, cc in A.expand(m + n, w):
-                    acc((lab, m + n), cx * cy * cc)
+            terms, form = A.structure_constants(m, la, n, lb)
+            for lab, cc in terms:
+                acc((lab, m + n), cx * cy * cc)
             if m == -n and m != 0:
-                kc += cx * cy * m * A.g.form(u, v)
+                kc += cx * cy * m * form
     if x.d:
         for (lb, n), cy in y.c.items():
             acc((lb, n), x.d * n * cy)
@@ -407,10 +381,9 @@ def aff_bracket(A, x, y):
 def aff_form(A, x, y):
     tot = Fraction(0)
     for (la, m), cx in x.c.items():
-        u = A.label_elt(m, la)
         for (lb, n), cy in y.c.items():
             if m == -n:
-                tot += cx * cy * A.g.form(u, A.label_elt(n, lb))
+                tot += cx * cy * A.structure_constants(m, la, n, lb)[1]
     tot += x.d * y.k + x.k * y.d
     return tot
 

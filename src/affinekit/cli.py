@@ -513,6 +513,9 @@ def cmd_shadow(cfg):
     A, M = _support_module(cfg)
     fin = _frac_list(cfg.params["fin"], "fin")
     nn = _int(cfg.params["n"], "n")
+    if len(fin) != A.fin_rank or not any(fin) or not A.is_root(fin, nn):
+        fins = ",".join(str(c) for c in fin)
+        raise UsageError(f"shadow direction ({fins})+{nn}d is not a real root of A1")
     rep = shadow_detect(M, fin, nn)
     records = [
         _info("module", cfg.params["module"]),

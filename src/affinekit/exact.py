@@ -285,6 +285,38 @@ def kernel(A):
     return basis
 
 
+def coordinate_map(basis):
+    """Coordinates in a fixed basis, from one elimination up front.
+
+    With the basis vectors as the columns of B, one rref of [B | I] gives an
+    invertible E with E B = [I; 0].  The returned function maps a vector v
+    to its coefficient list (E v)[:k], or to None when v lies outside the
+    span, i.e. when (E v)[k:] is nonzero.  Raises ValueError when the basis
+    is linearly dependent.
+    """
+    if not basis:
+        return lambda v: None if any(v) else []
+    k, n = len(basis), len(basis[0])
+    aug = [[b[i] for b in basis] + [int(i == j) for j in range(n)] for i in range(n)]
+    m, pivots = rref(aug)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("basis vectors are linearly dependent")
+    # the nonzero entries of each column of E
+    cols = [[(i, row[k + j]) for i, row in enumerate(m) if row[k + j]] for j in range(n)]
+
+    def coords(v):
+        out = [Fraction(0)] * n
+        for j, vj in enumerate(v):
+            if vj:
+                for i, e in cols[j]:
+                    out[i] += e * vj
+        if any(out[k:]):
+            return None
+        return out[:k]
+
+    return coords
+
+
 def invert(mat):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(mat)

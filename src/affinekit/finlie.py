@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import group_closure, invert, solve_unique
+from .exact import coordinate_map, group_closure
 
 
 class LieElt:
@@ -124,25 +124,16 @@ class SimpleLieAlgebra:
         self._chevalley = chevalley     # i -> (e name, f name)
         self._tabulate()
 
-    # -- construction helpers
-
-    def _expand(self, m):
-        """Coordinates of matrix m in the chosen basis."""
-        cols = [_vec(self.mats[a]) for a in self.basis]
-        rows = len(cols[0])
-        A = [[cols[j][i] for j in range(self.dim)] for i in range(rows)]
-        x = solve_unique(A, _vec(m))
-        if x is None:
-            raise ValueError("matrix not in the algebra")
-        return x
-
     def _tabulate(self):
         self.bracket_table = {}
         self.form_table = {}
+        matrix_coords = coordinate_map([_vec(self.mats[a]) for a in self.basis])
         for a in self.basis:
             for b in self.basis:
                 z = _msub(_mmul(self.mats[a], self.mats[b]), _mmul(self.mats[b], self.mats[a]))
-                coords = self._expand(z)
+                coords = matrix_coords(_vec(z))
+                if coords is None:
+                    raise ValueError("matrix not in the algebra")
                 self.bracket_table[(a, b)] = {
                     n: c for n, c in zip(self.basis, coords) if c
                 }
@@ -177,10 +168,10 @@ class SimpleLieAlgebra:
         self.simple_roots = [
             self.weight_of[self._chevalley[j + 1][0]] for j in range(self.rank)
         ]
-        gram = [
-            [self.form_table[(a, b)] for b in self.cartan] for a in self.cartan
-        ]
-        self._gram_inv = invert(gram)
+        # the Gram matrix of the coroots is symmetric: its rows are its columns
+        self._coroot_dual = coordinate_map(
+            [[self.form_table[(a, b)] for b in self.cartan] for a in self.cartan]
+        )
 
     # -- public operations
 
@@ -205,11 +196,7 @@ class SimpleLieAlgebra:
 
     def weight_form(self, v, w):
         """Invariant form on weights given in fw-coordinates."""
-        bw = [
-            sum((self._gram_inv[i][j] * Fraction(w[j]) for j in range(self.rank)), Fraction(0))
-            for i in range(self.rank)
-        ]
-        return sum((Fraction(v[i]) * bw[i] for i in range(self.rank)), Fraction(0))
+        return sum((Fraction(a) * b for a, b in zip(v, self._coroot_dual(w))), Fraction(0))
 
     def chevalley_triple(self, i):
         """(e_i, f_i, h_i) for the i-th simple root, i = 1..rank."""

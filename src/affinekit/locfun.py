@@ -79,15 +79,14 @@ def make_twist_spec(M, alpha, x):
     g = M.algebra
     fin = tuple(Fraction(a) for a in alpha)
     neg = tuple(-a for a in fin)
-    enames = [n for n in g.basis if tuple(g.weight_of[n]) == fin]
-    fnames = [n for n in g.basis if tuple(g.weight_of[n]) == neg]
-    if len(enames) != 1 or len(fnames) != 1:
-        raise IncompatibleData(f"{fin} is not a root with one-dimensional spaces")
-    e = LieElt({enames[0]: _ONE})
-    f0 = LieElt({fnames[0]: _ONE})
+    ename, fname = g.root_vector.get(fin), g.root_vector.get(neg)
+    if ename is None or fname is None:
+        raise IncompatibleData(f"{fin} is not a root")
+    e = LieElt({ename: _ONE})
+    f0 = LieElt({fname: _ONE})
     h = g.bracket(e, f0)
     br = g.bracket(h, e)
-    c = br.c.get(enames[0], _Z)
+    c = br.c.get(ename, _Z)
     if not c or br != e.scale(c):
         raise IncompatibleData("degenerate sl2 data for the given root")
     f = f0.scale(Fraction(2) / c)
@@ -625,12 +624,11 @@ def make_loop_data(A, factors, scalars, alpha, r, window, gen_window=2):
     M = loop_module(A, factors, scalars, window, gen_window=gen_window)
     fin = tuple(Fraction(a) for a in alpha)
     neg = tuple(-a for a in fin)
-    g = A.g
-    fnames = [n for n in g.basis if tuple(g.weight_of[n]) == neg]
-    if len(fnames) != 1:
-        raise IncompatibleData(f"{fin} is not a root with a one-dimensional space")
-    f_fin = LieElt({fnames[0]: _ONE})
-    F_aff = AffElt({(fnames[0], r): _ONE})
+    fname = A.g.root_vector.get(neg)
+    if fname is None:
+        raise IncompatibleData(f"{fin} is not a root")
+    f_fin = LieElt({fname: _ONE})
+    F_aff = AffElt({(fname, r): _ONE})
     nil = []
     for Ft in factors[1:]:
         vecs = [{lab: _ONE} for lab in Ft.weight_of]

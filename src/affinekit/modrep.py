@@ -34,7 +34,8 @@ from .affine import (
     roots_window,
     sl2_triple,
 )
-from .exact import Poly, invert, kernel, rational_sqrt, solve_any, solve_unique
+from .exact import Poly, coordinate_map, kernel, rational_sqrt, solve_any
+from .exact import invert  # noqa: F401  perfbench's tracer test rebinds modrep.invert
 from .finlie import LieElt, build_simple
 
 _Z = Fraction(0)
@@ -490,7 +491,7 @@ def sigma_intertwiner(g, aut, M):
     return {labs[j]: {labs[i]: T[i][j] for i in range(n) if T[i][j]} for j in range(n)}
 
 
-def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2, return_involution=False):
+def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
     """Fixed points of the order-2 loop involution on a paired tensor module.
 
     Factors must be two copies of one module and the evaluation scalars an
@@ -536,21 +537,16 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2, return
     eye = [[_ONE if i == j else _Z for j in range(n)] for i in range(n)]
     plus = kernel([[S[i][j] - eye[i][j] for j in range(n)] for i in range(n)])
     minus = kernel([[S[i][j] + eye[i][j] for j in range(n)] for i in range(n)])
-    basis = plus + minus
-    C = [[basis[j][i] for j in range(n)] for i in range(n)]
-    Cinv = invert(C)
-    if Cinv is None:
+    if len(plus) + len(minus) != n:
         raise IncompatibleData("eigenspaces do not span the tensor square")
+    fixed_coords = coordinate_map(plus)
 
     def expand(vec):
         """Coordinates of a pair-indexed vector in the fixed eigenbasis."""
-        coords = []
-        for i in range(n):
-            coords.append(sum(Cinv[i][pidx[p]] * c for p, c in vec.items()))
-        for i in range(len(plus), n):
-            if coords[i]:
-                raise IncompatibleData("action left the fixed subspace")
-        return coords[: len(plus)]
+        coords = fixed_coords([vec.get(p, _Z) for p in pairs])
+        if coords is None:
+            raise IncompatibleData("action left the fixed subspace")
+        return coords
 
     # hbeta eigenvalues give the finite weight coordinates
     def pair_fin(p):
@@ -612,10 +608,7 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2, return
                 if coords[tl[2]]:
                     vec[tl] = coords[tl[2]]
             action[(gk, lab)] = vec
-    M = GradedModule(At, window, weight_of, action, boundary, _Z, gens)
-    if return_involution:
-        return M, S
-    return M
+    return GradedModule(At, window, weight_of, action, boundary, _Z, gens)
 
 
 # ------------------------------------------------------- imaginary Verma
@@ -782,16 +775,12 @@ def imaginary_verma(
 def _cartan_value(A, x, fin):
     """Value of a degree-zero Cartan element on a weight with coordinates fin."""
     carts = A.cartan_labels(0)
-    cols = []
-    for h in A.tw_coroots:
-        cols.append([h.c.get(lab, _Z) for lab in carts])
     vec = [_Z] * len(carts)
     for (lab, m), c in x.c.items():
         if m != 0 or lab not in carts:
             raise ValueError("not a degree-zero Cartan element")
         vec[carts.index(lab)] += c
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(carts))]
-    coeffs = solve_unique(mat, vec)
+    coeffs = A.coroot_coords(vec)
     if coeffs is None:
         raise ValueError("element is not in the coroot span")
     return sum(cf * fv for cf, fv in zip(coeffs, fin))

@@ -74,6 +74,58 @@ def _random_elt(A, rng, span=3):
     return AffElt(terms, d=F(rng.randint(-2, 2)), k=F(rng.randint(-2, 2)))
 
 
+def _fin_part(A, z, p):
+    """The degree-p loop part of z as a finite-algebra element."""
+    out = LieElt({})
+    for (lab, m), c in z.c.items():
+        if m == p:
+            out = out + A.label_elt(m, lab).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("key", ["A1u", "A2u", "C2u", "A2t"])
+def test_aff_bracket_matches_untabulated_formula(key):
+    # a fresh algebra, so the table is filled by the elements below
+    g = build_simple(key[:2])
+    A = build_affine(g, twist=sigma_aut(g) if key == "A2t" else None)
+    rng = random.Random(13)
+    for _ in range(40):
+        x, y = _random_elt(A, rng), _random_elt(A, rng)
+        # [x, y] written out term by term, with no table and no expansion
+        loops, k = {}, F(0)
+        for (la, m), cx in x.c.items():
+            u = A.label_elt(m, la)
+            for (lb, n), cy in y.c.items():
+                v = A.label_elt(n, lb)
+                loops[m + n] = loops.get(m + n, LieElt({})) + g.bracket(u, v).scale(cx * cy)
+                if m == -n:
+                    k += cx * cy * m * g.form(u, v)
+        for (lb, n), cy in y.c.items():
+            loops[n] = loops.get(n, LieElt({})) + A.label_elt(n, lb).scale(x.d * n * cy)
+        for (la, m), cx in x.c.items():
+            loops[m] = loops.get(m, LieElt({})) + A.label_elt(m, la).scale(-y.d * m * cx)
+        z = aff_bracket(A, x, y)
+        assert z.d == 0 and z.k == k
+        assert {m for _, m in z.c} <= set(loops)
+        for p, want in loops.items():
+            assert _fin_part(A, z, p) == want, (key, x, y, p)
+        form = x.d * y.k + x.k * y.d
+        for (la, m), cx in x.c.items():
+            for (lb, n), cy in y.c.items():
+                if m == -n:
+                    form += cx * cy * g.form(A.label_elt(m, la), A.label_elt(n, lb))
+        assert aff_form(A, x, y) == form
+
+
+def test_twisted_expand_rejects_other_class(algebras):
+    A = algebras["A2t"]
+    assert A.expand(1, LieElt({"E13": 1})) == [("E13", 1)]
+    assert A.expand(0, LieElt({"H1": 1, "H2": 1})) == [("H1+H2", 1)]
+    for m, v in ((0, LieElt({"E13": 1})), (1, LieElt({"H1": 1})), (2, LieElt({"E12": 1}))):
+        with pytest.raises(ValueError, match="does not lie in degree class"):
+            A.expand(m, v)
+
+
 def test_antisymmetry_and_jacobi_random(algebras):
     rng = random.Random(7)
     for key in ("A1u", "A2u", "C2u", "A2t"):

@@ -156,6 +156,10 @@ def test_malformed_values_are_input_errors(tmp_path):
     # scalars, and a zero evaluation point
     assert main(["probe-bounded", "--factors=fin:1", "--out", str(tmp_path / "p")]) == 1
     assert main(["probe-bounded", "--scalars=1,0", "--out", str(tmp_path / "q")]) == 1
+    # shadow directions that are not real roots of A1: too many coordinates,
+    # a weight that is not a root, the zero direction
+    for fin in ("2,3", "1", "0"):
+        assert main(["shadow", f"--fin={fin}", "--out", str(tmp_path / "s")]) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,16 @@
 """Tests for exact rationals, generalized binomials and the linear algebra helpers."""
 
+import random
 from fractions import Fraction as F
 from math import comb
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from affinekit.exact import (
     Poly,
+    coordinate_map,
     det,
     gen_binom,
     gen_multinom,
@@ -199,6 +202,55 @@ def test_singular_solve_returns_none():
     A = [[F(1), F(2)], [F(2), F(4)]]
     assert solve_unique(A, [F(1), F(3)]) is None
     assert solve_unique(A, [F(1), F(2)]) is None  # consistent but not unique
+
+
+def test_coordinate_map_basis_and_span():
+    basis = [[F(1), F(2), F(0)], [F(0), F(1), F(-1)]]
+    coords = coordinate_map(basis)
+    assert coords(basis[0]) == [1, 0]
+    assert coords(basis[1]) == [0, 1]
+    assert coords([F(3), F(5), F(1)]) == [3, -1]
+    assert coords([0, 0, 0]) == [0, 0]
+    assert coords([F(0), F(0), F(1)]) is None
+    with pytest.raises(ValueError):
+        coordinate_map([[1, 2, 3], [0, 1, 1], [1, 3, 4]])
+    with pytest.raises(ValueError):
+        coordinate_map([[1, 0], [0, 1], [1, 1]])
+
+
+def _random_system(rng, n):
+    while True:
+        A = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if det(A) != 0:
+            return A, [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+
+
+def test_coordinate_map_agrees_with_solve_unique():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(12):
+            A, b = _random_system(rng, n)
+            cols = [[A[i][j] for i in range(n)] for j in range(n)]
+            assert coordinate_map(cols)(b) == solve_unique(A, b)
+            # drop the last column: b lies in the smaller span iff it has
+            # no component along the dropped column
+            x = solve_unique(A, b)
+            sub = coordinate_map(cols[:-1])(b)
+            assert (sub is None) == (x[-1] != 0)
+            if sub is not None:
+                assert sub == x[:-1]
+
+
+def test_coordinate_map_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9)
+    for n in (2, 3, 4):
+        for _ in range(8):
+            A, b = _random_system(rng, n)
+            cols = [[A[i][j] for i in range(n)] for j in range(n)]
+            sol = sympy.Matrix(A).LUsolve(sympy.Matrix(b))
+            want = [F(int(v.p), int(v.q)) for v in sol]
+            assert coordinate_map(cols)(b) == want
 
 
 def test_integer_solve():

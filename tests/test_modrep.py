@@ -238,32 +238,18 @@ def test_sigma_intertwiner_adjoint_and_natural():
 
 
 def test_twisted_fixed_points():
-    from affinekit.exact import kernel
-
     V = adjoint_rep(A2)
-    M, S = twisted_loop_fixed_points(
-        A2tw,
-        [V, V],
-        [F(1), F(-1)],
-        DegreeWindow(-2, 2),
-        gen_window=1,
-        return_involution=True,
+    M = twisted_loop_fixed_points(
+        A2tw, [V, V], [F(1), F(-1)], DegreeWindow(-2, 2), gen_window=1
     )
-    # S is an involution
-    n = len(S)
-    for i in range(n):
-        row = [sum(S[i][k] * S[k][j] for k in range(n)) for j in range(n)]
-        assert row == [F(1) if j == i else F(0) for j in range(n)]
-    # eigenspace dims fill the tensor square; the slot scalars already
-    # carry the twist sign, so the fixed eigenspace works at every degree
-    kplus = len(kernel([[S[i][j] - (F(1) if i == j else F(0)) for j in range(n)] for i in range(n)]))
-    kminus = len(kernel([[S[i][j] + (F(1) if i == j else F(0)) for j in range(n)] for i in range(n)]))
-    assert kplus + kminus == n
+    # swapping the slots through the diagram intertwiner fixes a subspace of
+    # the symmetric-square dimension 8 * 9 / 2 of the adjoint tensor square;
+    # the slot scalars already carry the twist sign, so every degree has it
     per_grade = {}
     for w, labs in M.weights.items():
         per_grade[w.d] = per_grade.get(w.d, 0) + len(labs)
     for s in range(-2, 3):
-        assert per_grade[F(s)] == kplus
+        assert per_grade[F(s)] == 36 == 8 * 9 // 2
     assert check_bracket_compat(M) == []
     assert check_weight_additivity(M) == []
 
@@ -423,6 +409,18 @@ def test_levi_dense_module_consistency():
         assert N.weight(lab).fin == (F(1, 2) + 2 * j, F(4) - j)
     assert check_bracket_compat(N) == []
     assert check_weight_additivity(N) == []
+
+
+def test_cartan_value_untwisted_and_twisted():
+    from affinekit.modrep import _cartan_value
+
+    fin = (F(3), F(-1))
+    assert _cartan_value(A2aff, AffElt({("H1", 0): 2, ("H2", 0): 1}), fin) == 5
+    # the twisted coroot is 2(H1 + H2), so H1 + H2 reads half its coordinate
+    assert A2tw.tw_coroots == [LieElt({"H1": 2, "H2": 2})]
+    assert _cartan_value(A2tw, AffElt({("H1+H2", 0): 1}), (F(3),)) == F(3, 2)
+    with pytest.raises(ValueError):
+        _cartan_value(A2aff, AffElt({("E12", 0): 1}), fin)
 
 
 def test_levi_sl2_root():
