@@ -130,6 +130,21 @@ class AffWeight:
         )
 
 
+@dataclass(frozen=True)
+class RootFamily:
+    """The root line fin + (offset + Z step) delta, less 0 when imaginary."""
+
+    fin: tuple
+    step: int
+    offset: int
+    imaginary: bool
+
+    def degrees(self, lo, hi):
+        """Degrees n in lo..hi with (fin, n) a root, ascending."""
+        first = lo + (self.offset - lo) % self.step
+        return [n for n in range(first, hi + 1, self.step) if n or not self.imaginary]
+
+
 class AffineAlgebra:
     def __init__(self, g, twist=None):
         self.g = g
@@ -169,12 +184,26 @@ class AffineAlgebra:
             a = min(e for e in evals if e > 0)
             self.tw_coroots = [hfix.scale(Fraction(2) / a)]
         self.fin_rank = len(self.tw_coroots)
+        self._zero = tuple([Fraction(0)] * self.fin_rank)
         self._label_to_elt = {}
         self._weights = {}
+        by_weight = {}
         for c, pairs in self.class_basis.items():
             for lab, v in pairs:
+                w = self._ad_weight(v)
                 self._label_to_elt[(c, lab)] = v
-                self._weights[(c, lab)] = self._ad_weight(v)
+                self._weights[(c, lab)] = w
+                by_weight.setdefault(c, {}).setdefault(w, []).append(lab)
+        # per degree class: finite weight -> its labels in class-basis order
+        self._weight_index = {
+            c: {w: tuple(labs) for w, labs in sorted(index.items())}
+            for c, index in by_weight.items()
+        }
+        self._families = tuple(
+            RootFamily(w, self.s, c, w == self._zero)
+            for c in range(self.s)
+            for w in self._weight_index[c]
+        )
         self._class_coords = {
             c: coordinate_map([self._coords(v) for _, v in pairs])
             for c, pairs in self.class_basis.items()
@@ -237,6 +266,22 @@ class AffineAlgebra:
     def fin_weight(self, m, label):
         return self._weights[(self.class_of(m), label)]
 
+    def loop_weight(self, key):
+        """Affine weight of the loop basis key (label, degree)."""
+        lab, m = key
+        return AffWeight(self.fin_weight(m, lab), Fraction(m), Fraction(0))
+
+    def weight_index(self, m):
+        """Finite weight -> labels carrying it in degree m, weights ascending.
+
+        Shared by every caller: treat it as read-only.
+        """
+        return self._weight_index[self.class_of(m)]
+
+    def weight_labels(self, m, fin):
+        """Labels of degree m with finite weight fin, in class-basis order."""
+        return self.weight_index(m).get(fin, ())
+
     def basis_bracket(self, a, b):
         """[a, b] for two loop basis keys (label, degree), tabulated per algebra.
 
@@ -250,8 +295,7 @@ class AffineAlgebra:
         return br
 
     def cartan_labels(self, m):
-        zero = tuple([Fraction(0)] * self.fin_rank)
-        return [lab for lab in self.class_labels(m) if self.fin_weight(m, lab) == zero]
+        return list(self.weight_labels(m, self._zero))
 
     def structure_constants(self, m, la, n, lb):
         """(terms, form) for u = label la in degree m and v = label lb in degree n.
@@ -280,22 +324,14 @@ class AffineAlgebra:
         return sum((Fraction(a) * b for a, b in zip(v, self._coroot_dual(w))), Fraction(0))
 
     def root_families(self):
-        """All degree lines of roots as (fin, step, offset, is_imaginary)."""
-        out = []
-        zero = tuple([Fraction(0)] * self.fin_rank)
-        for c in range(self.s):
-            weights = sorted({self.fin_weight(c, lab) for lab in self.class_labels(c)})
-            for w in weights:
-                out.append((w, self.s, c, w == zero))
-        return out
+        """Every root line as a RootFamily: by degree class, then by weight."""
+        return self._families
 
     def is_root(self, fin, n):
         fin = tuple(Fraction(c) for c in fin)
-        zero = tuple([Fraction(0)] * self.fin_rank)
-        if fin == zero and n == 0:
+        if fin == self._zero and n == 0:
             return False
-        weights = {self.fin_weight(n, lab) for lab in self.class_labels(n)}
-        return fin in weights
+        return fin in self.weight_index(n)
 
     # -- affine root data
 
@@ -392,30 +428,21 @@ def aff_form(A, x, y):
 
 
 def roots_window(A, window):
-    zero = tuple([Fraction(0)] * A.fin_rank)
     out = []
     for n in window:
-        counts = {}
-        for lab in A.class_labels(n):
-            w = A.fin_weight(n, lab)
-            counts[w] = counts.get(w, 0) + 1
-        for w, cnt in sorted(counts.items()):
-            if w == zero:
+        for w, labs in A.weight_index(n).items():
+            if not any(w):
                 if n != 0:
-                    out.append(AffRoot("imaginary", w, n, cnt))
+                    out.append(AffRoot("imaginary", w, n, len(labs)))
             else:
-                if cnt != 1:
+                if len(labs) != 1:
                     raise ValueError("real root space is not one-dimensional")
                 out.append(AffRoot("real", w, n, 1))
     return out
 
 
 def root_space(A, root):
-    return [
-        (lab, root.n)
-        for lab in A.class_labels(root.n)
-        if A.fin_weight(root.n, lab) == root.fin
-    ]
+    return [(lab, root.n) for lab in A.weight_labels(root.n, root.fin)]
 
 
 def is_positive_root(A, fin, n):
@@ -427,9 +454,7 @@ def is_positive_root(A, fin, n):
 def canonical_generator(A, fin, n):
     """Canonical root vector x_gamma; for gamma < 0 it is minus the label vector."""
     fin = tuple(Fraction(c) for c in fin)
-    labs = [
-        lab for lab in A.class_labels(n) if A.fin_weight(n, lab) == fin
-    ]
+    labs = A.weight_labels(n, fin)
     if len(labs) != 1:
         raise ValueError(f"({fin}, {n}) is not a real root")
     sign = 1 if is_positive_root(A, fin, n) else -1

@@ -330,7 +330,8 @@ def invert(mat):
 # ------------------------------------------------------------ matrix groups
 
 
-def _mat_mul(a, b):
+def mat_mul(a, b):
+    """Product of two n x n matrices as a tuple of row tuples."""
     n = len(a)
     return tuple(
         tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
@@ -338,12 +339,15 @@ def _mat_mul(a, b):
     )
 
 
-def group_closure(gens, dim, cap=100000):
+_GROUP_CAP = 100000
+
+
+def group_closure(gens, dim):
     """Sorted elements of the group the dim x dim matrices gens generate.
 
     Matrices are tuples of row tuples.  Breadth-first search from the
     identity, multiplying by generators on the left; raises ValueError once
-    more than cap elements have been found.
+    more than _GROUP_CAP elements have been found.
     """
     ident = tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
@@ -354,11 +358,11 @@ def group_closure(gens, dim, cap=100000):
         nxt = []
         for m in frontier:
             for s in gens:
-                p = _mat_mul(s, m)
+                p = mat_mul(s, m)
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
-                    if len(seen) > cap:
+                    if len(seen) > _GROUP_CAP:
                         raise ValueError("group generation exceeded cap")
         frontier = nxt
     return sorted(seen)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import coordinate_map, group_closure
+from .exact import coordinate_map, group_closure, mat_mul
 
 
 class LieElt:
@@ -91,14 +91,6 @@ def _msub(a, b):
     return _madd(a, _mneg(b))
 
 
-def _mmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(n)), Fraction(0)) for c in range(n))
-        for r in range(n)
-    )
-
-
 def _trace_prod(a, b):
     n = len(a)
     return sum((a[i][j] * b[j][i] for i in range(n) for j in range(n)), Fraction(0))
@@ -130,7 +122,7 @@ class SimpleLieAlgebra:
         matrix_coords = coordinate_map([_vec(self.mats[a]) for a in self.basis])
         for a in self.basis:
             for b in self.basis:
-                z = _msub(_mmul(self.mats[a], self.mats[b]), _mmul(self.mats[b], self.mats[a]))
+                z = _msub(mat_mul(self.mats[a], self.mats[b]), mat_mul(self.mats[b], self.mats[a]))
                 coords = matrix_coords(_vec(z))
                 if coords is None:
                     raise ValueError("matrix not in the algebra")
@@ -336,11 +328,11 @@ def _matvec(m, v):
     )
 
 
-def weyl_group(g, indices=None, cap=100000):
+def weyl_group(g, indices=None):
     """All elements of the Weyl group (or parabolic subgroup) as fw-matrices."""
     if indices is None:
         indices = range(1, g.rank + 1)
-    return group_closure([_refl_matrix(g, i) for i in indices], g.rank, cap)
+    return group_closure([_refl_matrix(g, i) for i in indices], g.rank)
 
 
 def weyl_orbit(g, elements, v):

@@ -44,6 +44,8 @@ class BandError(ValueError):
 
 # the zero-mode real root of the affine sl2, as make_twist_spec keys it
 _ZERO_MODE = ((Fraction(2),), 0)
+# clean weight bands induction_commutes_probe compares before it stops
+_PROBE_BANDS = 6
 
 
 @dataclass
@@ -112,9 +114,7 @@ def _elt_disp(M, elt):
     if elt.d or elt.k:
         raise IncompatibleData("lowering element must be a pure loop vector")
     A = M.algebra
-    ws = {
-        AffWeight(A.fin_weight(m, lab), Fraction(m), _Z) for (lab, m) in elt.c
-    }
+    ws = {A.loop_weight(key) for key in elt.c}
     if len(ws) != 1:
         raise IncompatibleData("lowering element is not weight homogeneous")
     return next(iter(ws))
@@ -756,7 +756,7 @@ def _charpoly(mat):
     return _interp(pts)
 
 
-def induction_commutes_probe(P, S, x, depth, max_bands=6):
+def induction_commutes_probe(P, S, x, depth):
     """Compare inducing a twisted Levi module against twisting the induction.
 
     Both sides are materialized to the given monomial depth: weight
@@ -825,7 +825,7 @@ def induction_commutes_probe(P, S, x, depth, max_bands=6):
         if _charpoly(ea) != _charpoly(eb):
             return False
         compared += 1
-        if compared >= max_bands:
+        if compared >= _PROBE_BANDS:
             break
     if not compared:
         raise IncompatibleData("depth too small to compare the two inductions")

@@ -34,12 +34,14 @@ from .affine import (
     roots_window,
     sl2_triple,
 )
-from .exact import Poly, coordinate_map, kernel, rational_sqrt, solve_any
+from .exact import Poly, coordinate_map, kernel, mat_mul, rational_sqrt, solve_any
 from .exact import invert  # noqa: F401  perfbench's tracer test rebinds modrep.invert
 from .finlie import LieElt, build_simple
 
 _Z = Fraction(0)
 _ONE = Fraction(1)
+# violations a law checker lists before it stops
+_MAX_REPORT = 10
 
 
 class IncompatibleData(ValueError):
@@ -107,8 +109,7 @@ class GradedModule:
             return {gk: AffWeight(A.weight_of[gk[1]], _Z, _Z) for gk in self.gens}
         zero = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
         return {
-            gk: zero if gk in ("D", "K")
-            else AffWeight(A.fin_weight(gk[2], gk[1]), Fraction(gk[2]), _Z)
+            gk: zero if gk in ("D", "K") else A.loop_weight(gk[1:])
             for gk in self.gens
         }
 
@@ -187,7 +188,7 @@ def _clean_labels(M, gen):
     return out
 
 
-def check_bracket_compat(M, max_report=10):
+def check_bracket_compat(M):
     """Exact [X,Y].v = X.(Y.v) - Y.(X.v) on the two-step interior.
 
     Affine generator pairs whose bracket involves an untabulated generator
@@ -213,24 +214,24 @@ def check_bracket_compat(M, max_report=10):
                 )
                 if lhs != rhs:
                     bad.append((X, Y, lab))
-                    if len(bad) >= max_report:
+                    if len(bad) >= _MAX_REPORT:
                         return bad
     return bad
 
 
-def check_weight_additivity(M, max_report=10):
+def check_weight_additivity(M):
     bad = []
     for (gen, lab), vec in M.action.items():
         expect = M.weight_of[lab] + M.gen_disp[gen]
         for tgt in vec:
             if M.weight_of[tgt] != expect:
                 bad.append((gen, lab, tgt))
-                if len(bad) >= max_report:
+                if len(bad) >= _MAX_REPORT:
                     return bad
     return bad
 
 
-def check_level(M, max_report=10):
+def check_level(M):
     if M.kind != "aff":
         return []
     bad = []
@@ -238,7 +239,7 @@ def check_level(M, max_report=10):
         got = M.action[("K", lab)]
         if got != _scaled({lab: _ONE}, M.k_value):
             bad.append(lab)
-            if len(bad) >= max_report:
+            if len(bad) >= _MAX_REPORT:
                 return bad
     return bad
 
@@ -470,10 +471,7 @@ def sigma_intertwiner(g, aut, M):
         raise IncompatibleData("no intertwiner onto the twisted structure")
     T = [sols[0][i * n : (i + 1) * n] for i in range(n)]
     # T^2 must be scalar; rescale by a rational square root to reach T^2 = 1
-    sq = [
-        [sum(T[i][k] * T[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    sq = mat_mul(T, T)
     c = sq[0][0]
     if any(sq[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)):
         raise IncompatibleData("intertwiner does not square to a scalar")
@@ -528,11 +526,9 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
         for m1, c1 in T[l2].items():
             for m2, c2 in T[l1].items():
                 S[pidx[(m1, m2)]][j] = c1 * c2
-    for i in range(n):
-        for j in range(n):
-            v = sum(S[i][k] * S[k][j] for k in range(n))
-            if v != (1 if i == j else 0):
-                raise IncompatibleData("loop involution failed to square to one")
+    S2 = mat_mul(S, S)
+    if any(S2[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
+        raise IncompatibleData("loop involution failed to square to one")
 
     eye = [[_ONE if i == j else _Z for j in range(n)] for i in range(n)]
     plus = kernel([[S[i][j] - eye[i][j] for j in range(n)] for i in range(n)])
@@ -801,7 +797,7 @@ def levi_sl2_root(P):
     return AffRoot("real", *pos[0])
 
 
-def levi_dense_module(P, params, jwindow, base_fin, base_d=0):
+def levi_dense_module(P, params, jwindow, base_fin):
     """Dense sl2 module over the Levi of a standard parabolic.
 
     The Levi must have exactly one positive real root gamma; the module is
@@ -821,7 +817,7 @@ def levi_dense_module(P, params, jwindow, base_fin, base_d=0):
     weight_of = {}
     for j in jwindow:
         fin = tuple(bf + j * gc for bf, gc in zip(base_fin, gfin))
-        weight_of[("w", j)] = AffWeight(fin, Fraction(base_d + j * gn), _Z)
+        weight_of[("w", j)] = AffWeight(fin, Fraction(j * gn), _Z)
 
     ((ekey, ec),) = e.c.items()
     ((fkey, fc),) = f.c.items()
@@ -897,9 +893,6 @@ def induced_truncated(P, N, depth, gen_window=None):
         elif any(dvec):
             raise ValueError("N is supported on several Levi root lattice cosets")
 
-    def disp(key):
-        return AffWeight(A.fin_weight(key[1], key[0]), Fraction(key[1]), _Z)
-
     mons = [()]
     for r in range(1, depth + 1):
         mons.extend(itertools.combinations_with_replacement(letters, r))
@@ -907,7 +900,7 @@ def induced_truncated(P, N, depth, gen_window=None):
     for mon in mons:
         wl = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
         for l in mon:
-            wl = wl + disp(l)
+            wl = wl + A.loop_weight(l)
         for nl in nlabs:
             weight_of[(mon, nl)] = wl + N.weight_of[nl]
 
@@ -1192,25 +1185,19 @@ def build_PM(A, table, window):
             if r.kind == "imaginary":
                 members[(r.fin, r.n)] = True
 
-    P = ParabolicSet(A, None, window, members=members)
+    if all(members.values()):
+        tag = "all"
+    elif all(members[k] for k in members if not any(k[0])):
+        tag = "imaginary"
+    else:
+        radical_strings = any(
+            all(members[(fin, n)] and not members[(tuple(-c for c in fin), -n)] for n in ns)
+            for fin, ns in fams.items()
+        )
+        tag = "mixed" if radical_strings else "standard"
+    P = ParabolicSet(A, None, window, members=members, tag=tag)
     if not check_parabolic_axioms(P):
         raise ValueError("shadow table does not assemble into a parabolic set")
-
-    if all(members.values()):
-        P.tag = "all"
-        return P
-    im_keys = [k for k in members if not any(k[0])]
-    if all(members[k] for k in im_keys):
-        P.tag = "imaginary"
-    else:
-        radical_strings = False
-        for fin in fams:
-            neg = tuple(-c for c in fin)
-            if all(
-                members[(fin, n)] and not members[(neg, -n)] for n in fams[fin]
-            ):
-                radical_strings = True
-        P.tag = "mixed" if radical_strings else "standard"
     return P
 
 

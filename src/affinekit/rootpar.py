@@ -50,24 +50,31 @@ def _coerce(A, phi):
     return phi
 
 
+def _band_roots(A, phi, lo, hi):
+    """All roots (fin, n) with lo <= phi(fin, n) <= hi; finite since phi(delta) != 0."""
+    pd = phi[-1]
+    out = []
+    for fam in A.root_families():
+        a = flag_value(phi, fam.fin, 0)
+        nlo, nhi = sorted(((lo - a) / pd, (hi - a) / pd))
+        out.extend((fam.fin, n) for n in fam.degrees(math.ceil(nlo), math.floor(nhi)))
+    return out
+
+
 def _kernel_span_vectors(A, phi1):
     """Spanning vectors (as coordinate tuples) of span(Delta0 of phi1)."""
-    vecs = []
-    p1d = phi1[-1]
-    for fin, step, offset, isim in A.root_families():
-        a1 = flag_value(phi1, fin, 0)
-        if p1d != 0:
-            nstar = -a1 / p1d
-            if nstar.denominator == 1:
-                n = int(nstar)
-                if n % step == offset % step and not (isim and n == 0):
-                    vecs.append(tuple(list(fin) + [Fraction(n)]))
-        else:
-            if a1 == 0:
-                n = offset if not (isim and offset == 0) else offset + step
-                vecs.append(tuple(list(fin) + [Fraction(n)]))
-                vecs.append(tuple(list(fin) + [Fraction(n + step)]))
-    return vecs
+    if phi1[-1] != 0:
+        keys = _band_roots(A, phi1, 0, 0)
+    else:
+        # phi1 is constant on each root line, so Delta0 is a union of whole
+        # lines, and two roots of a line span what the whole line spans
+        keys = [
+            (fam.fin, n)
+            for fam in A.root_families()
+            if flag_value(phi1, fam.fin, 0) == 0
+            for n in fam.degrees(-fam.step, fam.step)
+        ]
+    return [tuple(fin) + (Fraction(n),) for fin, n in keys]
 
 
 def make_flag(A, phi1, phi2=None):
@@ -222,10 +229,8 @@ def assemble_parabolic(A, flag, window, require_borel=False):
     return P
 
 
-def check_parabolic_axioms(P, window=None):
-    keys = set(P.keys()) if window is None else {
-        (r.fin, r.n) for r in roots_window(P.algebra, window)
-    }
+def check_parabolic_axioms(P):
+    keys = set(P.keys())
     member = {k: P.member_key(k) for k in keys}
     for k in keys:
         nk = _neg(k)
@@ -259,10 +264,17 @@ def classify_parabolic(P):
     return "mixed"
 
 
+def _defining_flag(P, what):
+    if P.flag is None:
+        raise ValueError(f"{what} needs a defining flag")
+    return P.flag
+
+
 def principal_witness(P):
     """Covector psi with P = {psi >= 0}, or None when no such psi exists."""
     A = P.algebra
-    phi1, phi2 = P.flag.phi1, P.flag.phi2
+    flag = _defining_flag(P, "a principal witness")
+    phi1, phi2 = flag.phi1, flag.phi2
     if phi2 is None:
         return phi1
     p1d, p2d = phi1[-1], phi2[-1]
@@ -271,19 +283,15 @@ def principal_witness(P):
     bounds = []
     if p1d != 0:
         bounds.append(abs(p2d) / abs(p1d))
-    for fin, step, offset, isim in A.root_families():
-        a1 = flag_value(phi1, fin, 0)
-        a2 = flag_value(phi2, fin, 0)
+    for fam in A.root_families():
+        a1 = flag_value(phi1, fam.fin, 0)
+        a2 = flag_value(phi2, fam.fin, 0)
         if p1d == 0:
             if a1 != 0:
                 bounds.append(abs(a2) / abs(a1))
             continue
         n0 = math.floor(-a1 / p1d)
-        cands = [
-            n
-            for n in range(n0 - 2 * step, n0 + 2 * step + 1)
-            if n % step == offset % step and not (isim and n == 0)
-        ]
+        cands = fam.degrees(n0 - 2 * fam.step, n0 + 2 * fam.step)
         pos = [(a1 + n * p1d, n) for n in cands if a1 + n * p1d > 0]
         neg = [(a1 + n * p1d, n) for n in cands if a1 + n * p1d < 0]
         extremes = []
@@ -298,6 +306,7 @@ def principal_witness(P):
 
 
 def classification_certificate(P):
+    flag = _defining_flag(P, "a classification certificate")
     tag = P.tag or classify_parabolic(P)
     cert = {"tag": tag}
     if tag in ("standard", "imaginary"):
@@ -305,16 +314,15 @@ def classification_certificate(P):
         cert["psi"] = psi
         cert["psi_delta"] = psi[-1]
     if tag == "mixed":
-        A = P.algebra
-        line = None
-        for fin, step, offset, isim in A.root_families():
-            if isim:
-                continue
-            if flag_value(P.flag.phi1, fin, 0) > 0:
-                line = (fin, step, offset)
-                break
-        cert["real_line"] = line
-        cert["imaginary_side"] = 1 if P.flag.phi2[-1] > 0 else -1
+        cert["real_line"] = next(
+            (
+                fam
+                for fam in P.algebra.root_families()
+                if not fam.imaginary and flag_value(flag.phi1, fam.fin, 0) > 0
+            ),
+            None,
+        )
+        cert["imaginary_side"] = 1 if flag.phi2[-1] > 0 else -1
     return cert
 
 
@@ -338,10 +346,9 @@ def verify_classification(P, cert=None):
             for n in P.window
             if n != 0
         )
-    fin, step, offset = cert["real_line"]
-    for n in P.window:
-        if n % step != offset % step:
-            continue
+    line = cert["real_line"]
+    fin = line.fin
+    for n in line.degrees(P.window.nmin, P.window.nmax):
         if not P.member(fin, n):
             return False
         if P.member(tuple(-c for c in fin), -n):
@@ -410,21 +417,6 @@ class ConeData:
     lattice_rank: int
 
 
-def _kernel_roots(A, psi):
-    """All roots killed by psi when psi(delta) != 0 (a finite set)."""
-    out = []
-    pd = psi[-1]
-    for fin, step, offset, isim in A.root_families():
-        a = flag_value(psi, fin, 0)
-        nstar = -a / pd
-        if nstar.denominator != 1:
-            continue
-        n = int(nstar)
-        if n % step == offset % step and not (isim and n == 0):
-            out.append((fin, n))
-    return out
-
-
 def _levi_refinement(A, kernel):
     """First covector (1, k, k^2, ..., 0) nonvanishing on every kernel root."""
     k = 1
@@ -442,20 +434,6 @@ def _lex_positive(psi, chi, fin, n):
     return flag_value(chi, fin, n) > 0
 
 
-def _psi_band_roots(A, psi, lo, hi):
-    """All roots with psi-value in [lo, hi]; finite since psi(delta) > 0."""
-    pd = psi[-1]
-    out = []
-    for fin, step, offset, isim in A.root_families():
-        a = flag_value(psi, fin, 0)
-        nlo = math.ceil((lo - a) / pd)
-        nhi = math.floor((hi - a) / pd)
-        for n in range(nlo, nhi + 1):
-            if n % step == offset % step and not (isim and n == 0):
-                out.append((fin, n))
-    return out
-
-
 def _global_base(A, psi, chi):
     """Indecomposable roots of the positive system {psi > 0} u {psi = 0, chi > 0}.
 
@@ -466,14 +444,14 @@ def _global_base(A, psi, chi):
     """
     cands = [
         k
-        for k in _psi_band_roots(A, psi, Fraction(0), psi[-1])
+        for k in _band_roots(A, psi, Fraction(0), psi[-1])
         if _lex_positive(psi, chi, k[0], k[1])
     ]
     base = []
     for fin, n in cands:
         v = flag_value(psi, fin, n)
         decomposable = False
-        for f1, n1 in _psi_band_roots(A, psi, Fraction(0), v):
+        for f1, n1 in _band_roots(A, psi, Fraction(0), v):
             if (f1, n1) == (fin, n) or not _lex_positive(psi, chi, f1, n1):
                 continue
             f2 = tuple(a - b for a, b in zip(fin, f1))
@@ -522,7 +500,7 @@ def phi_P(P):
     psi = principal_witness(P)
     if psi[-1] < 0:
         raise ValueError("delta must lie on the positive side of P")
-    kernel = _kernel_roots(A, psi)
+    kernel = _band_roots(A, psi, 0, 0)
     chi = _levi_refinement(A, kernel)
     dim = A.fin_rank + 1
     base = _global_base(A, psi, chi)

@@ -247,6 +247,32 @@ def test_roots_window_a2_twisted_pattern(algebras):
     assert got[("imaginary", (F(0),), 3)] == 1
 
 
+@pytest.mark.parametrize("key", ["A1u", "A2u", "A3u", "C2u", "A2t"])
+def test_root_family_degrees_match_is_root(algebras, key):
+    A = algebras[key]
+    # twisted: a weight can carry one line per degree class
+    lines = {}
+    for fam in A.root_families():
+        lines.setdefault(fam.fin, []).append(fam)
+    for fin, fams in lines.items():
+        for n in range(-6, 7):
+            hits = [fam for fam in fams if fam.degrees(n, n) == [n]]
+            assert all(fam.degrees(n, n) in ([], [n]) for fam in fams)
+            assert len(hits) == int(A.is_root(fin, n)), (fin, n)
+        merged = sorted(n for fam in fams for n in fam.degrees(-6, 6))
+        assert merged == [n for n in range(-6, 7) if A.is_root(fin, n)]
+
+
+@pytest.mark.parametrize("key", ["A1u", "A2u", "A3u", "C2u", "A2t"])
+@pytest.mark.parametrize("lo,hi", [(-3, 3), (0, 0), (-1, 4)])
+def test_root_families_cover_roots_window(algebras, key, lo, hi):
+    A = algebras[key]
+    from_families = {
+        (fam.fin, n) for fam in A.root_families() for n in fam.degrees(lo, hi)
+    }
+    assert from_families == {(r.fin, r.n) for r in roots_window(A, DegreeWindow(lo, hi))}
+
+
 def test_root_space_dims(algebras):
     A = algebras["A2u"]
     for r in roots_window(A, DegreeWindow(-2, 2)):

@@ -600,6 +600,30 @@ def test_build_PM_from_imverma_shadow():
         assert not P.member((F(-2),), n)
 
 
+def test_flagless_set_needs_a_flag_for_certificates():
+    from affinekit.affine import roots_window
+    from affinekit.rootpar import (
+        classification_certificate,
+        principal_witness,
+        verify_classification,
+    )
+
+    W = DegreeWindow(-1, 1)
+    M = imaginary_verma(F(3), depth=3, length_cap=3)
+    table = {
+        (r.fin, r.n): shadow_detect(M, r.fin, r.n).tag
+        for r in roots_window(A1aff, W)
+        if r.kind == "real"
+    }
+    sets = [build_PM(A1aff, table, W), build_PM(A1aff, {k: "f" for k in table}, W)]
+    assert [P.tag for P in sets] == ["imaginary", "all"]
+    for P in sets:
+        assert P.flag is None
+        for check in (principal_witness, classification_certificate, verify_classification):
+            with pytest.raises(ValueError, match="needs a defining flag"):
+                check(P)
+
+
 def test_build_PM_inconsistent_table():
     W = DegreeWindow(-3, 3)
     table = _hw_table(W)

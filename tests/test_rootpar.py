@@ -11,11 +11,13 @@ from affinekit.exact import integer_solve
 from affinekit.finlie import build_simple, sigma_aut
 from affinekit.rootpar import (
     FunctionalFlag,
+    _band_roots,
     assemble_parabolic,
     check_parabolic_axioms,
     classification_certificate,
     classify_parabolic,
     compute_NG,
+    flag_value,
     in_QP,
     make_flag,
     phi_P,
@@ -32,7 +34,7 @@ W3 = DegreeWindow(-3, 3)
 @pytest.fixture(scope="module")
 def algebras():
     out = {}
-    for t in ("A1", "A2", "C2"):
+    for t in ("A1", "A2", "A3", "C2"):
         out[t + "u"] = build_affine(build_simple(t))
     g = build_simple("A2")
     out["A2t"] = build_affine(g, twist=sigma_aut(g))
@@ -67,6 +69,24 @@ def test_tridecomp_delta_killed(algebras):
     imag = [r for r in roots_window(A, W3) if r.kind == "imaginary"]
     zero_keys = {(r.fin, r.n) for r in td.zero}
     assert all((r.fin, r.n) in zero_keys for r in imag)
+
+
+# ---------------------------------------------------- root bands
+
+
+@pytest.mark.parametrize("key", ["A1u", "A2u", "A3u", "C2u", "A2t"])
+def test_band_roots_match_window_filter(algebras, key):
+    A = algebras[key]
+    # |phi(delta)| >= 1 and small entries keep every band inside degrees -30..30
+    keys = [(r.fin, r.n) for r in roots_window(A, DegreeWindow(-30, 30))]
+    rng = random.Random(31)
+    for i in range(60):
+        phi = tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(A.fin_rank))
+        phi += ((1 if i % 2 else -1) * F(rng.randint(2, 6), 2),)
+        lo = F(rng.randint(-6, 6), 2)
+        hi = lo if i % 3 == 0 else lo + F(rng.randint(0, 8), 2)
+        want = [k for k in keys if lo <= flag_value(phi, k[0], k[1]) <= hi]
+        assert sorted(_band_roots(A, phi, lo, hi)) == sorted(want), (phi, lo, hi)
 
 
 # ---------------------------------------------------- flag validation
