@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import coordinate_map, solve_unique
-from .finlie import LieElt
+from .finlie import LieElt, sl2_normalise
 
 
 class DegreeWindow:
@@ -111,9 +111,6 @@ class AffRoot:
     fin: tuple          # fw-coordinates on the degree-zero Cartan coroots
     n: int
     mult: int = 1
-
-    def negated(self):
-        return AffRoot(self.kind, tuple(-c for c in self.fin), -self.n, self.mult)
 
 
 @dataclass(frozen=True)
@@ -467,15 +464,7 @@ def sl2_triple(A, root):
         raise ValueError("sl2 triples exist for real roots only")
     e = canonical_generator(A, root.fin, root.n)
     f0 = canonical_generator(A, tuple(-c for c in root.fin), -root.n)
-    h0 = aff_bracket(A, e, f0)
-    br = aff_bracket(A, h0, e)
-    key = next(iter(e.c))
-    c = br.c.get(key, Fraction(0)) / e.c[key]
-    if br != e.scale(c) or c == 0:
-        raise ValueError("degenerate sl2 data for the given root")
-    f = f0.scale(Fraction(2) / c)
-    h = aff_bracket(A, e, f)
-    return e, f, h
+    return sl2_normalise(lambda x, y: aff_bracket(A, x, y), e, f0)
 
 
 def heisenberg_check(A, window):

@@ -281,7 +281,15 @@ def cmd_parabolic_classify(cfg):
     rng = random.Random(cfg.seed)
     tags, ax_ok, cert_ok = {}, 0, 0
     for _ in range(samples):
-        P = assemble_parabolic(A, random_flag(A, rng), W)
+        fl = random_flag(A, rng)
+        try:
+            P = assemble_parabolic(A, fl, W)
+        except ValueError as exc:
+            phi2 = None if fl.phi2 is None else ",".join(map(str, fl.phi2))
+            raise UsageError(
+                f"sampled flag phi1={','.join(map(str, fl.phi1))} phi2={phi2} "
+                f"on window {cfg.window}: {exc}"
+            )
         tags[P.tag] = tags.get(P.tag, 0) + 1
         ax_ok += bool(check_parabolic_axioms(P))
         cert_ok += bool(verify_classification(P))

@@ -12,7 +12,6 @@ coordinate vector of alpha_j.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .exact import coordinate_map, group_closure, mat_mul
@@ -65,6 +64,22 @@ class LieElt:
             return "LieElt(0)"
         parts = " + ".join(f"{v}*{k}" for k, v in sorted(self.c.items()))
         return f"LieElt({parts})"
+
+
+def sl2_normalise(bracket, e, f0):
+    """Scale f0 so that [[e, f], e] = 2e and return the triple (e, f, [e, f]).
+
+    e and f0 are root vectors of opposite roots in the Lie algebra whose
+    bracket is bracket(x, y); works for LieElt and AffElt alike.  Raises
+    ValueError unless [[e, f0], e] is a nonzero multiple of e.
+    """
+    br = bracket(bracket(e, f0), e)
+    key = next(iter(e.c))
+    c = br.c.get(key, Fraction(0)) / e.c[key]
+    if not c or br != e.scale(c):
+        raise ValueError("degenerate sl2 data for the given root")
+    f = f0.scale(Fraction(2) / c)
+    return e, f, bracket(e, f)
 
 
 # ----------------------------------------------------------------- matrices
@@ -195,13 +210,6 @@ class SimpleLieAlgebra:
         en, fn = self._chevalley[i]
         e, f = LieElt({en: 1}), LieElt({fn: 1})
         return e, f, self.bracket(e, f)
-
-    def coroot(self, root):
-        """Coroot h_beta = [e_beta, f_beta] as a Cartan element."""
-        neg = tuple(-Fraction(c) for c in root)
-        e = LieElt({self.root_vector[tuple(Fraction(c) for c in root)]: 1})
-        f = LieElt({self.root_vector[neg]: 1})
-        return self.bracket(e, f)
 
 
 def build_simple(label):

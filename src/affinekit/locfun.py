@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Poly, det, gen_binom, gen_multinom, invert, kernel, rational_sqrt, solve_unique
-from .finlie import LieElt
+from .finlie import LieElt, sl2_normalise
 from .affine import AffElt, AffRoot, AffWeight, sl2_triple
 from .modrep import (
     GradedModule,
     IncompatibleData,
     _acc,
+    _band_matrix,
     _scaled,
     check_bracket_compat,
     imaginary_verma,
@@ -84,14 +85,7 @@ def make_twist_spec(M, alpha, x):
     ename, fname = g.root_vector.get(fin), g.root_vector.get(neg)
     if ename is None or fname is None:
         raise IncompatibleData(f"{fin} is not a root")
-    e = LieElt({ename: _ONE})
-    f0 = LieElt({fname: _ONE})
-    h = g.bracket(e, f0)
-    br = g.bracket(h, e)
-    c = br.c.get(ename, _Z)
-    if not c or br != e.scale(c):
-        raise IncompatibleData("degenerate sl2 data for the given root")
-    f = f0.scale(Fraction(2) / c)
+    e, f, _ = sl2_normalise(g.bracket, LieElt({ename: _ONE}), LieElt({fname: _ONE}))
     return TwistSpec(fin, x, e, f, AffWeight(fin, _Z, _Z))
 
 
@@ -126,12 +120,6 @@ def _wshift(w, aw, x):
         w.d + x * aw.d,
         w.k + x * aw.k,
     )
-
-
-def _band_matrix(M, f_elt, src, tgt):
-    """Matrix of f_elt from the labels src to the labels tgt, one column per source."""
-    cols = [M.apply_elt(f_elt, {s: _ONE}) for s in src]
-    return [[col.get(t, _Z) for col in cols] for t in tgt]
 
 
 def _f_inverse(M, f_elt, vec, cache):

@@ -175,6 +175,12 @@ class GradedModule:
         return sorted(self.weights, key=lambda w: (w.fin, w.d, w.k))
 
 
+def _band_matrix(M, elt, src, tgt):
+    """Matrix of elt from the labels src to the labels tgt, one column per source."""
+    cols = [M.apply_elt(elt, {s: _ONE}) for s in src]
+    return [[col.get(t, _Z) for col in cols] for t in tgt]
+
+
 # ------------------------------------------------------- structural checks
 
 
@@ -253,6 +259,28 @@ class DenseSL2Params:
     c: Fraction
 
 
+def _dense_line(params, window):
+    """Rows of the dense sl2 line on the labels ("w", j), j in window.
+
+    Returns ({label: (e row, f row, h value)}, edge labels) for
+    e w_j = mu_j w_{j+1} with mu_j = c - j(b + j + 1), f w_j = w_{j-1} and
+    h w_j = (b + 2j) w_j.  A row that would leave the window is empty and
+    its label is an edge label.
+    """
+    b, c = Fraction(params.b), Fraction(params.c)
+    rows, edge = {}, set()
+    for j in window:
+        lab = ("w", j)
+        mu = c - j * (b + j + 1)
+        up, down = j + 1 in window, j - 1 in window
+        if not (up and down):
+            edge.add(lab)
+        erow = {("w", j + 1): mu} if up and mu else {}
+        frow = {("w", j - 1): _ONE} if down else {}
+        rows[lab] = (erow, frow, b + 2 * j)
+    return rows, edge
+
+
 def dense_sl2(params, window):
     """Dense weight line over sl2: h-spectrum b + 2Z, all multiplicities 1.
 
@@ -261,24 +289,13 @@ def dense_sl2(params, window):
     where mu_j != 0 (f is injective outright).
     """
     g = build_simple("A1")
-    b, c = Fraction(params.b), Fraction(params.c)
-    labels = [("w", j) for j in window]
-    weight_of = {("w", j): AffWeight((b + 2 * j,), _Z, _Z) for j in window}
-    action, boundary = {}, set()
-    for j in window:
-        lab = ("w", j)
-        mu = c - j * (b + j + 1)
-        if j + 1 in window:
-            action[(("fin", "E12"), lab)] = {("w", j + 1): mu} if mu else {}
-        else:
-            action[(("fin", "E12"), lab)] = {}
-            boundary.add(lab)
-        if j - 1 in window:
-            action[(("fin", "E21"), lab)] = {("w", j - 1): _ONE}
-        else:
-            action[(("fin", "E21"), lab)] = {}
-            boundary.add(lab)
-        action[(("fin", "H1"), lab)] = {lab: b + 2 * j}
+    rows, boundary = _dense_line(params, window)
+    weight_of, action = {}, {}
+    for lab, (erow, frow, hval) in rows.items():
+        weight_of[lab] = AffWeight((hval,), _Z, _Z)
+        action[(("fin", "E12"), lab)] = erow
+        action[(("fin", "E21"), lab)] = frow
+        action[(("fin", "H1"), lab)] = {lab: hval}
     gens = [("fin", n) for n in g.basis]
     return GradedModule(g, window, weight_of, action, boundary, _Z, gens)
 
@@ -435,26 +452,11 @@ def sigma_intertwiner(g, aut, M):
     """
     labs = sorted(M.weight_of)
     n = len(labs)
-    idx = {l: i for i, l in enumerate(labs)}
-
-    def rep(name):
-        mat = [[_Z] * n for _ in range(n)]
-        for j, l in enumerate(labs):
-            for tgt, c in M.action[(("fin", name), l)].items():
-                mat[idx[tgt]][j] = c
-        return mat
-
     rows = []
     for name in g.basis:
-        rx = rep(name)
-        sig = aut.apply(LieElt({name: _ONE}))
-        rs = [[_Z] * n for _ in range(n)]
-        for nm, c in sig.c.items():
-            rn = rep(nm)
-            for i in range(n):
-                for j in range(n):
-                    if rn[i][j]:
-                        rs[i][j] += c * rn[i][j]
+        x = LieElt({name: _ONE})
+        rx = _band_matrix(M, x, labs, labs)
+        rs = _band_matrix(M, aut.apply(x), labs, labs)
         # equation (i, j): sum_k T[i][k] rx[k][j] - rs[i][k] T[k][j] = 0
         for i in range(n):
             for j in range(n):
@@ -809,45 +811,29 @@ def levi_dense_module(P, params, jwindow, base_fin):
     root = levi_sl2_root(P)
     gfin, gn = root.fin, root.n
     e, f, h = sl2_triple(A, root)
-    b, c = Fraction(params.b), Fraction(params.c)
     base_fin = tuple(Fraction(v) for v in base_fin)
-    if _cartan_value(A, AffElt({k: v for k, v in h.c.items()}), base_fin) != b:
+    if _cartan_value(A, h, base_fin) != Fraction(params.b):
         raise ValueError("base_fin disagrees with b on the Levi coroot")
-
-    weight_of = {}
-    for j in jwindow:
-        fin = tuple(bf + j * gc for bf, gc in zip(base_fin, gfin))
-        weight_of[("w", j)] = AffWeight(fin, Fraction(j * gn), _Z)
 
     ((ekey, ec),) = e.c.items()
     ((fkey, fc),) = f.c.items()
-    action, boundary = {}, set()
+    egen, fgen = ("t", *ekey), ("t", *fkey)
     carts = A.cartan_labels(0)
-    for j in jwindow:
-        lab = ("w", j)
-        mu = c - j * (b + j + 1)
-        if j + 1 in jwindow:
-            action[(("t", ekey[0], ekey[1]), lab)] = (
-                {("w", j + 1): mu / ec} if mu else {}
-            )
-        else:
-            action[(("t", ekey[0], ekey[1]), lab)] = {}
-            boundary.add(lab)
-        if j - 1 in jwindow:
-            action[(("t", fkey[0], fkey[1]), lab)] = {("w", j - 1): _ONE / fc}
-        else:
-            action[(("t", fkey[0], fkey[1]), lab)] = {}
-            boundary.add(lab)
+    rows, boundary = _dense_line(params, jwindow)
+    weight_of, action = {}, {}
+    for lab, (erow, frow, _) in rows.items():
+        j = lab[1]
+        fin = tuple(bf + j * gc for bf, gc in zip(base_fin, gfin))
+        weight_of[lab] = w = AffWeight(fin, Fraction(j * gn), _Z)
+        action[(egen, lab)] = _scaled(erow, _ONE / ec)
+        action[(fgen, lab)] = _scaled(frow, _ONE / fc)
         for hl in carts:
-            val = _cartan_value(A, AffElt({(hl, 0): _ONE}), weight_of[lab].fin)
+            val = _cartan_value(A, AffElt({(hl, 0): _ONE}), fin)
             action[(("t", hl, 0), lab)] = {lab: val} if val else {}
-        action[("D", lab)] = (
-            {lab: weight_of[lab].d} if weight_of[lab].d else {}
-        )
+        action[("D", lab)] = {lab: w.d} if w.d else {}
         action[("K", lab)] = {}
 
-    gens = [("t", ekey[0], ekey[1]), ("t", fkey[0], fkey[1])]
-    gens += [("t", hl, 0) for hl in carts] + ["D", "K"]
+    gens = [egen, fgen] + [("t", hl, 0) for hl in carts] + ["D", "K"]
     return GradedModule(A, jwindow, weight_of, action, boundary, _Z, gens)
 
 
@@ -998,53 +984,32 @@ def prop42_matrix(n, lam):
 
     The vacuum is a level-zero highest weight vector: e t^m (m >= 0),
     f t^m (m > 0) and h t^m (m > 0) kill it, h_0 reads lam, K reads 0.
-    Words are normal ordered by moving the rightmost annihilating or
-    diagonal letter to the right with exact bracket corrections.  The
-    (lam, 0) weight space is spanned by the vacuum alone, so the scalar
-    is the full image.
+    Letters are loop basis keys of the affine A1 and brackets are read from
+    its structure constants; K reads 0, so the central part of each bracket
+    drops out.  Words are normal ordered by moving the rightmost
+    annihilating or diagonal letter to the right with exact bracket
+    corrections.  The (lam, 0) weight space is spanned by the vacuum alone,
+    so the scalar is the full image.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     lam = Fraction(lam)
+    A = build_affine(build_simple("A1"))
+    e, f, h = "E12", "E21", "H1"
     memo = {}
 
-    def creates(sym, m):
-        return (sym == "e" and m < 0) or (sym == "f" and m <= 0) or (sym == "h" and m < 0)
-
-    def bracket(a, b):
-        (sa, ma), (sb, mb) = a, b
-        if sa == "K" or sb == "K":
-            return []
-        if sa == "e" and sb == "f":
-            out = [(("h", ma + mb), _ONE)]
-            if ma + mb == 0 and ma:
-                out.append((("K", 0), Fraction(ma)))
-            return out
-        if sa == "f" and sb == "e":
-            return [(g, -c) for g, c in bracket(b, a)]
-        if sa == "h" and sb == "e":
-            return [(("e", ma + mb), Fraction(2))]
-        if sa == "e" and sb == "h":
-            return [(("e", ma + mb), Fraction(-2))]
-        if sa == "h" and sb == "f":
-            return [(("f", ma + mb), Fraction(-2))]
-        if sa == "f" and sb == "h":
-            return [(("f", ma + mb), Fraction(2))]
-        if sa == "h" and sb == "h":
-            return [(("K", 0), Fraction(2 * ma))] if ma + mb == 0 and ma else []
-        return []
+    def creates(lab, m):
+        return m < 0 or (lab == f and m == 0)
 
     def val(word):
         if not word:
             return _ONE
         if word in memo:
             return memo[word]
-        sym, m = word[-1]
-        if sym == "K":
-            res = _Z
-        elif sym == "h" and m == 0:
+        lab, m = word[-1]
+        if lab == h and m == 0:
             res = lam * val(word[:-1])
-        elif not creates(sym, m):
+        elif not creates(lab, m):
             res = _Z
         else:
             # trailing creation letter: move the rightmost non-creation right
@@ -1055,21 +1020,16 @@ def prop42_matrix(n, lam):
                 res = _Z
             else:
                 a, b = word[i], word[i + 1]
-                swapped = word[:i] + (b, a) + word[i + 2 :]
-                res = val(swapped)
-                for g, c in bracket(a, b):
-                    res += c * val(word[:i] + (g,) + word[i + 2 :])
+                res = val(word[:i] + (b, a) + word[i + 2 :])
+                for key, c in A.basis_bracket(a, b).c.items():
+                    res += c * val(word[:i] + (key,) + word[i + 2 :])
         memo[word] = res
         return res
 
-    out = []
-    for k in range(1, n):
-        row = []
-        for l in range(1, n):
-            word = (("h", k), ("h", n - k), ("e", -l), ("f", l - n))
-            row.append(val(word))
-        out.append(row)
-    return out
+    return [
+        [val(((h, k), (h, n - k), (e, -l), (f, l - n))) for l in range(1, n)]
+        for k in range(1, n)
+    ]
 
 
 # ------------------------------------------------------------ shadow tags

@@ -539,20 +539,16 @@ def phi_P(P):
         c=list(c),
         d=d,
         wl_order=len(group),
-        NG=compute_NG(A.g),
+        NG=compute_NG(A),
         lattice_rank=rank,
     )
 
 
-def compute_NG(g):
-    """lcm of the denominators of (a,a)/2(a,b) over root pairs with (a,b) != 0."""
-    dens = []
-    for a in g.roots:
-        for b in g.roots:
-            p = g.weight_form(a, b)
-            if p != 0:
-                dens.append((g.weight_form(a, a) / (2 * p)).denominator)
-    return math.lcm(*dens)
+def compute_NG(A):
+    """lcm of the denominators of (a,a)/2(a,b) over real root directions with (a,b) != 0."""
+    dirs = {fam.fin for fam in A.root_families() if not fam.imaginary}
+    pairs = [(A.fin_form(a, a), A.fin_form(a, b)) for a in dirs for b in dirs]
+    return math.lcm(*((aa / (2 * p)).denominator for aa, p in pairs if p))
 
 
 def in_QP(cone, coords):

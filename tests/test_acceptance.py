@@ -430,25 +430,25 @@ def test_lowering_product_law():
 
 
 def test_prop42_reproduction():
-    lam = F(1)
     bad = []
-    for n in range(4, 9):
-        mat = prop42_matrix(n, lam)
-        for k in range(1, n):
-            for l in range(1, n):
-                if l > k and n < k + l:
-                    want = 4 * lam
-                elif l <= k and n >= k + l:
-                    want = -4 * lam
-                else:
-                    want = _Z
-                if mat[k - 1][l - 1] != want:
-                    bad.append((n, k, l, mat[k - 1][l - 1]))
-        half = (n - 1) // 2
-        sub = [row[:half] for row in mat[:half]]
-        if det(sub) == 0:
-            bad.append((n, "singular corner"))
-    _line("pairing matrix case split + corner rank (n = 4..8)", bad)
+    for lam in (F(1), F(0), F(-3, 2), F(5, 7)):
+        for n in range(2, 9):
+            mat = prop42_matrix(n, lam)
+            for k in range(1, n):
+                for l in range(1, n):
+                    if l > k and n < k + l:
+                        want = 4 * lam
+                    elif l <= k and n >= k + l:
+                        want = -4 * lam
+                    else:
+                        want = _Z
+                    if mat[k - 1][l - 1] != want:
+                        bad.append((lam, n, k, l, mat[k - 1][l - 1]))
+            half = (n - 1) // 2
+            sub = [row[:half] for row in mat[:half]]
+            if lam and det(sub) == 0:
+                bad.append((lam, n, "singular corner"))
+    _line("pairing matrix case split + corner rank (n = 2..8, four lambdas)", bad)
 
 
 # 11 --------------------------------------------------------------------

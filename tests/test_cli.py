@@ -455,6 +455,17 @@ def test_parabolic_classify_single_flag(tmp_path):
     assert recs["window_doubling_stable"]["status"] == "pass"
 
 
+def test_parabolic_classify_improper_sample_is_input_error(tmp_path, capsys):
+    # on the degree-0 window a sampled phi1 = (0, -1) cuts no root: P = Delta
+    code = main(["parabolic-classify", "--window=0:0", "--samples=40",
+                 "--seed=0", "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sampled flag phi1=0,-1" in err
+    assert "on window 0:0" in err
+    assert "improper parabolic set" in err
+
+
 def test_shadow_expectations(tmp_path):
     code, text = run_cli(tmp_path, "shadow", "--module", "loop-dense",
                          "--fin", "2", "--n", "0", "--window=-3:3",

@@ -27,6 +27,7 @@ from affinekit.rootpar import assemble_parabolic, make_flag
 from affinekit.modrep import (
     DenseSL2Params,
     IncompatibleData,
+    adjoint_rep,
     check_bracket_compat,
     check_level,
     check_weight_additivity,
@@ -69,6 +70,29 @@ def _dense(b, c, lo=-6, hi=6):
 def _vac_loc(n0_ext=3, depth=2):
     M = imaginary_verma(F(3), depth=depth, length_cap=2, gen_window=1)
     return localize(M, ALPHA, n0_ext=n0_ext)
+
+
+# ------------------------------------------------------------ twist specs
+
+
+def test_finite_twist_spec_is_an_sl2_triple():
+    # every root of four adjoint modules (28 roots): with h = [e, f] the
+    # pair satisfies [h, e] = 2e, [h, f] = -2f, and f spans the root space
+    # of -alpha
+    seen = 0
+    for label in ("A1", "A2", "A3", "C2"):
+        g = build_simple(label)
+        M = adjoint_rep(g)
+        for alpha in g.roots:
+            spec = make_twist_spec(M, alpha, F(1, 3))
+            e, f = spec.e_elt, spec.f_elt
+            h = g.bracket(e, f)
+            assert g.bracket(h, e) == e.scale(2), (label, alpha)
+            assert g.bracket(h, f) == f.scale(-2), (label, alpha)
+            neg = tuple(-a for a in alpha)
+            assert [g.weight_of[name] for name in f.c] == [neg], (label, alpha)
+            seen += 1
+    assert seen == 28
 
 
 # ------------------------------------------------------------ theta series

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affinekit.finlie import LieElt, build_simple, sigma_aut
-from affinekit.affine import AffElt, AffRoot, AffWeight, DegreeWindow, build_affine
+from affinekit.affine import AffElt, AffRoot, AffWeight, DegreeWindow, build_affine, sl2_triple
 from affinekit.rootpar import assemble_parabolic, make_flag, triangular_decomposition
 from affinekit.modrep import (
     DenseSL2Params,
@@ -86,19 +86,26 @@ def test_dense_coefficient_pins():
 
 
 def test_dense_casimir_constant():
-    # ef + fe + h^2/2 acts by a scalar: convention-free sanity for mu_j.
-    M = dense_sl2(DenseSL2Params(F(1, 2), F(3)), JW)
-    e, f, h = ("fin", "E12"), ("fin", "E21"), ("fin", "H1")
-    vals = set()
-    for j in range(-3, 4):
-        v = {("w", j): F(1)}
-        cas = _vadd(
-            M.apply_gen(e, M.apply_gen(f, v)),
-            M.apply_gen(f, M.apply_gen(e, v)),
-        )
-        cas = _vadd(cas, _vscale(M.apply_gen(h, M.apply_gen(h, v)), F(1, 2)))
-        vals.add(cas[("w", j)])
-    assert len(vals) == 1
+    # ef + fe + h^2/2 acts by 2c + b + b^2/2 on every interior label, on the
+    # dense line and on the Levi module of _standard_P() through sl2_triple
+    P = _standard_P()
+    aff = sl2_triple(A2aff, levi_sl2_root(P))
+    fin = tuple(LieElt({n: 1}) for n in ("E12", "E21", "H1"))
+    for b in (F(1, 2), F(0), F(-3, 2)):
+        for c in (F(3), F(0), F(5, 7), F(-2)):
+            params = DenseSL2Params(b, c)
+            M = dense_sl2(params, JW)
+            N = levi_dense_module(P, params, DegreeWindow(-2, 2), base_fin=(b, F(4)))
+            want = 2 * c + b + b * b / 2
+            for mod, (e, f, h), js in ((M, fin, range(-3, 4)), (N, aff, range(-1, 2))):
+                for j in js:
+                    v = {("w", j): F(1)}
+                    cas = _vadd(
+                        mod.apply_elt(e, mod.apply_elt(f, v)),
+                        mod.apply_elt(f, mod.apply_elt(e, v)),
+                    )
+                    cas = _vadd(cas, _vscale(mod.apply_elt(h, mod.apply_elt(h, v)), F(1, 2)))
+                    assert cas == ({("w", j): want} if want else {}), (b, c, j)
 
 
 def test_dense_injectivity_window():

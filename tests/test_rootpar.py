@@ -392,32 +392,40 @@ def test_phi_P_rejects_non_standard(algebras):
 
 
 def test_compute_NG_frozen_values(algebras):
+    def oracle(roots, form):
+        # direct lcm over all root pairs with nonzero pairing
+        denoms = []
+        for a in roots:
+            for b in roots:
+                p = form(a, b)
+                if p != 0:
+                    denoms.append((form(a, a) / (2 * p)).denominator)
+        return math.lcm(*denoms)
+
     expected = {"A1": 2, "A2": 2, "A3": 2, "C2": 2}
     for t, want in expected.items():
         g = build_simple(t)
-        # oracle: direct lcm over all root pairs with nonzero pairing
-        denoms = []
-        for a in g.roots:
-            for b in g.roots:
-                p = g.weight_form(a, b)
-                if p != 0:
-                    denoms.append((g.weight_form(a, a) / (2 * p)).denominator)
-        want_lcm = math.lcm(*denoms)
-        assert want_lcm == want
-        assert compute_NG(g) == want
+        assert oracle(g.roots, g.weight_form) == want
+        assert compute_NG(build_affine(g)) == want
+    # twisted A2: the real root directions are +-beta and +-2beta
+    A = algebras["A2t"]
+    dirs = {r.fin for r in roots_window(A, W3) if r.kind == "real"}
+    assert oracle(dirs, A.fin_form) == 4
+    assert compute_NG(A) == 4
 
 
 def test_NG_scaled_lattice_membership(algebras):
-    A = algebras["A2u"]
     rng = random.Random(41)
-    simples = A.affine_simple_roots()
-    flags = [
-        make_flag(A, (F(0), F(0), F(1))),
-        make_flag(A, (F(1), F(0), F(2))),
-        make_flag(A, (F(1), F(1), F(1))),
+    A2u, A2t = algebras["A2u"], algebras["A2t"]
+    cases = [
+        (A2u, (F(0), F(0), F(1))),
+        (A2u, (F(1), F(0), F(2))),
+        (A2u, (F(1), F(1), F(1))),
+        (A2t, (F(0), F(1))),
     ]
-    for fl in flags:
-        P = assemble_parabolic(A, fl, W3)
+    for A, phi1 in cases:
+        simples = A.affine_simple_roots()
+        P = assemble_parabolic(A, make_flag(A, phi1), W3)
         cone = phi_P(P)
         assert cone.lattice_rank == A.fin_rank + 1
         for _ in range(20):
