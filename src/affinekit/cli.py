@@ -62,6 +62,7 @@ from .modrep import (
     shadow_detect,
 )
 from .rootpar import (
+    ImproperParabolic,
     assemble_parabolic,
     check_parabolic_axioms,
     classify_parabolic,
@@ -281,15 +282,14 @@ def cmd_parabolic_classify(cfg):
     rng = random.Random(cfg.seed)
     tags, ax_ok, cert_ok = {}, 0, 0
     for _ in range(samples):
-        fl = random_flag(A, rng)
-        try:
-            P = assemble_parabolic(A, fl, W)
-        except ValueError as exc:
-            phi2 = None if fl.phi2 is None else ",".join(map(str, fl.phi2))
-            raise UsageError(
-                f"sampled flag phi1={','.join(map(str, fl.phi1))} phi2={phi2} "
-                f"on window {cfg.window}: {exc}"
-            )
+        # an improper draw (P = Delta on the window) is redrawn; a window
+        # always holds roots, so some draws leave one out and are proper
+        while True:
+            try:
+                P = assemble_parabolic(A, random_flag(A, rng), W)
+                break
+            except ImproperParabolic:
+                pass
         tags[P.tag] = tags.get(P.tag, 0) + 1
         ax_ok += bool(check_parabolic_axioms(P))
         cert_ok += bool(verify_classification(P))
@@ -392,8 +392,6 @@ def _loop_module(A, factors, scalars, window):
 
 def cmd_loop_mult(cfg):
     A = _algebra(cfg.algebra)
-    if A.s != 1:
-        raise UsageError("loop-mult wants an untwisted algebra (twist order 1)")
     W = _window(cfg.window)
     jwindow = _window(cfg.params["jwindow"], "jwindow")
     factors = _loop_factors(A, cfg.params["factors"], jwindow)

@@ -641,13 +641,9 @@ def loop_loc_iso(data, N, vec):
     bandwise inverse, weighted by generalized multinomials and by the
     evaluation scalars a_t^{i_t r}.
     """
-    vec = _as_vec(vec)
     if N <= 0:
-        out = dict(vec)
-        for _ in range(-N):
-            out = data.M.apply_elt(data.F_aff, out)
-        return out
-    return _loop_expand(data, vec, -N)
+        return f_power(data.M, data.F_aff, vec, -N)
+    return _loop_expand(data, _as_vec(vec), -N)
 
 
 def _loop_expand(data, vec, K):

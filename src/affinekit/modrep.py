@@ -386,30 +386,41 @@ def _loop_gens(A, gen_window):
     return gens + ["D", "K"]
 
 
+def _coroot_weight(A, Fm, lab):
+    """Finite weight of a factor label, read on A.tw_coroots."""
+    out = []
+    for h in A.tw_coroots:
+        res = Fm.apply_elt(h, {lab: _ONE})
+        if set(res) - {lab}:
+            raise IncompatibleData("coroot action is not diagonal")
+        out.append(res.get(lab, _Z))
+    return out
+
+
 def loop_module(A, factors, scalars, window, gen_window=2):
     """Loop module on a tensor product of evaluation factors.
 
     (X t^n) acts on (v_1 x ... x v_k) t^s as sum_i a_i^n (... X v_i ...)
     t^{n+s}; D reads the loop degree s and K acts by zero.  Scalars must be
-    nonzero.  For a twisted algebra use twisted_loop_fixed_points, which
-    enforces the pairing condition on factors and scalars.
+    nonzero.  Generators run over the class basis of each degree, and
+    weights are read on A.tw_coroots, so over a twisted algebra this is the
+    restriction of the untwisted loop module to the twisted subalgebra.
+    twisted_loop_fixed_points cuts a smaller twisted module out of it.
     """
-    if A.s != 1:
-        raise ValueError("loop_module is for untwisted algebras")
     if len(factors) != len(scalars) or not factors:
         raise ValueError("need matching nonempty factors and scalars")
     scalars = [Fraction(a) for a in scalars]
     if any(a == 0 for a in scalars):
         raise ValueError("evaluation points must be nonzero")
-    g = A.g
     for Fm in factors:
         if Fm.kind != "fin":
             raise ValueError("loop factors must be finite-algebra modules")
 
+    fweights = [{lab: _coroot_weight(A, Fm, lab) for lab in Fm.weight_of} for Fm in factors]
     tlabels = list(itertools.product(*[list(Fm.weight_of) for Fm in factors]))
     weight_of, action, boundary = {}, {}, set()
     for tlab in tlabels:
-        fins = [factors[i].weight_of[tlab[i]].fin for i in range(len(factors))]
+        fins = [fweights[i][tlab[i]] for i in range(len(factors))]
         fin = tuple(sum(col) for col in zip(*fins))
         taint0 = any(tlab[i] in factors[i].boundary for i in range(len(factors)))
         for s in window:
@@ -419,24 +430,33 @@ def loop_module(A, factors, scalars, window, gen_window=2):
                 boundary.add(lab)
 
     gens = _loop_gens(A, gen_window)
+    # each class-basis element acting on each factor label, once per degree class
+    factor_rows = {}
+    for c in range(A.s):
+        for name in A.class_labels(c):
+            u = A.label_elt(c, name)
+            factor_rows[(c, name)] = [
+                {fl: Fm.apply_elt(u, {fl: _ONE}) for fl in Fm.weight_of} for Fm in factors
+            ]
+    tgens = [(gk, factor_rows[(A.class_of(gk[2]), gk[1])]) for gk in gens if gk not in ("D", "K")]
 
     for (tlab, s) in weight_of:
         lab = (tlab, s)
         action[("D", lab)] = {lab: Fraction(s)} if s else {}
         action[("K", lab)] = {}
-        for m in range(-gen_window, gen_window + 1):
-            for name in g.basis:
-                if s + m not in window:
-                    action[(("t", name, m), lab)] = {}
-                    boundary.add(lab)
-                    continue
-                vec = {}
-                for i, Fm in enumerate(factors):
-                    an = scalars[i] ** m
-                    for tgt, c in Fm.action[(("fin", name), tlab[i])].items():
-                        nl = (tlab[:i] + (tgt,) + tlab[i + 1 :], s + m)
-                        _acc(vec, {nl: c * an})
-                action[(("t", name, m), lab)] = vec
+        for gk, rows in tgens:
+            m = gk[2]
+            if s + m not in window:
+                action[(gk, lab)] = {}
+                boundary.add(lab)
+                continue
+            vec = {}
+            for i, frows in enumerate(rows):
+                an = scalars[i] ** m
+                for tgt, c in frows[tlab[i]].items():
+                    nl = (tlab[:i] + (tgt,) + tlab[i + 1 :], s + m)
+                    _acc(vec, {nl: c * an})
+            action[(gk, lab)] = vec
     return GradedModule(A, window, weight_of, action, boundary, _Z, gens)
 
 
@@ -499,7 +519,10 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
     diagram intertwiner.  Because the slot scalars already differ by the
     sign of the twist, this involution commutes with every generator of the
     twisted algebra with no extra grade factor, so its fixed subspace is a
-    module over the twisted algebra, graded by loop degree.
+    module over the twisted algebra, graded by loop degree.  Its table is
+    read off L = loop_module(At, [V, V], [a, -a]): each fixed label's row is
+    the sum of L's rows over its pair combination, written in the fixed
+    basis, and weights and masks are L's.
     """
     if At.s != 2:
         raise ValueError("expected a twisted affine algebra")
@@ -516,8 +539,7 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
         or V2.kind != "fin"
     ):
         raise IncompatibleData("factors must be two copies of one module")
-    g = At.g
-    T = sigma_intertwiner(g, At.aut, V)
+    T = sigma_intertwiner(At.g, At.aut, V)
 
     vlabs = sorted(V.weight_of)
     pairs = [(l1, l2) for l1 in vlabs for l2 in vlabs]
@@ -539,74 +561,38 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
         raise IncompatibleData("eigenspaces do not span the tensor square")
     fixed_coords = coordinate_map(plus)
 
-    def expand(vec):
-        """Coordinates of a pair-indexed vector in the fixed eigenbasis."""
-        coords = fixed_coords([vec.get(p, _Z) for p in pairs])
+    def fixed_row(row):
+        """A row of L inside the fixed subspace, in the fixed basis."""
+        if not row:
+            return {}
+        t = next(iter(row))[1]
+        coords = fixed_coords([row.get((p, t), _Z) for p in pairs])
         if coords is None:
             raise IncompatibleData("action left the fixed subspace")
-        return coords
+        return {("s", t, i): c for i, c in enumerate(coords) if c}
 
-    # hbeta eigenvalues give the finite weight coordinates
-    def pair_fin(p):
-        out = []
-        for h in At.tw_coroots:
-            tot = _Z
-            for l in p:
-                res = V.apply_elt(h, {l: _ONE})
-                if set(res) - {l}:
-                    raise IncompatibleData("coroot action is not diagonal")
-                tot += res.get(l, _Z)
-            out.append(tot)
-        return tuple(out)
-
+    L = loop_module(At, [V, V], [a, -a], window, gen_window)
     weight_of, combos, boundary = {}, {}, set()
     for s in window:
         for i, v in enumerate(plus):
             lab = ("s", s, i)
-            combo = {pairs[j]: v[j] for j in range(n) if v[j]}
-            fins = {pair_fin(p) for p in combo}
-            if len(fins) != 1:
+            combo = {(pairs[j], s): v[j] for j in range(n) if v[j]}
+            ws = {L.weight_of[key] for key in combo}
+            if len(ws) != 1:
                 raise IncompatibleData("eigenvector mixes finite weights")
             combos[lab] = combo
-            weight_of[lab] = AffWeight(fins.pop(), Fraction(s), _Z)
-            if any(l1 in V.boundary or l2 in V.boundary for (l1, l2) in combo):
+            weight_of[lab] = ws.pop()
+            if any(key in L.boundary for key in combo):
                 boundary.add(lab)
-
-    gens = _loop_gens(At, gen_window)
-
-    by_grade_index = {}
-    for lab in weight_of:
-        by_grade_index.setdefault(lab[1], []).append(lab)
 
     action = {}
     for lab, combo in combos.items():
-        _, s, _ = lab
-        action[("D", lab)] = {lab: Fraction(s)} if s else {}
-        action[("K", lab)] = {}
-        for gk in gens:
-            if gk in ("D", "K"):
-                continue
-            _, cl, m = gk
-            if s + m not in window:
-                action[(gk, lab)] = {}
-                boundary.add(lab)
-                continue
-            u = At.label_elt(m, cl)
-            out_pairs = {}
-            for (l1, l2), c in combo.items():
-                r1 = V.apply_elt(u, {l1: _ONE})
-                for t1, c1 in r1.items():
-                    _acc(out_pairs, {(t1, l2): c * c1 * a**m})
-                r2 = V.apply_elt(u, {l2: _ONE})
-                for t2, c2 in r2.items():
-                    _acc(out_pairs, {(l1, t2): c * c2 * (-a) ** m})
-            coords = expand(out_pairs)
-            vec = {}
-            for i, tl in enumerate(sorted(by_grade_index.get(s + m, []))):
-                if coords[tl[2]]:
-                    vec[tl] = coords[tl[2]]
-            action[(gk, lab)] = vec
-    return GradedModule(At, window, weight_of, action, boundary, _Z, gens)
+        for gk in L.gens:
+            row = {}
+            for key, c in combo.items():
+                _acc(row, L.action[(gk, key)], c)
+            action[(gk, lab)] = fixed_row(row)
+    return GradedModule(At, window, weight_of, action, boundary, _Z, L.gens)
 
 
 # ------------------------------------------------------- imaginary Verma

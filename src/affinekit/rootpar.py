@@ -134,6 +134,10 @@ def _neg(key):
     return (tuple(-c for c in key[0]), -key[1])
 
 
+class ImproperParabolic(ValueError):
+    """The flag puts every window root in P together with its negative."""
+
+
 class ParabolicSet:
     """Windowed parabolic set with a flag-backed membership formula."""
 
@@ -255,7 +259,7 @@ def classify_parabolic(P):
         raise ValueError("cannot classify a parabolic set without its flag")
     keys = set(P.keys())
     if all(P.member_key(k) and (_neg(k) not in keys or P.member_key(_neg(k))) for k in keys):
-        raise ValueError("improper parabolic set (P = Delta on the window)")
+        raise ImproperParabolic("improper parabolic set (P = Delta on the window)")
     p1d = P.flag.phi1[-1]
     if p1d != 0:
         return "standard"

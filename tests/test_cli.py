@@ -455,15 +455,20 @@ def test_parabolic_classify_single_flag(tmp_path):
     assert recs["window_doubling_stable"]["status"] == "pass"
 
 
-def test_parabolic_classify_improper_sample_is_input_error(tmp_path, capsys):
-    # on the degree-0 window a sampled phi1 = (0, -1) cuts no root: P = Delta
-    code = main(["parabolic-classify", "--window=0:0", "--samples=40",
-                 "--seed=0", "--out", str(tmp_path / "x.json")])
+def test_parabolic_classify_redraws_improper_samples(tmp_path, capsys):
+    # on the degree-0 window seed 0 draws phi1 = (0, -1), which cuts no root
+    # (P = Delta); the sampler redraws it and reports every requested sample
+    code, text = run_cli(tmp_path, "parabolic-classify", "--window=0:0",
+                         "--samples=40", "--seed=0")
+    assert code == 0
+    recs = {r["name"]: r for r in load(text)["records"]}
+    assert sum(recs["tags"]["actual"].values()) == 40
+    assert recs["axioms_all_pass"]["status"] == "pass"
+    # the same flag given explicitly is still an input error
+    code, _ = run_cli(tmp_path, "parabolic-classify", "--window=0:0",
+                      "--phi1=0,-1", name="explicit.json")
     assert code == 1
-    err = capsys.readouterr().err
-    assert "sampled flag phi1=0,-1" in err
-    assert "on window 0:0" in err
-    assert "improper parabolic set" in err
+    assert "improper parabolic set" in capsys.readouterr().err
 
 
 def test_shadow_expectations(tmp_path):
@@ -493,6 +498,21 @@ def test_loop_mult_natural_a2(tmp_path):
     recs = {r["name"]: r for r in load(text)["records"]}
     assert recs["bracket_compat"]["status"] == "pass"
     assert recs["labels"]["actual"] == 3 * 5
+
+
+def test_loop_mult_twisted_a2(tmp_path):
+    code, text = run_cli(tmp_path, "loop-mult", "--algebra", "A2x2",
+                         "--factors", "natural,adjoint", "--scalars", "2,3",
+                         "--window=-2:2")
+    assert code == 0
+    recs = {r["name"]: r for r in load(text)["records"]}
+    assert recs["labels"]["actual"] == 3 * 8 * 5
+    for name in ("bracket_compat", "weight_additivity", "level_zero", "degree_reader"):
+        assert recs[name]["status"] == "pass"
+    # fin:m factors are sl2 modules, not modules over the finite part of A2
+    code, _ = run_cli(tmp_path, "loop-mult", "--algebra", "A2x2", "--factors", "fin:1",
+                      "--scalars", "2", name="fin.json")
+    assert code == 1
 
 
 def test_imverma_mult_vacuum_line(tmp_path):

@@ -15,6 +15,7 @@ from affinekit.exact import (
     gen_binom,
     gen_multinom,
     integer_solve,
+    invert,
     kernel,
     mat_rank,
     multinom_convolution_check,
@@ -274,3 +275,100 @@ def test_integer_solve_roundtrip(entries):
     x = integer_solve(A, b)
     assert x is not None
     assert [A[0][0] * x[0] + A[0][1] * x[1], A[1][0] * x[0] + A[1][1] * x[1]] == b
+
+
+# ---------------------------------------------------------- sympy oracles
+# Seeded small matrices, integer and rational, checked against sympy, which
+# shares no code with the elimination in exact.py.
+
+
+def _frac(v):
+    return F(int(v.p), int(v.q))
+
+
+def _oracle_matrices(seed, shapes, integer=False):
+    """Matrices of the given shapes; every second one is made singular (for
+    more than one row) by overwriting its last row with a combination of
+    the first two rows."""
+    rng = random.Random(seed)
+    out = []
+    for k, (rows, cols) in enumerate(shapes * 6):
+        den = (1,) if integer else (1, 1, 2, 3)
+        mat = [[F(rng.randint(-3, 3), rng.choice(den)) for _ in range(cols)] for _ in range(rows)]
+        if k % 2 and rows > 1:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1 % (rows - 1)])]
+        out.append(mat)
+    return out
+
+
+_SQUARE = [(1, 1), (2, 2), (3, 3), (4, 4)]
+_ALL = _SQUARE + [(2, 3), (3, 2), (3, 5)]
+
+
+def test_det_rank_invert_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    singular = 0
+    for integer in (True, False):
+        for mat in _oracle_matrices(11, _ALL, integer):
+            S = sympy.Matrix(mat)
+            assert mat_rank(mat) == S.rank()
+            if S.rows != S.cols:
+                continue
+            want = S.det()
+            assert det(mat) == _frac(want)
+            if want == 0:
+                singular += 1
+                assert invert(mat) is None
+            else:
+                assert invert(mat) == [[_frac(v) for v in row] for row in S.inv().tolist()]
+    assert singular
+
+
+def test_kernel_spans_the_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    for integer in (True, False):
+        for mat in _oracle_matrices(12, _ALL, integer):
+            ours = kernel(mat)
+            theirs = [[_frac(v) for v in vec] for vec in sympy.Matrix(mat).nullspace()]
+            assert len(ours) == len(theirs)
+            if ours:
+                # same span: stacking the two bases adds no rank
+                assert sympy.Matrix(ours + theirs).rank() == len(ours)
+
+
+def test_charpoly_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from affinekit.locfun import _charpoly
+
+    lam = sympy.Symbol("lam")
+    for integer in (True, False):
+        for mat in _oracle_matrices(13, _SQUARE, integer):
+            want = sympy.Matrix(mat).charpoly(lam).all_coeffs()[::-1]
+            assert list(_charpoly(mat).coeffs) == [_frac(v) for v in want]
+
+
+def test_integer_solve_agrees_with_smith_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    rng = random.Random(14)
+    found = missed = 0
+    for mat in _oracle_matrices(14, _ALL, integer=True):
+        A = [[int(v) for v in row] for row in mat]
+        b = [rng.randint(-6, 6) for _ in A]
+        # D = U A V with U, V unimodular: A x = b has an integer solution iff
+        # D y = U b does, i.e. iff d_i divides (U b)_i on the diagonal and
+        # (U b)_i = 0 on the rows past it
+        D, U, _ = smith_normal_decomp(sympy.Matrix(A), domain=sympy.ZZ)
+        ub = list(U * sympy.Matrix(b))
+        diag = [D[i, i] if i < D.cols else 0 for i in range(D.rows)]
+        solvable = all((ub[i] == 0) if d == 0 else (ub[i] % d == 0) for i, d in enumerate(diag))
+        x = integer_solve(A, b)
+        assert (x is not None) == solvable
+        if x is None:
+            missed += 1
+        else:
+            found += 1
+            assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+    assert found and missed

@@ -36,7 +36,7 @@ from affinekit.modrep import (
     tensor_product,
     twisted_loop_fixed_points,
 )
-from affinekit.exact import Poly
+from affinekit.exact import Poly, kernel
 
 
 A1 = build_simple("A1")
@@ -269,6 +269,70 @@ def test_twisted_rejects_bad_scalars():
         twisted_loop_fixed_points(
             A2tw, [adjoint_rep(A2), natural_rep(A2)], [F(1), F(-1)], DegreeWindow(-2, 2)
         )
+
+
+@pytest.mark.parametrize("gen_window", [1, 2])
+def test_loop_module_over_twisted_a2(gen_window):
+    M = loop_module(
+        A2tw, [natural_rep(A2), adjoint_rep(A2)], [F(2), F(3)], DegreeWindow(-3, 3),
+        gen_window=gen_window,
+    )
+    assert len(M.boundary) < len(M.weight_of)
+    assert check_bracket_compat(M) == []
+    assert check_weight_additivity(M) == []
+    assert check_level(M) == []
+
+
+def test_twisted_loop_module_restricts_the_untwisted_one():
+    # a class-basis generator acts as its expansion in the untwisted loop
+    # module, and weights are the untwisted ones read on the twisted coroot
+    factors, scalars, W = [natural_rep(A2), adjoint_rep(A2)], [F(2), F(3)], DegreeWindow(-1, 1)
+    M = loop_module(A2tw, factors, scalars, W, gen_window=1)
+    U = loop_module(A2aff, factors, scalars, W, gen_window=1)
+    (h,) = A2tw.tw_coroots
+    for lab, w in M.weight_of.items():
+        fin = U.weight_of[lab].fin
+        assert w.fin == (sum(h.c.get(x, 0) * fin[i] for i, x in enumerate(A2.cartan)),)
+    for m in (-1, 0, 1):
+        for cl in A2tw.class_labels(m):
+            u = AffElt({(x, m): c for x, c in A2tw.label_elt(m, cl).c.items()})
+            for lab in M.weight_of:
+                assert M.apply_gen(("t", cl, m), {lab: F(1)}) == U.apply_elt(u, {lab: F(1)})
+
+
+def test_twisted_fixed_points_include_into_the_loop_module():
+    V = adjoint_rep(A2)
+    a, W = F(3, 2), DegreeWindow(-2, 2)
+    M = twisted_loop_fixed_points(A2tw, [V, V], [a, -a], W, gen_window=1)
+    L = loop_module(A2tw, [V, V], [a, -a], W, gen_window=1)
+    # the fixed basis: +1 eigenvectors of (l1, l2) -> (T l2, T l1), in the
+    # order kernel returns them, over pairs of sorted labels
+    T = sigma_intertwiner(A2, A2tw.aut, V)
+    vlabs = sorted(V.weight_of)
+    pairs = [(l1, l2) for l1 in vlabs for l2 in vlabs]
+    swap_minus_one = [
+        [T[l2].get(m1, 0) * T[l1].get(m2, 0) - int((m1, m2) == (l1, l2)) for (l1, l2) in pairs]
+        for (m1, m2) in pairs
+    ]
+    plus = kernel(swap_minus_one)
+    combos = {
+        ("s", s, i): {(p, s): v[j] for j, p in enumerate(pairs) if v[j]}
+        for s in W
+        for i, v in enumerate(plus)
+    }
+    assert set(combos) == set(M.weight_of)
+    checked = 0
+    for lab, combo in combos.items():
+        assert {L.weight_of[key] for key in combo} == {M.weight_of[lab]}
+        if lab in M.boundary or any(key in L.boundary for key in combo):
+            continue
+        for gk in M.gens:
+            image = {}
+            for tgt, c in M.action[(gk, lab)].items():
+                image = _vadd(image, _vscale(combos[tgt], c))
+            assert L.apply_gen(gk, combo) == image
+            checked += 1
+    assert checked == 3 * len(plus) * len(M.gens)
 
 
 # ------------------------------------------------------------ imaginary Verma
