@@ -18,6 +18,7 @@ parameter x stands for the old vector carried by the formal power f^{-x}.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exact import Poly, det, gen_binom, gen_multinom, invert, kernel, rational_sqrt, solve_unique
@@ -49,15 +50,31 @@ _ZERO_MODE = ((Fraction(2),), 0)
 _PROBE_BANDS = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwistSpec:
-    """A real root direction, a rational twist exponent, and its sl2 data."""
+    """A real root direction, a rational twist exponent, and its sl2 data.
+
+    Build it with make_twist_spec: twist_module keeps its x-independent work
+    on the module under alpha, and checks that f_elt is the one that work
+    was done with.
+    """
 
     alpha: object
     x: Fraction
     e_elt: object
     f_elt: object
     weight: AffWeight
+
+    @cached_property
+    def _binoms(self):
+        return []
+
+    def binom(self, i):
+        """binom(x, i), computed once per spec; i runs up from 0."""
+        binoms = self._binoms
+        while len(binoms) <= i:
+            binoms.append(gen_binom(self.x, len(binoms)))
+        return binoms[i]
 
 
 def make_twist_spec(M, alpha, x):
@@ -180,23 +197,15 @@ def f_power(M, f_elt, v, p, cache=None):
 # ----------------------------------------------------- conjugation series
 
 
-def _lowering_chain(M, f_elt, u, length=None):
-    """The nonzero terms u, ad(f)u, ad(f)^2 u, ..., at most length of them."""
+def _lowering_chain(M, f_elt, u):
+    """The nonzero terms u, ad(f)u, ad(f)^2 u, ..."""
     chain = []
-    while not u.is_zero() and len(chain) != length:
+    while not u.is_zero():
         if len(chain) > 40:
             raise IncompatibleData("the lowering chain did not terminate")
         chain.append(u)
         u = M.bracket(f_elt, u)
     return chain
-
-
-def _theta_series(M, spec, u):
-    """The terms (binom(x, i), ad(f)^i u) of Theta_x(u), cut at i = x for x in N."""
-    x = spec.x
-    length = int(x) + 1 if x.denominator == 1 and x >= 0 else None
-    chain = _lowering_chain(M, spec.f_elt, u, length)
-    return [(gen_binom(x, i), ui) for i, ui in enumerate(chain)]
 
 
 def _rung(M, f_elt, ladder, i, cache):
@@ -221,33 +230,47 @@ def _rung(M, f_elt, ladder, i, cache):
 def theta_action(M, spec, X, v, cache=None, touched=None):
     """Theta_{spec.x}(X) . v evaluated through the stored action tables.
 
-    Raises BandError when an inverse power falls off the window and
-    UntabulatedGenerator when the series needs a generator M lacks.  When a
-    set is passed as touched it collects every label the series read a row
-    at, so callers can tell whether a masked (possibly incomplete) row was
-    used.
+    Theta_x(X) . v = sum_i binom(x, i) W_i with W_i = ad(f)^i(X) . f^{-i} v,
+    the sum cut at i = x for x in N.  Raises BandError when an inverse power
+    falls off the window and UntabulatedGenerator when the series needs a
+    generator M lacks.  When a set is passed as touched it collects every
+    label the series read a row at, so callers can tell whether a masked
+    (possibly incomplete) row was used.
 
-    A cache may be shared by calls on one module with one f_alpha: besides
-    the band inverses it keeps the series of each generator key and the
-    ladder f^{-i} v of each v, so repeated calls redo neither.
+    Nothing in the cache depends on x, so one cache serves every twist of M
+    along one f_alpha = spec.f_elt (specs come from make_twist_spec): the
+    band inverses, the ladder f^{-i} v of each v, the lowering chain of
+    each generator key, and per (generator key, v) the terms W_i, each
+    computed the first time an x needs it.  An algebra element X gets a
+    chain and terms of its own, which are not kept.
     """
     if cache is None:
         cache = {}
-    if isinstance(X, (LieElt, AffElt)):
-        series = _theta_series(M, spec, X)
-    else:
-        memo = cache.setdefault("_series", {})
-        series = memo.get((spec.x, X))
-        if series is None:
-            series = memo[(spec.x, X)] = _theta_series(M, spec, M.gen_elt(X))
     fv = _as_vec(v)
-    ladder = cache.setdefault("_ladders", {}).setdefault(frozenset(fv.items()), [fv])
+    vkey = frozenset(fv.items())
+    ladder = cache.setdefault("_ladders", {}).setdefault(vkey, [fv])
+    if isinstance(X, (LieElt, AffElt)):
+        chain, terms = _lowering_chain(M, spec.f_elt, X), []
+    else:
+        chains = cache.setdefault("_chains", {})
+        chain = chains.get(X)
+        if chain is None:
+            chain = chains[X] = _lowering_chain(M, spec.f_elt, M.gen_elt(X))
+        terms = cache.setdefault("_terms", {}).setdefault((X, vkey), [])
+    x = spec.x
+    n = len(chain)
+    if x.denominator == 1 and x >= 0:
+        n = min(n, int(x) + 1)
     out = {}
-    for i, (c, u) in enumerate(series):
-        rung = _rung(M, spec.f_elt, ladder, i, cache)
+    for i in range(n):
+        if i == len(terms):
+            terms.append(M.apply_elt(chain[i], _rung(M, spec.f_elt, ladder, i, cache)))
         if touched is not None:
-            touched.update(rung)
-        _acc(out, M.apply_elt(u, rung), c)
+            touched.update(ladder[i])
+        if i:
+            _acc(out, terms[i], spec.binom(i))
+        else:
+            out = dict(terms[0])  # binom(x, 0) = 1
     return out
 
 
@@ -258,15 +281,22 @@ def twist_module(M, spec):
     f_alpha^{-x}, so its weight gains x alpha and the row of u becomes
     Theta_x(u).  Labels whose series leaves the window keep an empty row and
     join the mask, as do labels whose series routed through a masked row.
-    Any other error, such as an untabulated generator, propagates.  All rows
-    share one cache, so each generator's series and each label's ladder of
-    inverse powers are built once per call.
+    Any other error, such as an untabulated generator, propagates.
+
+    Every row reads the cache M.twist_tables keeps for spec.alpha, so a
+    twist of M by a new x along a root M was twisted along before solves no
+    band and applies no term again: it only re-weights the kept terms by
+    binom(x, i).  That cache holds work done with one f_alpha, so spec must
+    come from make_twist_spec; a spec whose f_elt differs from the one the
+    cache was filled with raises IncompatibleData.
     """
     x = spec.x
     weight_of = {lab: _wshift(w, spec.weight, x) for lab, w in M.weight_of.items()}
     action = {}
     boundary = set(M.boundary)
-    cache = {}
+    cache = M.twist_tables.setdefault(spec.alpha, {"_f": spec.f_elt})
+    if cache["_f"] != spec.f_elt:
+        raise IncompatibleData(f"the twist table of {spec.alpha} was built with another f_alpha")
     for lab in M.weight_of:
         for gk in M.gens:
             if gk == "K":
@@ -330,8 +360,8 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
     A pair whose route meets a masked label or a failed band solve is not
     compared.  Any other error propagates.
     """
-    T1 = twist_module(M, make_twist_spec(M, alpha, x))
-    T1 = twist_module(T1, make_twist_spec(T1, alpha, y))
+    Tx = twist_module(M, make_twist_spec(M, alpha, x))
+    T1 = twist_module(Tx, make_twist_spec(Tx, alpha, y))
     T2 = twist_module(M, make_twist_spec(M, alpha, x + y))
     comp = [1, int(T1.weight_of != T2.weight_of)]
     for lab in M.weight_of:
@@ -375,7 +405,6 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
         power[0] += 1
         power[1] += two != one
 
-    Tx = twist_module(M, make_twist_spec(M, alpha, x))
     brackets = (1, int(check_bracket_compat(Tx) != []))
     return dict(zip(TWIST_LAWS, (tuple(comp), tuple(conj), tuple(power), brackets)))
 

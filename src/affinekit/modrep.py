@@ -114,6 +114,11 @@ class GradedModule:
         }
 
     @cached_property
+    def twist_tables(self):
+        """The x-independent work of locfun.twist_module, one table per root."""
+        return {}
+
+    @cached_property
     def weights(self):
         out = {}
         for lab, w in self.weight_of.items():

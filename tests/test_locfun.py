@@ -7,6 +7,7 @@ is pinned by explicit multinomial expansions plus the defining property that
 the honest generator undoes one formal inverse letter.
 """
 
+import copy
 import dataclasses
 from fractions import Fraction as F
 
@@ -243,10 +244,13 @@ def _rowwise_twist(M, spec):
     return action, boundary
 
 
-@pytest.mark.parametrize(
+_BUILDS = pytest.mark.parametrize(
     "build", [lambda: _dense(F(1, 2), 3), _loop_line, _vac_loc],
     ids=["dense", "loop", "vacuum"],
 )
+
+
+@_BUILDS
 def test_twist_module_matches_rowwise_series(build):
     # the series and ladders twist_module shares across rows change no row:
     # one x per class (integer >= 0, integer < 0, half > 0, half < 0)
@@ -296,6 +300,84 @@ def test_twist_keeps_a_failed_rung(monkeypatch):
     T = twist_module(M, make_twist_spec(M, (F(2),), F(5, 2)))
     assert raising_labels <= T.boundary
     assert len(raised) == len(raising_labels) > 0
+    # the module's table keeps the failed rungs for every later x
+    raised.clear()
+    T = twist_module(M, make_twist_spec(M, (F(2),), F(-3, 2)))
+    assert raising_labels <= T.boundary
+    assert raised == []
+
+
+@_BUILDS
+def test_twist_table_matches_a_fresh_table(build):
+    # one module twisted at eight x in turn, its table kept throughout,
+    # against the same twist of a freshly built module: rows agree in value
+    # and in dict order
+    M = build()
+    for x in (_Z, F(3, 2), F(2), F(-1), F(-1, 2), F(2), F(5), F(-7, 2)):
+        T = twist_module(M, make_twist_spec(M, (F(2),), x))
+        N = build()
+        assert not N.twist_tables
+        U = twist_module(N, make_twist_spec(N, (F(2),), x))
+        assert T.weight_of == U.weight_of, x
+        assert T.boundary == U.boundary, x
+        assert list(T.action) == list(U.action), x
+        for key, row in T.action.items():
+            assert list(row.items()) == list(U.action[key].items()), (x, key)
+
+
+@_BUILDS
+def test_twist_table_solves_each_band_once(build, monkeypatch):
+    # a non-integer x runs every ladder as deep as any x needs, so later
+    # twists of the same module by new x solve no band
+    M = build()
+    twist_module(M, make_twist_spec(M, (F(2),), F(1, 2)))
+    solves = []
+    solve = locfun._f_inverse
+
+    def counting_solve(M, f_elt, vec, cache):
+        solves.append(vec)
+        return solve(M, f_elt, vec, cache)
+
+    monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
+    for x in (F(-3, 2), F(4), F(-2), F(7, 3), _Z):
+        twist_module(M, make_twist_spec(M, (F(2),), x))
+    assert solves == []
+    N = build()
+    twist_module(N, make_twist_spec(N, (F(2),), F(-3, 2)))
+    assert solves  # the counter sees the solves of an empty table
+
+
+@_BUILDS
+def test_twist_table_is_outside_equality_and_repr(build):
+    M = build()
+    # algebras compare by identity, so the copy shares M's
+    copy_of_M = copy.deepcopy(M, {id(M.algebra): M.algebra})
+    before = repr(M)
+    spec = make_twist_spec(M, (F(2),), F(1, 2))
+    twist_module(M, spec)
+    assert list(M.twist_tables) == [spec.alpha]
+    assert M == copy_of_M
+    assert repr(M) == before
+    assert dataclasses.replace(M, boundary=set(M.boundary)).twist_tables == {}
+
+
+def test_twist_table_refuses_another_f():
+    # the table is keyed by the root alone, so a spec built by hand with a
+    # rescaled sl2 pair along that root must not read what the first f filled
+    M = _dense(F(1, 2), 3)
+    spec = make_twist_spec(M, (F(2),), F(1, 2))
+    T = twist_module(M, spec)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.x = F(3, 2)
+    other = dataclasses.replace(spec, e_elt=spec.e_elt.scale(2), f_elt=spec.f_elt.scale(F(1, 2)))
+    with pytest.raises(IncompatibleData):
+        twist_module(M, other)
+    # a spec replaced with a new x keeps no binomials of the old one
+    assert spec.binom(3) == gen_binom(F(1, 2), 3)
+    again = dataclasses.replace(spec, x=F(1, 2))
+    assert again.binom(3) == spec.binom(3)
+    assert dataclasses.replace(spec, x=F(5, 2)).binom(3) == gen_binom(F(5, 2), 3)
+    assert twist_module(M, again).action == T.action
 
 
 # ---------------------------------------------------------------- localize
