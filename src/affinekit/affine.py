@@ -16,8 +16,10 @@ the finite basis names).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import coordinate_map, solve_unique
 from .finlie import LieElt, sl2_normalise
@@ -323,6 +325,14 @@ class AffineAlgebra:
     def root_families(self):
         """Every root line as a RootFamily: by degree class, then by weight."""
         return self._families
+
+    @cached_property
+    def NG(self):
+        """lcm of the denominators of (a,a)/2(a,b) over real root directions
+        a, b with (a,b) != 0; rootpar.compute_NG reads it."""
+        dirs = {fam.fin for fam in self._families if not fam.imaginary}
+        pairs = [(self.fin_form(a, a), self.fin_form(a, b)) for a in dirs for b in dirs]
+        return math.lcm(*((aa / (2 * p)).denominator for aa, p in pairs if p))
 
     def is_root(self, fin, n):
         fin = tuple(Fraction(c) for c in fin)

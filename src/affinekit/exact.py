@@ -63,12 +63,20 @@ def multinom_convolution_check(N: int, K: int, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    # each multinom(-N; i) and multinom(N+K; j) is needed by many l
+    left, right = {}, {}
     for l in _tuples_with_sum_at_most(N + K, k):
         target = gen_multinom(K, l)
         acc = Fraction(0)
         for i in _splittings(l):
             j = tuple(a - b for a, b in zip(l, i))
-            acc += gen_multinom(-N, i) * gen_multinom(N + K, j)
+            mi = left.get(i)
+            if mi is None:
+                mi = left[i] = gen_multinom(-N, i)
+            mj = right.get(j)
+            if mj is None:
+                mj = right[j] = gen_multinom(N + K, j)
+            acc += mi * mj
         if acc != target:
             return False
     return True

@@ -332,17 +332,18 @@ def _clean(M, vec):
     return all(lab not in M.boundary for lab in vec)
 
 
-def _guarded_power(M, f_elt, vec, p):
+def _guarded_power(M, f_elt, vec, p, cache):
     """f^p, with honest steps refusing masked routes (a masked label has an
     empty tabulated row, which would silently drop terms) and inverse
-    solves raising BandError when they fail."""
+    solves raising BandError when they fail.  cache holds band inverses
+    made with f_elt, such as M's twist table along its root."""
     if p >= 0:
         for _ in range(p):
             if not _clean(M, vec):
                 raise BandError("truncated route")
             vec = M.apply_elt(f_elt, vec)
         return vec
-    return f_power(M, f_elt, vec, p)
+    return f_power(M, f_elt, vec, p, cache)
 
 
 def twist_laws(M, alpha, x, y, m, p, q, labs):
@@ -373,12 +374,14 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
 
     spec = make_twist_spec(M, alpha, Fraction(m))
     T = twist_module(M, spec)
+    # twist_module has checked that this table was filled with spec.f_elt
+    table = M.twist_tables[spec.alpha]
     conj = [0, 0]
     for lab in labs:
         if lab in T.boundary:
             continue
         try:
-            down = _guarded_power(M, spec.f_elt, {lab: _ONE}, -m)
+            down = _guarded_power(M, spec.f_elt, {lab: _ONE}, -m, table)
         except BandError:
             continue
         if not _clean(M, down):
@@ -388,7 +391,7 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
             if not _clean(M, mid):
                 continue
             try:
-                want = _guarded_power(M, spec.f_elt, mid, m)
+                want = _guarded_power(M, spec.f_elt, mid, m, table)
             except BandError:
                 continue
             conj[0] += 1
@@ -397,9 +400,9 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
     power = [0, 0]
     for lab in labs:
         try:
-            inner = _guarded_power(M, spec.f_elt, {lab: _ONE}, q)
-            two = _guarded_power(M, spec.f_elt, inner, p)
-            one = _guarded_power(M, spec.f_elt, {lab: _ONE}, p + q)
+            inner = _guarded_power(M, spec.f_elt, {lab: _ONE}, q, table)
+            two = _guarded_power(M, spec.f_elt, inner, p, table)
+            one = _guarded_power(M, spec.f_elt, {lab: _ONE}, p + q, table)
         except BandError:
             continue
         power[0] += 1

@@ -37,6 +37,13 @@ from .affine import (
 from .exact import Poly, coordinate_map, kernel, mat_mul, rational_sqrt, solve_any
 from .exact import invert  # noqa: F401  perfbench's tracer test rebinds modrep.invert
 from .finlie import LieElt, build_simple
+from .rootpar import (
+    ParabolicSet,
+    _band_roots,
+    check_parabolic_axioms,
+    classify_parabolic,
+    principal_witness,
+)
 
 _Z = Fraction(0)
 _ONE = Fraction(1)
@@ -778,10 +785,17 @@ def _cartan_value(A, x, fin):
 def levi_sl2_root(P):
     """The one positive real root of the sl2 Levi of P.
 
+    For a standard P with its flag the Levi roots are the roots with psi = 0,
+    psi the principal witness: a finite set, found by the band search and
+    not cut off by the window.  Any other P reads them off its window.
     Raises IncompatibleData unless the real roots of the Levi are exactly
     one positive root and its negative.
     """
-    real_levi = [k for k in P.levi_keys() if any(c for c in k[0])]
+    if P.flag is not None and (P.tag or classify_parabolic(P)) == "standard":
+        levi = _band_roots(P.algebra, principal_witness(P), 0, 0)
+    else:
+        levi = P.levi_keys()
+    real_levi = [k for k in levi if any(c for c in k[0])]
     if len(real_levi) != 2:
         raise IncompatibleData(f"needs an sl2 Levi, got {len(real_levi)} real Levi roots")
     pos = [k for k in real_levi if is_positive_root(P.algebra, k[0], k[1])]
@@ -1070,15 +1084,17 @@ def shadow_detect(M, fin, n):
 def build_PM(A, table, window):
     """Parabolic set attached to a shadow table on the windowed real roots.
 
-    When every root string through the window mixes both tags, the f-part
-    must accumulate at one end of each string; membership is then tag(r)=f
-    or tag(-r)=i, with the imaginary line oriented to the f-side.  When some
-    string is pure, whole strings are sorted into f, i and mixed families
-    and the set is (f union -i union mixed) + full imaginary line.  The
-    result must pass the windowed parabolic axioms.
+    When some root string through the window mixes both tags, the f-part
+    must accumulate at one end of each mixed string; membership is then
+    tag(r)=f or tag(-r)=i, which also places pure strings, with the
+    imaginary line oriented to the f-side; the set is then tagged standard.
+    It is never tagged mixed: a mixed flag (phi1, phi2) agrees on any finite
+    window with the standard covector K phi1 + phi2 for K large enough, so
+    no window table tells the two apart.  When every string is pure, whole
+    strings are sorted into f and i families and the set is (f union -i) +
+    full imaginary line.  The result must pass the windowed parabolic
+    axioms.
     """
-    from .rootpar import ParabolicSet, check_parabolic_axioms
-
     reals = [r for r in roots_window(A, window) if r.kind == "real"]
     for r in reals:
         t = table.get((r.fin, r.n))
@@ -1111,7 +1127,7 @@ def build_PM(A, table, window):
                 raise ValueError("shadow table is not convex along a root string")
 
     members = {}
-    if all(k in ("mix_up", "mix_down") for k in kinds.values()):
+    if any(k.startswith("mix") for k in kinds.values()):
         ups = {fin for fin, k in kinds.items() if k == "mix_up"}
         downs = {fin for fin, k in kinds.items() if k == "mix_down"}
         if ups and downs:
@@ -1126,9 +1142,6 @@ def build_PM(A, table, window):
     else:
         pf = {fin for fin, k in kinds.items() if k == "pure_f"}
         pi = {fin for fin, k in kinds.items() if k == "pure_i"}
-        mixed = {fin for fin, k in kinds.items() if k.startswith("mix")}
-        if mixed:
-            raise ValueError("pure and mixed root strings cannot coexist here")
         pring = pf | {tuple(-c for c in fin) for fin in pi}
         for r in reals:
             members[(r.fin, r.n)] = r.fin in pring
@@ -1141,11 +1154,7 @@ def build_PM(A, table, window):
     elif all(members[k] for k in members if not any(k[0])):
         tag = "imaginary"
     else:
-        radical_strings = any(
-            all(members[(fin, n)] and not members[(tuple(-c for c in fin), -n)] for n in ns)
-            for fin, ns in fams.items()
-        )
-        tag = "mixed" if radical_strings else "standard"
+        tag = "standard"
     P = ParabolicSet(A, None, window, members=members, tag=tag)
     if not check_parabolic_axioms(P):
         raise ValueError("shadow table does not assemble into a parabolic set")

@@ -50,12 +50,19 @@ def _coerce(A, phi):
     return phi
 
 
-def _band_roots(A, phi, lo, hi):
-    """All roots (fin, n) with lo <= phi(fin, n) <= hi; finite since phi(delta) != 0."""
+def _line_table(A, phi):
+    """(family, phi(fin, 0)) per root line; phi(fin, n) = phi(fin, 0) + n phi(delta)."""
+    return [(fam, flag_value(phi, fam.fin, 0)) for fam in A.root_families()]
+
+
+def _band_roots(A, phi, lo, hi, lines=None):
+    """All roots (fin, n) with lo <= phi(fin, n) <= hi; finite since phi(delta) != 0.
+
+    lines is _line_table(A, phi), for callers that search many bands of one phi.
+    """
     pd = phi[-1]
     out = []
-    for fam in A.root_families():
-        a = flag_value(phi, fam.fin, 0)
+    for fam, a in lines or _line_table(A, phi):
         nlo, nhi = sorted(((lo - a) / pd, (hi - a) / pd))
         out.extend((fam.fin, n) for n in fam.degrees(math.ceil(nlo), math.floor(nhi)))
     return out
@@ -139,39 +146,58 @@ class ImproperParabolic(ValueError):
 
 
 class ParabolicSet:
-    """Windowed parabolic set with a flag-backed membership formula."""
+    """Windowed parabolic set with a flag-backed membership formula.
+
+    members maps every window root key (fin, n) to its membership; a table
+    passed in explicitly must cover exactly those keys.  With a flag, the
+    set evaluates phi1 and phi2 once per root line (_sign_line), so
+    membership at any degree is one integer multiply-add per covector.
+    """
 
     def __init__(self, A, flag, window, members=None, tag=None):
         self.algebra = A
         self.flag = flag
         self.window = window
         self.roots = roots_window(A, window)
+        self._lines = None
+        if flag is not None:
+            self._lines = {fam.fin: _line_signs(flag, fam.fin) for fam in A.root_families()}
         if members is None:
             if flag is None:
                 raise ValueError("either a flag or an explicit member table is needed")
+            # a window root's fin is the very tuple its RootFamily holds, so
+            # the table finds its line by identity, not by hashing Fractions
+            by_id = {id(fam.fin): self._lines[fam.fin] for fam in A.root_families()}
             members = {
-                (r.fin, r.n): self._formula(r.fin, r.n) for r in self.roots
+                (r.fin, r.n): _in_P(by_id.get(id(r.fin)) or self._line(r.fin), r.n)
+                for r in self.roots
             }
+        elif len(members) != len(self.roots) or any(
+            (r.fin, r.n) not in members for r in self.roots
+        ):
+            raise ValueError("an explicit member table must cover exactly the window roots")
         self.members = members
         self.tag = tag
         self._kinds = {}
         self._levi_keys = None
 
+    def _line(self, fin):
+        """_line_signs of the flag on the line through fin, kept per root
+        line; a fin on no root line is evaluated."""
+        line = self._lines.get(fin)
+        return _line_signs(self.flag, fin) if line is None else line
+
     def _formula(self, fin, n):
-        v1 = flag_value(self.flag.phi1, fin, n)
-        if v1 > 0:
-            return True
-        if v1 < 0:
-            return False
-        if self.flag.phi2 is None:
-            return True
-        return flag_value(self.flag.phi2, fin, n) >= 0
+        return _in_P(self._line(fin), n)
 
     def member(self, fin, n):
-        fin = tuple(Fraction(c) for c in fin)
-        key = (fin, n)
-        if key in self.members:
-            return self.members[key]
+        return self._member(tuple(Fraction(c) for c in fin), n)
+
+    def _member(self, fin, n):
+        """member() for a fin already given as a tuple of Fractions."""
+        m = self.members.get((fin, n))
+        if m is not None:
+            return m
         if self.flag is None:
             raise ValueError("membership outside the window needs a defining flag")
         return self._formula(fin, n)
@@ -220,6 +246,32 @@ class ParabolicSet:
         ]
 
 
+def _sign_line(phi, fin):
+    """Integers (a, d) such that a + n d has the sign of phi(fin, n) for every n.
+
+    phi(fin, n) = phi(fin, 0) + n phi(delta), put over the positive common
+    denominator of its two terms.
+    """
+    a, d = Fraction(flag_value(phi, fin, 0)), Fraction(phi[-1])
+    return a.numerator * d.denominator, d.numerator * a.denominator
+
+
+def _in_P(line, n):
+    """The membership rule at degree n on a line given by _line_signs."""
+    a1, d1, a2, d2 = line
+    v1 = a1 + n * d1
+    if v1:
+        return v1 > 0
+    return a2 is None or a2 + n * d2 >= 0
+
+
+def _line_signs(flag, fin):
+    """(a1, d1, a2, d2): _sign_line of phi1 and of phi2 (None, None without phi2)."""
+    if flag.phi2 is None:
+        return (*_sign_line(flag.phi1, fin), None, None)
+    return (*_sign_line(flag.phi1, fin), *_sign_line(flag.phi2, fin))
+
+
 def assemble_parabolic(A, flag, window, require_borel=False):
     P = ParabolicSet(A, flag, window)
     if require_borel:
@@ -234,17 +286,26 @@ def assemble_parabolic(A, flag, window, require_borel=False):
 
 
 def check_parabolic_axioms(P):
-    keys = set(P.keys())
-    member = {k: P.member_key(k) for k in keys}
-    for k in keys:
-        nk = _neg(k)
-        if nk in keys and not (member[k] or member[nk]):
+    """Windowed axioms: r or -r in P, and r + s in P for r, s in P.
+
+    Root keys are mapped once to (fin index, n); sums of fins are read from
+    a table of fin-index pairs, so the pair loop runs on ints.
+    """
+    fins = list(dict.fromkeys(fin for fin, _ in P.members))
+    index = {fin: i for i, fin in enumerate(fins)}
+    add = [[index.get(tuple(a + b for a, b in zip(f, g))) for g in fins] for f in fins]
+    neg = [index.get(tuple(-c for c in f)) for f in fins]
+    member = {(index[fin], n): m for (fin, n), m in P.members.items()}
+    for (i, n), m in member.items():
+        j = neg[i]
+        if not m and j is not None and not member.get((j, -n), True):
             return False
-    chosen = [k for k in keys if member[k]]
-    for i, k1 in enumerate(chosen):
-        for k2 in chosen[i:]:
-            s = (tuple(a + b for a, b in zip(k1[0], k2[0])), k1[1] + k2[1])
-            if s in keys and not member[s]:
+    chosen = [k for k, m in member.items() if m]
+    for pos, (i1, n1) in enumerate(chosen):
+        row = add[i1]
+        for i2, n2 in chosen[pos:]:
+            s = row[i2]
+            if s is not None and not member.get((s, n1 + n2), True):
                 return False
     return True
 
@@ -257,8 +318,7 @@ def classify_parabolic(P):
         if P.tag is not None:
             return P.tag
         raise ValueError("cannot classify a parabolic set without its flag")
-    keys = set(P.keys())
-    if all(P.member_key(k) and (_neg(k) not in keys or P.member_key(_neg(k))) for k in keys):
+    if all(P.members.values()):
         raise ImproperParabolic("improper parabolic set (P = Delta on the window)")
     p1d = P.flag.phi1[-1]
     if p1d != 0:
@@ -294,16 +354,16 @@ def principal_witness(P):
             if a1 != 0:
                 bounds.append(abs(a2) / abs(a1))
             continue
+        # the roots of the line nearest to ker(phi1) on either side
         n0 = math.floor(-a1 / p1d)
-        cands = fam.degrees(n0 - 2 * fam.step, n0 + 2 * fam.step)
-        pos = [(a1 + n * p1d, n) for n in cands if a1 + n * p1d > 0]
-        neg = [(a1 + n * p1d, n) for n in cands if a1 + n * p1d < 0]
-        extremes = []
-        if pos:
-            extremes.append(min(pos))
-        if neg:
-            extremes.append(max(neg))
-        for t, n in extremes:
+        pos = neg = None
+        for n in fam.degrees(n0 - 2 * fam.step, n0 + 2 * fam.step):
+            t = a1 + n * p1d
+            if t > 0 and (pos is None or t < pos[0]):
+                pos = (t, n)
+            elif t < 0 and (neg is None or t > neg[0]):
+                neg = (t, n)
+        for t, n in (e for e in (pos, neg) if e is not None):
             bounds.append(abs(a2 + n * p2d) / abs(t))
     M = 1 + max(bounds, default=Fraction(0))
     return tuple(M * phi1[i] + phi2[i] for i in range(len(phi1)))
@@ -322,7 +382,7 @@ def classification_certificate(P):
             (
                 fam
                 for fam in P.algebra.root_families()
-                if not fam.imaginary and flag_value(flag.phi1, fam.fin, 0) > 0
+                if not fam.imaginary and P._line(fam.fin)[0] > 0
             ),
             None,
         )
@@ -333,33 +393,35 @@ def classification_certificate(P):
 def verify_classification(P, cert=None):
     if cert is None:
         cert = classification_certificate(P)
-    A = P.algebra
-    zero = tuple([Fraction(0)] * A.fin_rank)
+    zero = tuple([Fraction(0)] * P.algebra.fin_rank)
     tag = cert["tag"]
     if tag in ("standard", "imaginary"):
         psi = cert["psi"]
-        for r in P.roots:
-            if P.member(r.fin, r.n) != (flag_value(psi, r.fin, r.n) >= 0):
+        psi_lines = {}  # fin -> _sign_line(psi, fin): one evaluation per line
+        for (fin, n), m in P.members.items():
+            line = psi_lines.get(fin)
+            if line is None:
+                line = psi_lines[fin] = _sign_line(psi, fin)
+            if m != (line[0] + n * line[1] >= 0):
                 return False
         if tag == "standard":
             return psi[-1] != 0
         if psi[-1] != 0:
             return False
         return all(
-            P.member(zero, n) and P.member(zero, -n)
+            P._member(zero, n) and P._member(zero, -n)
             for n in P.window
             if n != 0
         )
     line = cert["real_line"]
     fin = line.fin
+    neg = tuple(-c for c in fin)
     for n in line.degrees(P.window.nmin, P.window.nmax):
-        if not P.member(fin, n):
-            return False
-        if P.member(tuple(-c for c in fin), -n):
+        if not P._member(fin, n) or P._member(neg, -n):
             return False
     side = cert["imaginary_side"]
     return all(
-        P.member(zero, side * n) and not P.member(zero, -side * n)
+        P._member(zero, side * n) and not P._member(zero, -side * n)
         for n in P.window
         if n > 0
     )
@@ -438,33 +500,31 @@ def _lex_positive(psi, chi, fin, n):
     return flag_value(chi, fin, n) > 0
 
 
-def _global_base(A, psi, chi):
+def _global_base(A, psi, chi, lines):
     """Indecomposable roots of the positive system {psi > 0} u {psi = 0, chi > 0}.
 
     Window-free: a base element beta satisfies 0 <= psi(beta) <= psi(delta)
     because delta = sum c_i beta_i with every c_i >= 1, and a decomposition
     gamma = gamma1 + gamma2 into positives forces both psi-values into
-    [0, psi(gamma)].  Both searches reduce to finite bands.
+    [0, psi(gamma)].  So both searches stay inside the band
+    0 <= psi <= psi(delta), read once off lines = _line_table(A, psi): the
+    base is the positive roots of that band that are not the sum of two of
+    them.
     """
-    cands = [
+    positive = [
         k
-        for k in _band_roots(A, psi, Fraction(0), psi[-1])
+        for k in _band_roots(A, psi, Fraction(0), psi[-1], lines)
         if _lex_positive(psi, chi, k[0], k[1])
     ]
-    base = []
-    for fin, n in cands:
-        v = flag_value(psi, fin, n)
-        decomposable = False
-        for f1, n1 in _band_roots(A, psi, Fraction(0), v):
-            if (f1, n1) == (fin, n) or not _lex_positive(psi, chi, f1, n1):
-                continue
-            f2 = tuple(a - b for a, b in zip(fin, f1))
-            n2 = n - n1
-            if A.is_root(f2, n2) and _lex_positive(psi, chi, f2, n2):
-                decomposable = True
-                break
-        if not decomposable:
-            base.append((fin, n))
+    in_band = set(positive)  # holds no zero key, so gamma1 = gamma is no sum
+    base = [
+        (fin, n)
+        for fin, n in positive
+        if not any(
+            (tuple(a - b for a, b in zip(fin, f1)), n - n1) in in_band
+            for f1, n1 in positive
+        )
+    ]
     return sorted(base)
 
 
@@ -504,10 +564,11 @@ def phi_P(P):
     psi = principal_witness(P)
     if psi[-1] < 0:
         raise ValueError("delta must lie on the positive side of P")
-    kernel = _band_roots(A, psi, 0, 0)
+    lines = _line_table(A, psi)
+    kernel = _band_roots(A, psi, 0, 0, lines)
     chi = _levi_refinement(A, kernel)
     dim = A.fin_rank + 1
-    base = _global_base(A, psi, chi)
+    base = _global_base(A, psi, chi, lines)
     if len(base) != dim:
         raise ValueError("positive system did not yield an affine base")
     amat = [[Fraction(base[j][0][i]) for j in range(dim)] for i in range(A.fin_rank)]
@@ -549,10 +610,11 @@ def phi_P(P):
 
 
 def compute_NG(A):
-    """lcm of the denominators of (a,a)/2(a,b) over real root directions with (a,b) != 0."""
-    dirs = {fam.fin for fam in A.root_families() if not fam.imaginary}
-    pairs = [(A.fin_form(a, a), A.fin_form(a, b)) for a in dirs for b in dirs]
-    return math.lcm(*((aa / (2 * p)).denominator for aa, p in pairs if p))
+    """lcm of the denominators of (a,a)/2(a,b) over real root directions with (a,b) != 0.
+
+    A constant of the algebra, computed once per algebra as A.NG.
+    """
+    return A.NG
 
 
 def in_QP(cone, coords):

@@ -136,6 +136,24 @@ def test_multinom_convolution_examples():
     assert multinom_convolution_check(3, 5, 3)
 
 
+@pytest.mark.parametrize("side", ["left", "right", "target"])
+def test_multinom_convolution_sees_one_wrong_multinomial(monkeypatch, side):
+    # N, K, k = 2, 1, 2: the l = (1, 0) sum reads multinom(-2; (1, 0)) and
+    # multinom(3; (1, 0)), each times a multinomial equal to 1
+    import affinekit.exact as exact
+
+    wrong = {"left": (-2, (1, 0)), "right": (3, (1, 0)), "target": (1, (1, 0))}[side]
+    real = exact.gen_multinom
+
+    def patched(n, ks):
+        value = real(n, ks)
+        return value + 1 if (n, tuple(ks)) == wrong else value
+
+    assert exact.multinom_convolution_check(2, 1, 2)
+    monkeypatch.setattr(exact, "gen_multinom", patched)
+    assert not exact.multinom_convolution_check(2, 1, 2)
+
+
 def test_multinom_convolution_against_series_oracle():
     # (1+s)^{-N} (1+s)^{N+K} = (1+s)^K as truncated series, s = x_1+...+x_k
     for N in (1, 2, 3):

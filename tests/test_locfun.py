@@ -681,3 +681,51 @@ def test_twisted_localized_support():
     assert set(T.weights) <= allowed
     assert check_bracket_compat(T) == []
     assert check_weight_additivity(T) == []
+
+
+# ------------------------------------------------------------- twist laws
+
+
+def test_twist_laws_powers_reuse_the_twist_table(monkeypatch):
+    # one twist_laws sample on the acceptance dense line; band solves are
+    # counted as new band entries in the cache each _f_inverse call fills
+    import affinekit.locfun as lf
+
+    real_inverse, real_power = lf._f_inverse, lf.f_power
+    solves = {"all": 0, "f_power": 0}
+    in_power = []
+
+    def counting_inverse(M, f_elt, vec, cache):
+        before = sum(not isinstance(k, str) for k in cache)
+        try:
+            return real_inverse(M, f_elt, vec, cache)
+        finally:
+            new = sum(not isinstance(k, str) for k in cache) - before
+            solves["all"] += new
+            if in_power:
+                solves["f_power"] += new
+
+    def run(power):
+        def counting_power(*args):
+            in_power.append(1)
+            try:
+                return power(*args)
+            finally:
+                in_power.pop()
+
+        monkeypatch.setattr(lf, "f_power", counting_power)
+        M = dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-8, 8))
+        labs = sorted(M.weight_of)[3:15:2]
+        solves.update(all=0, f_power=0)
+        laws = lf.twist_laws(M, (F(2),), F(1, 2), F(3, 2), 2, -2, -1, labs)
+        return laws, dict(solves)
+
+    monkeypatch.setattr(lf, "_f_inverse", counting_inverse)
+    fresh, fresh_solves = run(lambda M, f_elt, v, p, cache=None: real_power(M, f_elt, v, p))
+    reused, reused_solves = run(real_power)
+    assert reused == fresh
+    assert [n for n, failed in fresh.values()] == [34, 17, 6, 1]
+    assert all(failed == 0 for _, failed in fresh.values())
+    # every band the honest inverse powers need was solved for the twists
+    assert fresh_solves == {"all": 80, "f_power": 48}
+    assert reused_solves == {"all": 32, "f_power": 0}

@@ -503,6 +503,21 @@ def test_levi_sl2_root():
             levi_sl2_root(P)
 
 
+@pytest.mark.parametrize(
+    "rank_type,phi1",
+    [("A2", (2, -3, 1)), ("C2", (-1, 1, 1)), ("A3", (-3, 1, 0, 1))],
+)
+def test_levi_sl2_root_reads_the_levi_beyond_the_window(rank_type, phi1):
+    # on the window -1..1 these Levis show one root pair; the whole Levi
+    # {psi = 0} is sl3 (A2), 8 roots (C2) or 12 roots (A3)
+    A = build_affine(build_simple(rank_type))
+    P = assemble_parabolic(A, make_flag(A, tuple(F(c) for c in phi1)), DegreeWindow(-1, 1))
+    assert P.tag == "standard"
+    assert len([k for k in P.levi_keys() if any(k[0])]) == 2
+    with pytest.raises(IncompatibleData, match="needs an sl2 Levi"):
+        levi_sl2_root(P)
+
+
 def test_induced_layers_and_top():
     P = _standard_P()
     N = _levi_N()
@@ -693,6 +708,48 @@ def test_flagless_set_needs_a_flag_for_certificates():
         for check in (principal_witness, classification_certificate, verify_classification):
             with pytest.raises(ValueError, match="needs a defining flag"):
                 check(P)
+
+
+def _pm_table(P):
+    """Shadow table of P: tag(r) = f iff r is in P and -r is not."""
+    return {
+        (fin, n): "f" if m and not P.member(tuple(-c for c in fin), -n) else "i"
+        for (fin, n), m in P.members.items()
+        if any(fin)
+    }
+
+
+def _string_kinds(table):
+    strings = {}
+    for (fin, n), t in sorted(table.items(), key=lambda kv: kv[0][1]):
+        strings.setdefault(fin, []).append(t)
+    return {"pure" if len(set(ts)) == 1 else "mixed" for ts in strings.values()}
+
+
+@pytest.mark.parametrize(
+    "phi1,phi2,tag",
+    [
+        # standard: the theta string is pure on the window, alpha1 and alpha2 mixed
+        ((1, 1, 1), None, "standard"),
+        # mixed: the alpha1 string is mixed, the others pure; on a window the
+        # set is also the standard set of 2 phi1 + phi2, so build_PM says standard
+        ((1, 2, 0), (0, 0, 1), "mixed"),
+    ],
+)
+def test_build_PM_pure_and_mixed_strings(phi1, phi2, tag):
+    W = DegreeWindow(-1, 1)
+    P = assemble_parabolic(A2aff, make_flag(A2aff, phi1, phi2), W)
+    assert P.tag == tag
+    table = _pm_table(P)
+    assert _string_kinds(table) == {"pure", "mixed"}
+    Q = build_PM(A2aff, table, W)
+    assert Q.members == P.members
+    assert Q.tag == "standard"
+    if tag == "standard":
+        assert Q.tag == P.tag
+    else:
+        K = assemble_parabolic(A2aff, make_flag(A2aff, (2, 4, 1)), W)
+        assert K.tag == "standard" and K.members == P.members
 
 
 def test_build_PM_inconsistent_table():

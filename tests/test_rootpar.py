@@ -11,6 +11,7 @@ from affinekit.exact import integer_solve
 from affinekit.finlie import build_simple, sigma_aut
 from affinekit.rootpar import (
     FunctionalFlag,
+    ParabolicSet,
     _band_roots,
     assemble_parabolic,
     check_parabolic_axioms,
@@ -437,3 +438,114 @@ def test_NG_scaled_lattice_membership(algebras):
                 nu[-1] += cf * n
             scaled = [cone.NG * x for x in nu]
             assert in_QP(cone, scaled)
+
+
+def test_NG_is_computed_once_per_algebra(algebras):
+    A = build_affine(build_simple("C2"))
+    assert "NG" not in vars(A)
+    assert compute_NG(A) == 2
+    assert vars(A)["NG"] == 2  # kept on the algebra, read by every later call
+    assert compute_NG(A) == A.NG
+
+
+# ---------------------------------------------------- line values and closure
+# Oracles sharing no code with rootpar's line tables: a flag value written out
+# as a sum over coordinates, and the closure axioms checked on Fraction tuples.
+
+
+def _phi(phi, fin, n):
+    out = phi[-1] * n
+    for i, c in enumerate(fin):
+        out += phi[i] * c
+    return out
+
+
+def _rule(flag, fin, n):
+    v1 = _phi(flag.phi1, fin, n)
+    if v1 != 0:
+        return v1 > 0
+    return flag.phi2 is None or _phi(flag.phi2, fin, n) >= 0
+
+
+def _closed(members):
+    for (fin, n), m in members.items():
+        neg = (tuple(-c for c in fin), -n)
+        if neg in members and not (m or members[neg]):
+            return False
+    chosen = [k for k, m in members.items() if m]
+    for f1, n1 in chosen:
+        for f2, n2 in chosen:
+            s = (tuple(a + b for a, b in zip(f1, f2)), n1 + n2)
+            if s in members and not members[s]:
+                return False
+    return True
+
+
+def _seeded_flags(A, rng, count):
+    """count flags from random_flag, at least one with and one without phi2."""
+    flags = []
+    while len(flags) < count or len({fl.phi2 is None for fl in flags}) < 2:
+        flags.append(random_flag(A, rng))
+    return flags
+
+
+@pytest.mark.parametrize("key", ["A1u", "A2u", "A3u", "C2u", "A2t"])
+def test_member_table_matches_flag_value_rule(algebras, key):
+    A = algebras[key]
+    rng = random.Random(61)
+    off_line = tuple(F(7, 3) for _ in range(A.fin_rank))
+    for fl in _seeded_flags(A, rng, 4 if key == "A3u" else 8):
+        for W in (W3, W3.doubled()):
+            P = ParabolicSet(A, fl, W)
+            assert list(P.members) == [(r.fin, r.n) for r in roots_window(A, W)]
+            for (fin, n), m in P.members.items():
+                assert m is _rule(fl, fin, n), (key, fl, fin, n)
+            # out of the window, on root lines and on no root line
+            for fam in A.root_families():
+                for n in (W.nmin - 3, W.nmin - 1, W.nmax + 1, W.nmax + 4):
+                    assert P.member(fam.fin, n) is _rule(fl, fam.fin, n)
+            for n in (W.nmin - 1, 0, W.nmax + 2):
+                assert P.member(off_line, n) is _rule(fl, off_line, n)
+
+
+@pytest.mark.parametrize("key", ["A1u", "A2u", "C2u", "A2t"])
+def test_axioms_match_brute_force_closure(algebras, key):
+    A = algebras[key]
+    rng = random.Random(67)
+    W = DegreeWindow(-2, 2)
+    rejected = 0
+    for fl in _seeded_flags(A, rng, 5):
+        P = assemble_parabolic(A, fl, W)
+        assert check_parabolic_axioms(P) and _closed(P.members)
+        keys = list(P.members)
+        # a member that is the sum of two others: removing it breaks closure
+        sums = [
+            k for k in keys
+            if P.members[k] and any(
+                P.members[k1]
+                and P.members.get((tuple(a - b for a, b in zip(k[0], k1[0])), k[1] - k1[1]))
+                for k1 in keys
+            )
+        ]
+        for k in rng.sample(sums, min(2, len(sums))) + rng.sample(keys, 3):
+            members = dict(P.members)
+            members[k] = not members[k]
+            Q = ParabolicSet(A, None, W, members=members)
+            assert check_parabolic_axioms(Q) == _closed(members), (key, fl, k)
+            if k in sums:
+                assert not check_parabolic_axioms(Q), (key, fl, k)
+                rejected += 1
+    assert rejected >= 5
+
+
+def test_explicit_member_table_must_cover_the_window(algebras):
+    A = algebras["A1u"]
+    P = assemble_parabolic(A, make_flag(A, (F(1), F(5))), W3)
+    members = dict(P.members)
+    members.pop(next(iter(members)))
+    with pytest.raises(ValueError, match="cover exactly the window"):
+        ParabolicSet(A, None, W3, members=members)
+    members = dict(P.members)
+    members[((F(2),), 9)] = True
+    with pytest.raises(ValueError, match="cover exactly the window"):
+        ParabolicSet(A, None, W3, members=members)
