@@ -34,6 +34,7 @@ from .modrep import (
     imaginary_verma,
     induced_truncated,
     levi_sl2_root,
+    loop_module,
 )
 
 _Z = Fraction(0)
@@ -54,7 +55,7 @@ _PROBE_BANDS = 6
 class TwistSpec:
     """A real root direction, a rational twist exponent, and its sl2 data.
 
-    Build it with make_twist_spec: twist_module keeps its x-independent work
+    Build it with make_twist_spec: twist_table keeps the x-independent work
     on the module under alpha, and checks that f_elt is the one that work
     was done with.
     """
@@ -180,34 +181,6 @@ def _f_inverse(M, f_elt, vec, cache):
     return out
 
 
-def f_power(M, f_elt, v, p, cache=None):
-    """Apply f_elt p times; negative p applies the bandwise inverse."""
-    vec = _as_vec(v)
-    if p >= 0:
-        for _ in range(p):
-            vec = M.apply_elt(f_elt, vec)
-        return vec
-    if cache is None:
-        cache = {}
-    for _ in range(-p):
-        vec = _f_inverse(M, f_elt, vec, cache)
-    return vec
-
-
-# ----------------------------------------------------- conjugation series
-
-
-def _lowering_chain(M, f_elt, u):
-    """The nonzero terms u, ad(f)u, ad(f)^2 u, ..."""
-    chain = []
-    while not u.is_zero():
-        if len(chain) > 40:
-            raise IncompatibleData("the lowering chain did not terminate")
-        chain.append(u)
-        u = M.bracket(f_elt, u)
-    return chain
-
-
 def _rung(M, f_elt, ladder, i, cache):
     """ladder[i] = f^{-i} ladder[0], extending the ladder one solve at a time.
 
@@ -227,6 +200,56 @@ def _rung(M, f_elt, ladder, i, cache):
     return rung
 
 
+def _clean(M, vec):
+    return all(lab not in M.boundary for lab in vec)
+
+
+def twist_table(M, spec):
+    """The x-independent table M keeps for twists along spec.alpha.
+
+    It holds band inverses, ladders, lowering chains and series terms, all
+    made with one f_alpha, which it records: a spec whose f_elt differs
+    from the recorded one raises IncompatibleData.
+    """
+    table = M.twist_tables.setdefault(spec.alpha, {"_f": spec.f_elt})
+    if table["_f"] != spec.f_elt:
+        raise IncompatibleData(f"the twist table of {spec.alpha} was built with another f_alpha")
+    return table
+
+
+def f_power(M, f_elt, v, p, cache=None):
+    """Apply f_elt p times; negative p applies the bandwise inverse.
+
+    Honest steps refuse masked routes: a masked label has an empty
+    tabulated row, which would silently drop terms, so a step from a vector
+    on a masked label raises BandError.  Inverse steps raise BandError when
+    a solve fails.  cache holds band inverses made with f_elt, such as
+    twist_table(M, spec); without it every band is solved afresh.
+    """
+    vec = _as_vec(v)
+    if p >= 0:
+        for _ in range(p):
+            if not _clean(M, vec):
+                raise BandError("truncated route")
+            vec = M.apply_elt(f_elt, vec)
+        return vec
+    return _rung(M, f_elt, [vec], -p, {} if cache is None else cache)
+
+
+# ----------------------------------------------------- conjugation series
+
+
+def _lowering_chain(M, f_elt, u):
+    """The nonzero terms u, ad(f)u, ad(f)^2 u, ..."""
+    chain = []
+    while not u.is_zero():
+        if len(chain) > 40:
+            raise IncompatibleData("the lowering chain did not terminate")
+        chain.append(u)
+        u = M.bracket(f_elt, u)
+    return chain
+
+
 def theta_action(M, spec, X, v, cache=None, touched=None):
     """Theta_{spec.x}(X) . v evaluated through the stored action tables.
 
@@ -242,10 +265,11 @@ def theta_action(M, spec, X, v, cache=None, touched=None):
     band inverses, the ladder f^{-i} v of each v, the lowering chain of
     each generator key, and per (generator key, v) the terms W_i, each
     computed the first time an x needs it.  An algebra element X gets a
-    chain and terms of its own, which are not kept.
+    chain and terms of its own, which are not kept.  Without a cache the
+    series reads twist_table(M, spec).
     """
     if cache is None:
-        cache = {}
+        cache = twist_table(M, spec)
     fv = _as_vec(v)
     vkey = frozenset(fv.items())
     ladder = cache.setdefault("_ladders", {}).setdefault(vkey, [fv])
@@ -283,20 +307,16 @@ def twist_module(M, spec):
     join the mask, as do labels whose series routed through a masked row.
     Any other error, such as an untabulated generator, propagates.
 
-    Every row reads the cache M.twist_tables keeps for spec.alpha, so a
-    twist of M by a new x along a root M was twisted along before solves no
-    band and applies no term again: it only re-weights the kept terms by
-    binom(x, i).  That cache holds work done with one f_alpha, so spec must
-    come from make_twist_spec; a spec whose f_elt differs from the one the
-    cache was filled with raises IncompatibleData.
+    Every row reads twist_table(M, spec), so a twist of M by a new x along
+    a root M was twisted along before solves no band and applies no term
+    again: it only re-weights the kept terms by binom(x, i).  spec must come
+    from make_twist_spec, whose f_elt is the one the table records.
     """
     x = spec.x
     weight_of = {lab: _wshift(w, spec.weight, x) for lab, w in M.weight_of.items()}
     action = {}
     boundary = set(M.boundary)
-    cache = M.twist_tables.setdefault(spec.alpha, {"_f": spec.f_elt})
-    if cache["_f"] != spec.f_elt:
-        raise IncompatibleData(f"the twist table of {spec.alpha} was built with another f_alpha")
+    cache = twist_table(M, spec)
     for lab in M.weight_of:
         for gk in M.gens:
             if gk == "K":
@@ -328,24 +348,6 @@ TWIST_LAWS = (
 )
 
 
-def _clean(M, vec):
-    return all(lab not in M.boundary for lab in vec)
-
-
-def _guarded_power(M, f_elt, vec, p, cache):
-    """f^p, with honest steps refusing masked routes (a masked label has an
-    empty tabulated row, which would silently drop terms) and inverse
-    solves raising BandError when they fail.  cache holds band inverses
-    made with f_elt, such as M's twist table along its root."""
-    if p >= 0:
-        for _ in range(p):
-            if not _clean(M, vec):
-                raise BandError("truncated route")
-            vec = M.apply_elt(f_elt, vec)
-        return vec
-    return f_power(M, f_elt, vec, p, cache)
-
-
 def twist_laws(M, alpha, x, y, m, p, q, labs):
     """Check the four twist laws on M along alpha; (compared, failed) per law.
 
@@ -374,14 +376,13 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
 
     spec = make_twist_spec(M, alpha, Fraction(m))
     T = twist_module(M, spec)
-    # twist_module has checked that this table was filled with spec.f_elt
-    table = M.twist_tables[spec.alpha]
+    table = twist_table(M, spec)
     conj = [0, 0]
     for lab in labs:
         if lab in T.boundary:
             continue
         try:
-            down = _guarded_power(M, spec.f_elt, {lab: _ONE}, -m, table)
+            down = f_power(M, spec.f_elt, {lab: _ONE}, -m, table)
         except BandError:
             continue
         if not _clean(M, down):
@@ -391,7 +392,7 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
             if not _clean(M, mid):
                 continue
             try:
-                want = _guarded_power(M, spec.f_elt, mid, m, table)
+                want = f_power(M, spec.f_elt, mid, m, table)
             except BandError:
                 continue
             conj[0] += 1
@@ -400,9 +401,9 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
     power = [0, 0]
     for lab in labs:
         try:
-            inner = _guarded_power(M, spec.f_elt, {lab: _ONE}, q, table)
-            two = _guarded_power(M, spec.f_elt, inner, p, table)
-            one = _guarded_power(M, spec.f_elt, {lab: _ONE}, p + q, table)
+            inner = f_power(M, spec.f_elt, {lab: _ONE}, q, table)
+            two = f_power(M, spec.f_elt, inner, p, table)
+            one = f_power(M, spec.f_elt, {lab: _ONE}, p + q, table)
         except BandError:
             continue
         power[0] += 1
@@ -539,8 +540,9 @@ def find_twist_parameter(M, alpha, lam, v):
         raise IncompatibleData("v must be weight homogeneous")
     if lam is not None and next(iter(ws)) != lam:
         raise IncompatibleData("v does not lie in the stated weight space")
-    cache = {}
-    ref = _f_inverse(M, spec.f_elt, vec, cache)
+    table = twist_table(M, spec)
+    ladder = [vec]
+    ref = _rung(M, spec.f_elt, ladder, 1, table)
 
     def ratio(wv):
         if not wv:
@@ -553,9 +555,8 @@ def find_twist_parameter(M, alpha, lam, v):
             raise IncompatibleData("the lowering chain left the f_alpha^{-1} line")
         return c
 
-    ladder = [vec, ref]
     chain = [
-        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, cache))
+        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, table))
         for i, u in enumerate(_lowering_chain(M, spec.f_elt, spec.e_elt))
     ]
 
@@ -621,47 +622,38 @@ class LoopLocData:
     """A loop module together with one lowering letter f t^r to invert.
 
     factors[0] must carry a bandwise invertible action of the root lowering
-    operator (a dense line); the remaining factors must be nilpotent under
-    it.  nil[t] is the least m with f^m = 0 on factors[t + 1].
+    operator f = spec.f_elt (a dense line); the remaining factors must be
+    nilpotent under it.  nil[t] is the least m with f^m = 0 on
+    factors[t + 1].
     """
 
-    A: object
     factors: list
     scalars: list
-    alpha_fin: tuple
     r: int
     window: object
     M: object
-    f_fin: object
+    spec: TwistSpec
     F_aff: object
     nil: list
 
 
 def make_loop_data(A, factors, scalars, alpha, r, window, gen_window=2):
-    from .modrep import loop_module
-
     scalars = [Fraction(a) for a in scalars]
+    r = int(r)
     M = loop_module(A, factors, scalars, window, gen_window=gen_window)
-    fin = tuple(Fraction(a) for a in alpha)
-    neg = tuple(-a for a in fin)
-    fname = A.g.root_vector.get(neg)
-    if fname is None:
-        raise IncompatibleData(f"{fin} is not a root")
-    f_fin = LieElt({fname: _ONE})
-    F_aff = AffElt({(fname, r): _ONE})
+    spec = make_twist_spec(factors[0], alpha, _Z)
+    F_aff = AffElt({(name, r): c for name, c in spec.f_elt.c.items()})
     nil = []
     for Ft in factors[1:]:
         vecs = [{lab: _ONE} for lab in Ft.weight_of]
         m = 0
         while any(vecs):
-            vecs = [Ft.apply_elt(f_fin, v) for v in vecs]
+            vecs = [Ft.apply_elt(spec.f_elt, v) for v in vecs]
             m += 1
             if m > len(Ft.weight_of) + 1:
                 raise IncompatibleData("a loop factor is not lowering nilpotent")
         nil.append(m)
-    return LoopLocData(
-        A, list(factors), scalars, fin, int(r), window, M, f_fin, F_aff, nil
-    )
+    return LoopLocData(list(factors), scalars, r, window, M, spec, F_aff, nil)
 
 
 def loop_loc_iso(data, N, vec):
@@ -687,7 +679,8 @@ def _loop_expand(data, vec, K):
     For K >= 0 the multinomial vanishes on every split with sum(i) > K.
     """
     out = {}
-    cache = {}
+    f_elt = data.spec.f_elt
+    table = twist_table(data.factors[0], data.spec)
     for (tlab, s), c0 in vec.items():
         sp = s + K * data.r
         if sp not in data.window:
@@ -700,9 +693,9 @@ def _loop_expand(data, vec, K):
             coef *= data.scalars[0] ** (i0 * data.r)
             for t, it in enumerate(itup):
                 coef *= data.scalars[t + 1] ** (it * data.r)
-            parts = [f_power(data.factors[0], data.f_fin, {tlab[0]: _ONE}, i0, cache)]
+            parts = [f_power(data.factors[0], f_elt, {tlab[0]: _ONE}, i0, table)]
             for t, it in enumerate(itup):
-                pt = f_power(data.factors[t + 1], data.f_fin, {tlab[t + 1]: _ONE}, it)
+                pt = f_power(data.factors[t + 1], f_elt, {tlab[t + 1]: _ONE}, it)
                 if not pt:
                     break
                 parts.append(pt)
@@ -799,7 +792,6 @@ def induction_commutes_probe(P, S, x, depth):
         return MA.weight_of == MB.weight_of and MA.action == MB.action
 
     specA = make_twist_spec(MA, root, x)
-    cache = {}
 
     def clean(Mod, w):
         labs = Mod.weights.get(w)
@@ -824,7 +816,7 @@ def induction_commutes_probe(P, S, x, depth):
         try:
             cols_a = []
             for l in band:
-                ta = theta_action(MA, specA, specA.e_elt, {l: _ONE}, cache)
+                ta = theta_action(MA, specA, specA.e_elt, {l: _ONE})
                 va = MA.apply_elt(specA.f_elt, ta)
                 if any(t not in set(band) for t in va):
                     raise IncompatibleData("band endomorphism left its band")

@@ -34,14 +34,13 @@ from .affine import (
     roots_window,
     sl2_triple,
 )
-from .exact import Poly, coordinate_map, kernel, mat_mul, rational_sqrt, solve_any
+from .exact import coordinate_map, kernel, mat_mul, rational_sqrt, solve_any
 from .exact import invert  # noqa: F401  perfbench's tracer test rebinds modrep.invert
 from .finlie import LieElt, build_simple
 from .rootpar import (
     ParabolicSet,
     _band_roots,
     check_parabolic_axioms,
-    classify_parabolic,
     principal_witness,
 )
 
@@ -122,7 +121,8 @@ class GradedModule:
 
     @cached_property
     def twist_tables(self):
-        """The x-independent work of locfun.twist_module, one table per root."""
+        """The x-independent f_alpha^{-1} work of locfun, one table per root;
+        locfun.twist_table is its one owner."""
         return {}
 
     @cached_property
@@ -791,7 +791,7 @@ def levi_sl2_root(P):
     Raises IncompatibleData unless the real roots of the Levi are exactly
     one positive root and its negative.
     """
-    if P.flag is not None and (P.tag or classify_parabolic(P)) == "standard":
+    if P.flag is not None and P.tag == "standard":
         levi = _band_roots(P.algebra, principal_witness(P), 0, 0)
     else:
         levi = P.levi_keys()
@@ -853,10 +853,8 @@ def induced_truncated(P, N, depth, gen_window=None):
     brackets.  N must be supported in a single coset of the Levi root
     lattice.
     """
-    from .rootpar import classify_parabolic
-
     A = P.algebra
-    if classify_parabolic(P) != "standard":
+    if P.tag != "standard":
         raise ValueError("induction here needs a standard parabolic")
     if gen_window is None:
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
@@ -1176,44 +1174,6 @@ def find_extreme_weight(M, td):
         if all(w + d not in supp for d in disps):
             return w
     return None
-
-
-# ------------------------------------------------------- exp-polynomials
-
-
-@dataclass(frozen=True)
-class ExpPolynomial:
-    """Finite sum of p_{i,h}(n) lambda_i^n with distinct nonzero bases."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for lam, polys in self.terms:
-            lam = Fraction(lam)
-            if lam == 0:
-                raise ValueError("exponential bases must be nonzero")
-            if lam in seen:
-                raise ValueError("exponential bases must be distinct")
-            seen.add(lam)
-            for h, p in polys.items():
-                if not isinstance(p, Poly):
-                    raise ValueError("coefficients must be polynomials")
-
-
-def exp_poly_eval(L, h_index, n):
-    tot = _Z
-    for lam, polys in L.terms:
-        p = polys.get(h_index)
-        if p is not None:
-            tot += p(Fraction(n)) * Fraction(lam) ** n
-    return tot
-
-
-def is_purely_exponential(L):
-    return all(
-        p.is_constant() for _, polys in L.terms for p in polys.values()
-    )
 
 
 # ------------------------------------------------------------- boundedness

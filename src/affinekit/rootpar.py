@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .affine import roots_window
 from .exact import group_closure, integer_solve, mat_rank, solve_unique
@@ -152,6 +153,8 @@ class ParabolicSet:
     passed in explicitly must cover exactly those keys.  With a flag, the
     set evaluates phi1 and phi2 once per root line (_sign_line), so
     membership at any degree is one integer multiply-add per covector.
+    Construction never classifies: a flag-backed set is tagged the first
+    time tag is read.
     """
 
     def __init__(self, A, flag, window, members=None, tag=None):
@@ -177,9 +180,17 @@ class ParabolicSet:
         ):
             raise ValueError("an explicit member table must cover exactly the window roots")
         self.members = members
-        self.tag = tag
+        self._tag = tag
         self._kinds = {}
         self._levi_keys = None
+
+    @property
+    def tag(self):
+        """The classify_parabolic tag of the flag, computed on first read; a
+        flagless set keeps the tag it was given."""
+        if self._tag is None and self.flag is not None:
+            self._tag = classify_parabolic(self)
+        return self._tag
 
     def _line(self, fin):
         """_line_signs of the flag on the line through fin, kept per root
@@ -281,7 +292,7 @@ def assemble_parabolic(A, flag, window, require_borel=False):
             raise ValueError("phi2 is required to refine a nonempty Delta0 to a Borel")
         if P.levi_keys():
             raise ValueError("flag does not define a Borel-type set")
-    P.tag = classify_parabolic(P)
+    P.tag  # classifies now, so an improper set raises ImproperParabolic here
     return P
 
 
@@ -371,7 +382,7 @@ def principal_witness(P):
 
 def classification_certificate(P):
     flag = _defining_flag(P, "a classification certificate")
-    tag = P.tag or classify_parabolic(P)
+    tag = P.tag
     cert = {"tag": tag}
     if tag in ("standard", "imaginary"):
         psi = principal_witness(P)
@@ -482,6 +493,18 @@ class ConeData:
     NG: int
     lattice_rank: int
 
+    @cached_property
+    def _lattice_matrix(self):
+        """Phi_P as an integer matrix, one column (fin coordinates, then n)
+        per root; built and checked once, since cone data never changes."""
+        cols = []
+        for b in self.phi_P:
+            vec = [Fraction(x) for x in b[0]] + [Fraction(b[1])]
+            if any(v.denominator != 1 for v in vec):
+                raise ValueError("Phi_P has non-integer coordinates")
+            cols.append([int(v) for v in vec])
+        return [[col[i] for col in cols] for i in range(len(self.base))]
+
 
 def _levi_refinement(A, kernel):
     """First covector (1, k, k^2, ..., 0) nonvanishing on every kernel root."""
@@ -558,7 +581,7 @@ def _apply(m, key):
 def phi_P(P):
     """Cone data and the delta certificate for a standard parabolic set."""
     A = P.algebra
-    tag = P.tag or classify_parabolic(P)
+    tag = P.tag
     if tag != "standard":
         raise ValueError("cone data requires a standard parabolic set")
     psi = principal_witness(P)
@@ -619,14 +642,7 @@ def compute_NG(A):
 
 def in_QP(cone, coords):
     """Is the integer coordinate vector in the lattice spanned by Phi_P?"""
-    dim = len(coords)
-    cols = []
-    for b in cone.phi_P:
-        vec = [Fraction(x) for x in b[0]] + [Fraction(b[1])]
-        if any(v.denominator != 1 for v in vec):
-            raise ValueError("Phi_P has non-integer coordinates")
-        cols.append([int(v) for v in vec])
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
+    mat = cone._lattice_matrix
     rhs = [Fraction(x) for x in coords]
     if any(v.denominator != 1 for v in rhs):
         return False

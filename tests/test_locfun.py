@@ -116,6 +116,11 @@ def test_f_power_dense():
     assert f_power(M, spec.f_elt, v, -2) == {("w", 2): F(1)}
     down = f_power(M, spec.f_elt, v, -3)
     assert f_power(M, spec.f_elt, down, 3) == v
+    # an honest step from a masked label raises instead of dropping the
+    # terms its empty row would lose: ("w", -3) is masked on -3..3
+    edge = _dense(F(1, 2), 3, -3, 3)
+    with pytest.raises(BandError, match="truncated route"):
+        f_power(edge, spec.f_elt, {("w", -2): F(1)}, 2)
 
 
 def test_theta_x_zero_is_plain_action():
@@ -372,6 +377,8 @@ def test_twist_table_refuses_another_f():
     other = dataclasses.replace(spec, e_elt=spec.e_elt.scale(2), f_elt=spec.f_elt.scale(F(1, 2)))
     with pytest.raises(IncompatibleData):
         twist_module(M, other)
+    with pytest.raises(IncompatibleData):
+        theta_action(M, other, ("fin", "E12"), {("w", 0): F(1)})
     # a spec replaced with a new x keeps no binomials of the old one
     assert spec.binom(3) == gen_binom(F(1, 2), 3)
     again = dataclasses.replace(spec, x=F(1, 2))
@@ -620,6 +627,29 @@ def test_loop_iso_inverse_roundtrip():
                     w = ((("w", j), ("u", i)), s)
                     v = loop_loc_iso(data, 2, {w: F(1)})
                     assert loop_loc_iso(data, *loop_loc_iso_inv(data, v, N=N)) == v
+
+
+def test_loop_iso_reuses_the_dense_factor_table(monkeypatch):
+    # the band inverses of the dense factor live in its twist table, so a
+    # repeated expansion reads them and adds no band entry
+    data = _loop_data(1)
+    v = {((("w", 0), ("u", 0)), 0): F(1)}
+    added = []
+    solve = locfun._f_inverse
+
+    def counting_solve(M, f_elt, vec, cache):
+        before = sum(not isinstance(k, str) for k in cache)
+        try:
+            return solve(M, f_elt, vec, cache)
+        finally:
+            added.append(sum(not isinstance(k, str) for k in cache) - before)
+
+    monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
+    first = loop_loc_iso(data, 1, v)
+    assert sum(added) > 0
+    added.clear()
+    assert loop_loc_iso(data, 1, v) == first
+    assert added and sum(added) == 0
 
 
 def test_loop_pair_act_formal_rule():

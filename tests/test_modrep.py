@@ -11,7 +11,6 @@ from affinekit.affine import AffElt, AffRoot, AffWeight, DegreeWindow, build_aff
 from affinekit.rootpar import assemble_parabolic, make_flag, triangular_decomposition
 from affinekit.modrep import (
     DenseSL2Params,
-    ExpPolynomial,
     IncompatibleData,
     adjoint_rep,
     boundedness_probe,
@@ -20,12 +19,10 @@ from affinekit.modrep import (
     check_level,
     check_weight_additivity,
     dense_sl2,
-    exp_poly_eval,
     find_extreme_weight,
     finite_dim_sl2,
     imaginary_verma,
     induced_truncated,
-    is_purely_exponential,
     levi_dense_module,
     levi_sl2_root,
     loop_module,
@@ -36,7 +33,7 @@ from affinekit.modrep import (
     tensor_product,
     twisted_loop_fixed_points,
 )
-from affinekit.exact import Poly, kernel
+from affinekit.exact import kernel
 
 
 A1 = build_simple("A1")
@@ -800,31 +797,12 @@ def test_extreme_weight_induced():
     assert w in layer0_weights
 
 
-# ------------------------------------------------------------ exp-polynomials
-
-
-def test_exp_poly_eval_and_classifier():
-    one = ExpPolynomial(((F(1), {1: Poly.const(F(1))}),))
-    for n in (-3, 0, 5):
-        assert exp_poly_eval(one, 1, n) == 1
-    assert is_purely_exponential(one)
-    lin = ExpPolynomial(((F(2), {1: Poly((F(0), F(1)))}),))
-    assert exp_poly_eval(lin, 1, 3) == 3 * 8
-    assert not is_purely_exponential(lin)
-
-
-def test_exp_poly_validation():
-    with pytest.raises(ValueError):
-        ExpPolynomial(((F(0), {1: Poly.const(F(1))}),))
-    with pytest.raises(ValueError):
-        ExpPolynomial(
-            ((F(2), {1: Poly.const(F(1))}), (F(2), {1: Poly.const(F(2))}))
-        )
+# ----------------------------------------------------------- loop eigenvalues
 
 
 def test_exp_poly_matches_loop_eigenvalues():
     # h t^n eigenvalue on the top tensor vector of a loop module equals
-    # an exp-polynomial with constant coefficients m_i and bases a_i.
+    # the exponential sum sum_i m_i a_i^n, m_i the top weights, a_i the scalars
     a = [F(1), F(3)]
     tops = [1, 2]
     M = loop_module(
@@ -834,15 +812,11 @@ def test_exp_poly_matches_loop_eigenvalues():
         DegreeWindow(-3, 3),
         gen_window=3,
     )
-    lam = ExpPolynomial(
-        tuple((a[i], {1: Poly.const(F(tops[i]))}) for i in range(2))
-    )
     top = ((("u", 0), ("u", 0)), 0)
     for n in range(-3, 4):
         out = M.apply_gen(("t", "H1", n), {top: F(1)})
         tgt = ((("u", 0), ("u", 0)), n)
-        assert out.get(tgt, F(0)) == exp_poly_eval(lam, 1, n)
-    assert is_purely_exponential(lam)
+        assert out.get(tgt, F(0)) == sum(m * ai**n for m, ai in zip(tops, a))
 
 
 # ------------------------------------------------------------ boundedness

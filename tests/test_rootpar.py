@@ -1,5 +1,6 @@
 """Tests for triangular decompositions, parabolic sets, and the cone certificate."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from affinekit.exact import integer_solve
 from affinekit.finlie import build_simple, sigma_aut
 from affinekit.rootpar import (
     FunctionalFlag,
+    ImproperParabolic,
     ParabolicSet,
     _band_roots,
     assemble_parabolic,
@@ -245,6 +247,23 @@ def test_classify_mixed_splits_imaginary(algebras):
     assert verify_classification(P)
 
 
+def test_tag_is_read_only_and_classified_on_first_read(algebras):
+    A = algebras["A1u"]
+    # phi1 vanishes on both roots of the degree-0 window, so P = Delta there
+    improper = make_flag(A, (F(0), F(1)))
+    P = ParabolicSet(A, improper, DegreeWindow(0, 0))  # construction never classifies
+    with pytest.raises(ImproperParabolic):
+        P.tag
+    with pytest.raises(ImproperParabolic):
+        assemble_parabolic(A, improper, DegreeWindow(0, 0))
+    Q = ParabolicSet(A, make_flag(A, (F(1), F(1))), W3)
+    assert Q.tag == "standard" == classify_parabolic(Q)
+    with pytest.raises(AttributeError):
+        Q.tag = "imaginary"
+    assert ParabolicSet(A, None, W3, members=Q.members, tag="imaginary").tag == "imaginary"
+    assert ParabolicSet(A, None, W3, members=Q.members).tag is None
+
+
 def test_classify_tags_match_direct_criteria(algebras):
     rng = random.Random(5)
     for key in ("A1u", "A2u", "A2t"):
@@ -438,6 +457,21 @@ def test_NG_scaled_lattice_membership(algebras):
                 nu[-1] += cf * n
             scaled = [cone.NG * x for x in nu]
             assert in_QP(cone, scaled)
+
+
+def test_in_QP_checks_its_lattice_matrix_once(algebras):
+    A = algebras["A2u"]
+    cone = phi_P(assemble_parabolic(A, make_flag(A, (F(1), F(2), F(5))), W3))
+    delta = [F(0), F(0), cone.NG]
+    assert in_QP(cone, delta)
+    matrix = vars(cone)["_lattice_matrix"]
+    assert in_QP(cone, delta) and vars(cone)["_lattice_matrix"] is matrix
+    assert in_QP(cone, [F(1, 2), F(0), F(0)]) is False
+    # a non-integer root is refused on every call, not only the first
+    bad = dataclasses.replace(cone, phi_P=[((F(1, 2), F(0)), 0), *cone.phi_P])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-integer coordinates"):
+            in_QP(bad, delta)
 
 
 def test_NG_is_computed_once_per_algebra(algebras):
