@@ -379,14 +379,13 @@ def group_closure(gens, dim):
 # ----------------------------------------------------- integer lattice solve
 
 
-def integer_solve(A, b):
-    """Integer solution x of A x = b, or None.
+def hermite_reduce(A):
+    """Column-style Hermite reduction of a nonempty integer matrix A.
 
-    Column-style Hermite reduction: M = A U with U unimodular, M lower
-    staircase, then forward substitution with divisibility checks.
+    Returns (M, U, pivots): M = A U with U unimodular and M lower staircase,
+    and pivots maps each pivot row of M to its column.  hermite_solve reads
+    it for any right-hand side.
     """
-    if not A:
-        return None
     rows = len(A)
     cols = len(A[0])
     M = [[int(v) for v in row] for row in A]
@@ -427,16 +426,36 @@ def integer_solve(A, b):
         c0 += 1
         if c0 == cols:
             break
-    # forward substitution
+    return M, U, pivot_of_row
+
+
+def hermite_solve(reduction, b):
+    """Integer x with A x = b, or None, given reduction = hermite_reduce(A).
+
+    Forward substitution through M with divisibility checks, then x = U y.
+    """
+    M, U, pivot_of_row = reduction
+    cols = len(U)
     y = [0] * cols
-    for r in range(rows):
-        acc = b[r] - sum(M[r][c] * y[c] for c in range(cols))
+    for r, row in enumerate(M):
+        acc = b[r] - sum(row[c] * y[c] for c in range(cols))
         if r in pivot_of_row:
             c = pivot_of_row[r]
-            p = M[r][c]
+            p = row[c]
             if acc % p != 0:
                 return None
             y[c] = acc // p
         elif acc != 0:
             return None
     return [sum(U[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+
+
+def integer_solve(A, b):
+    """Integer solution x of A x = b, or None.
+
+    Column-style Hermite reduction: M = A U with U unimodular, M lower
+    staircase, then forward substitution with divisibility checks.
+    """
+    if not A:
+        return None
+    return hermite_solve(hermite_reduce(A), b)

@@ -842,6 +842,151 @@ def levi_dense_module(P, params, jwindow, base_fin):
     return GradedModule(A, jwindow, weight_of, action, boundary, _Z, gens)
 
 
+@dataclass(frozen=True)
+class _InductionPush:
+    """The push of every loop generator through every letter monomial of P,
+    with the coefficient module left as a slot; see _induction_push."""
+
+    letters: list
+    weights: dict  # monomial -> loop weight of its letters, in basis order
+    rows: dict  # monomial -> [(gen key, terms, always, reads, guards)], D and K aside
+
+
+def _induction_push(P, depth, gen_window):
+    """The push of induced_truncated, filled once per (depth, gen_window) on P.
+
+    The push reads N only at the label n it starts from: a Levi generator
+    that reaches the empty monomial reads its row of N at n, and a central
+    term reads N's level.  From there it only inserts letters on the left,
+    and the bracket of two letters is again a combination of letters (the
+    negative radical is a subalgebra, with no central term since both roots
+    have psi < 0).  So the row of a generator on (mon, n) is a list of terms
+    (mon', slot, c), where slot is None for n itself, a Levi generator key
+    for that generator's row of N at n, or "K" for k_value n.  always marks a
+    row that loses a term whatever N is (a letter outside the window, a
+    monomial past depth); reads lists the Levi generators read at n, in the
+    order the push reads them; each guard is the terms (slot, c) of one
+    monomial that a letter insertion cuts off.  The cut loses a term only
+    where those terms are a nonzero vector at n, since a term that cancels
+    there is never pushed further.
+    """
+    push = P._pushes.get((depth, gen_window))
+    if push is not None:
+        return push
+    A = P.algebra
+    letters = [
+        key for r in P.roots for key in root_space(A, r) if P.basis_kind(*key) == "letter"
+    ]
+    letters.sort(key=lambda t: (t[1], t[0]))
+    lset = set(letters)
+    lorder = {l: i for i, l in enumerate(letters)}
+    cache_ins, cache_act = {}, {}
+
+    def insert_letter(l, mon):
+        """l . mon as (vector over monomials, lost a term)."""
+        key = (l, mon)
+        res = cache_ins.get(key)
+        if res is None:
+            if len(mon) >= depth:
+                res = ({}, True)
+            elif not mon or lorder[l] <= lorder[mon[0]]:
+                res = ({(l,) + mon: _ONE}, False)
+            else:
+                # l . (m0 rest) = m0 (l . rest) + [l, m0] . rest
+                rest, taint = insert_letter(l, mon[1:])
+                out = {}
+                for mon2, c in rest.items():
+                    v, t = insert_letter(mon[0], mon2)
+                    taint |= t
+                    _acc(out, v, c)
+                for key2, c in A.basis_bracket(l, mon[0]).c.items():
+                    v, t = insert_letter(key2, mon[1:]) if key2 in lset else ({}, True)
+                    taint |= t
+                    _acc(out, v, c)
+                res = (out, taint)
+            cache_ins[key] = res
+        return res
+
+    def act_key(key, mon):
+        """key . (mon, n) as (terms {(mon', slot): c}, always, reads, guards)."""
+        res = cache_act.get((key, mon))
+        if res is None:
+            kind = P.basis_kind(*key)
+            if kind == "letter":
+                # a letter root outside the stored window loses its term
+                v, t = insert_letter(key, mon) if key in lset else ({}, True)
+                res = ({(m, None): c for m, c in v.items()}, t, (), frozenset())
+            elif mon:
+                res = past_first(key, mon)
+            elif kind == "nplus":
+                res = ({}, False, (), frozenset())
+            else:
+                gk = ("t", *key)
+                res = ({((), gk): _ONE}, False, (gk,), frozenset())
+            cache_act[(key, mon)] = res
+        return res
+
+    def past_first(key, mon):
+        """key . (m0 rest) = m0 (key . rest) + [key, m0] . rest."""
+        terms, always, reads, guards = act_key(key, mon[1:])
+        reads, guards = list(reads), set(guards)
+        out, cut = {}, {}
+        for (mon2, slot), c in terms.items():
+            v, t = insert_letter(mon[0], mon2)
+            if t:
+                cut.setdefault(mon2, []).append((slot, c))
+            _acc(out, {(m, slot): c3 for m, c3 in v.items()}, c)
+        for guard in cut.values():
+            if all(slot is None for slot, _ in guard):
+                always = True
+            else:
+                guards.add(tuple(guard))
+        br = A.basis_bracket(key, mon[0])
+        for key2, c in br.c.items():
+            t2, a2, r2, g2 = act_key(key2, mon[1:])
+            _acc(out, t2, c)
+            always |= a2
+            reads += [g for g in r2 if g not in reads]
+            guards |= g2
+        if br.k:
+            _acc(out, {(mon[1:], "K"): br.k})
+        return out, always, tuple(reads), frozenset() if always else frozenset(guards)
+
+    gens = [gk for gk in _loop_gens(A, gen_window) if gk not in ("D", "K")]
+    zero = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
+    weights, rows = {}, {}
+    for r in range(depth + 1):
+        for mon in itertools.combinations_with_replacement(letters, r):
+            weights[mon] = sum((A.loop_weight(l) for l in mon), zero)
+            rows[mon] = []
+            for gk in gens:
+                terms, always, reads, guards = act_key(gk[1:], mon)
+                # a unit coefficient is stored as _ONE itself, tested by identity
+                terms = [(m, slot, _ONE if c == 1 else c) for (m, slot), c in terms.items()]
+                rows[mon].append((gk, terms, always, reads, guards))
+    push = _InductionPush(letters, weights, rows)
+    P._pushes[(depth, gen_window)] = push
+    return push
+
+
+def _slot_terms(slot, c, N, nl):
+    """(N-label, coefficient) pairs of c times a push slot evaluated at nl."""
+    if slot is None:
+        return ((nl, c),)
+    if slot == "K":
+        return ((nl, c * N.k_value),) if N.k_value else ()
+    row = N.action[(slot, nl)]
+    return row.items() if c is _ONE else [(t, c * d) for t, d in row.items()]
+
+
+def _guard_fires(guard, N, nl):
+    """Whether the terms (slot, c) of a guard are a nonzero vector at nl."""
+    vec = {}
+    for slot, c in guard:
+        _acc(vec, dict(_slot_terms(slot, c, N, nl)))
+    return bool(vec)
+
+
 def induced_truncated(P, N, depth, gen_window=None):
     """Parabolically induced module, truncated at monomial length depth.
 
@@ -851,20 +996,15 @@ def induced_truncated(P, N, depth, gen_window=None):
     alphabet; the basis is (nondecreasing letter monomial, N-label) and the
     action is computed by pushing generators through monomials with exact
     brackets.  N must be supported in a single coset of the Levi root
-    lattice.
+    lattice.  The push does not depend on N: it is tabulated once per
+    (depth, gen_window) on P (_induction_push), and each call evaluates it
+    at the labels of N.
     """
     A = P.algebra
     if P.tag != "standard":
         raise ValueError("induction here needs a standard parabolic")
     if gen_window is None:
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
-
-    letters = [
-        key for r in P.roots for key in root_space(A, r) if P.basis_kind(*key) == "letter"
-    ]
-    letters.sort(key=lambda t: (t[1], t[0]))
-    lset = set(letters)
-    lorder = {l: i for i, l in enumerate(letters)}
 
     levi_cols = []
     for k in P.levi_keys():
@@ -882,100 +1022,45 @@ def induced_truncated(P, N, depth, gen_window=None):
         elif any(dvec):
             raise ValueError("N is supported on several Levi root lattice cosets")
 
-    mons = [()]
-    for r in range(1, depth + 1):
-        mons.extend(itertools.combinations_with_replacement(letters, r))
+    push = _induction_push(P, depth, gen_window)
+    k = N.k_value
     weight_of = {}
-    for mon in mons:
-        wl = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
-        for l in mon:
-            wl = wl + A.loop_weight(l)
+    for mon, wl in push.weights.items():
         for nl in nlabs:
             weight_of[(mon, nl)] = wl + N.weight_of[nl]
 
-    cache_act, cache_ins = {}, {}
-
-    def past_first(key, rest, mon, nl):
-        """key . (mon[0] mon[1:]) = mon[0] (key . mon[1:]) + [key, mon[0]] . mon[1:],
-        given rest = (key . mon[1:], taint)."""
-        l1 = mon[0]
-        out, taint = {}, rest[1]
-        for (mon2, nl2), c in rest[0].items():
-            v2, t2 = insert_letter(l1, mon2, nl2)
-            taint |= t2
-            _acc(out, v2, c)
-        v3, t3 = act_elt(A.basis_bracket(key, l1), mon[1:], nl)
-        _acc(out, v3)
-        return out, taint | t3
-
-    def insert_letter(l, mon, nl):
-        key = (l, mon, nl)
-        if key in cache_ins:
-            return cache_ins[key]
-        if len(mon) >= depth:
-            res = ({}, True)
-        elif not mon or lorder[l] <= lorder[mon[0]]:
-            res = ({((l,) + mon, nl): _ONE}, False)
-        else:
-            res = past_first(l, insert_letter(l, mon[1:], nl), mon, nl)
-        cache_ins[key] = res
-        return res
-
-    def act_key(lab, m, mon, nl):
-        key = (lab, m, mon, nl)
-        if key in cache_act:
-            return cache_act[key]
-        cls = P.basis_kind(lab, m)
-        if cls == "letter":
-            if (lab, m) in lset:
-                res = insert_letter((lab, m), mon, nl)
-            else:
-                res = ({}, True)  # letter root outside the stored window
-        elif not mon:
-            if cls == "nplus":
-                res = ({}, False)
-            else:
-                gk = ("t", lab, m)
-                if (gk, nl) not in N.action:
-                    raise UntabulatedGenerator(f"Levi generator {gk!r} is not tabulated in N")
-                vec = {((), t): c for t, c in N.action[(gk, nl)].items()}
-                res = (vec, nl in N.boundary)
-        else:
-            res = past_first((lab, m), act_key(lab, m, mon[1:], nl), mon, nl)
-        cache_act[key] = res
-        return res
-
-    def act_elt(x, mon, nl):
-        # x is a shared basis bracket (read only here), so it has no D part
-        out, taint = {}, False
-        for (lab, m), c in x.c.items():
-            v, t = act_key(lab, m, mon, nl)
-            taint |= t
-            _acc(out, v, c)
-        if x.k and N.k_value:
-            _acc(out, {(mon, nl): N.k_value}, x.k)
-        return out, taint
-
-    gens = _loop_gens(A, gen_window)
-
     action, boundary = {}, set()
-    for (mon, nl) in weight_of:
-        lab = (mon, nl)
-        w = weight_of[lab]
+    for lab, w in weight_of.items():
+        mon, nl = lab
         action[("D", lab)] = {lab: w.d} if w.d else {}
-        action[("K", lab)] = _scaled({lab: _ONE}, N.k_value)
-        if nl in N.boundary:
+        action[("K", lab)] = {lab: k} if k else {}
+        # a read at a masked n masks nothing new: the label is masked already
+        cut = nl in N.boundary
+        for gk, terms, always, reads, guards in push.rows[mon]:
+            for g in reads:
+                if (g, nl) not in N.action:
+                    raise UntabulatedGenerator(f"Levi generator {g!r} is not tabulated in N")
+            vec = {}
+            for mon2, slot, c in terms:
+                for t, v in _slot_terms(slot, c, N, nl):
+                    key = (mon2, t)
+                    old = vec.get(key)
+                    if old is None:
+                        vec[key] = v
+                    else:
+                        v += old
+                        if v:
+                            vec[key] = v
+                        else:
+                            del vec[key]
+            action[(gk, lab)] = vec
+            if not cut and (always or guards and any(_guard_fires(g, N, nl) for g in guards)):
+                cut = True
+        if cut:
             boundary.add(lab)
-        for gk in gens:
-            if gk in ("D", "K"):
-                continue
-            vec, taint = act_key(gk[1], gk[2], mon, nl)
-            action[(gk, lab)] = dict(vec)
-            if taint:
-                boundary.add(lab)
     return GradedModule(
-        A, P.window, weight_of, action, boundary, N.k_value, gens,
-        provenance={"letters": letters},
+        A, P.window, weight_of, action, boundary, k, _loop_gens(A, gen_window),
+        provenance={"letters": list(push.letters)},
     )
 
 

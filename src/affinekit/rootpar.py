@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .affine import roots_window
-from .exact import group_closure, integer_solve, mat_rank, solve_unique
+from .exact import group_closure, hermite_reduce, hermite_solve, mat_rank, solve_unique
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,8 @@ class ParabolicSet:
         self._tag = tag
         self._kinds = {}
         self._levi_keys = None
+        # modrep._induction_push's tables, one per (depth, gen_window)
+        self._pushes = {}
 
     @property
     def tag(self):
@@ -505,6 +507,12 @@ class ConeData:
             cols.append([int(v) for v in vec])
         return [[col[i] for col in cols] for i in range(len(self.base))]
 
+    @cached_property
+    def _lattice_reduction(self):
+        """hermite_reduce of _lattice_matrix: in_QP changes only the
+        right-hand side, so the reduction is made once per cone."""
+        return hermite_reduce(self._lattice_matrix)
+
 
 def _levi_refinement(A, kernel):
     """First covector (1, k, k^2, ..., 0) nonvanishing on every kernel root."""
@@ -642,8 +650,8 @@ def compute_NG(A):
 
 def in_QP(cone, coords):
     """Is the integer coordinate vector in the lattice spanned by Phi_P?"""
-    mat = cone._lattice_matrix
+    reduction = cone._lattice_reduction
     rhs = [Fraction(x) for x in coords]
     if any(v.denominator != 1 for v in rhs):
         return False
-    return integer_solve(mat, [int(v) for v in rhs]) is not None
+    return hermite_solve(reduction, [int(v) for v in rhs]) is not None

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import re
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +9,27 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from affinekit.finlie import LieElt, build_simple, sigma_aut
-from affinekit.affine import AffElt, AffRoot, AffWeight, DegreeWindow, build_affine, sl2_triple
+from affinekit.affine import (
+    AffElt,
+    AffRoot,
+    AffWeight,
+    DegreeWindow,
+    build_affine,
+    root_space,
+    sl2_triple,
+)
 from affinekit.rootpar import assemble_parabolic, make_flag, triangular_decomposition
 from affinekit.modrep import (
+    _ONE,
+    _Z,
     DenseSL2Params,
+    GradedModule,
     IncompatibleData,
+    UntabulatedGenerator,
+    _acc,
+    _cartan_value,
+    _loop_gens,
+    _scaled,
     adjoint_rep,
     boundedness_probe,
     build_PM,
@@ -33,7 +51,7 @@ from affinekit.modrep import (
     tensor_product,
     twisted_loop_fixed_points,
 )
-from affinekit.exact import kernel
+from affinekit.exact import kernel, solve_any
 
 
 A1 = build_simple("A1")
@@ -596,6 +614,271 @@ def test_induced_rejects_scattered_support():
         },
     )
     with pytest.raises(ValueError):
+        induced_truncated(P, bad, depth=1)
+
+
+# the push re-run per label, as induced_truncated did before it was tabulated
+
+
+def _induced_per_label(P, N, depth, gen_window=None):
+    """induced_truncated as it was before the push was tabulated: the whole
+    push re-run for every label of N, kept here as the oracle.
+
+    Parabolically induced module, truncated at monomial length depth.
+
+    P must be standard with a defining flag.  The coefficient module N is a
+    module for the Levi generators (both Levi root directions, the full
+    degree-zero Cartan, D and K).  The negative radical supplies the letter
+    alphabet; the basis is (nondecreasing letter monomial, N-label) and the
+    action is computed by pushing generators through monomials with exact
+    brackets.  N must be supported in a single coset of the Levi root
+    lattice.
+    """
+    A = P.algebra
+    if P.tag != "standard":
+        raise ValueError("induction here needs a standard parabolic")
+    if gen_window is None:
+        gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
+
+    letters = [
+        key for r in P.roots for key in root_space(A, r) if P.basis_kind(*key) == "letter"
+    ]
+    letters.sort(key=lambda t: (t[1], t[0]))
+    lset = set(letters)
+    lorder = {l: i for i, l in enumerate(letters)}
+
+    levi_cols = []
+    for k in P.levi_keys():
+        if any(c for c in k[0]) or k[1] != 0:
+            levi_cols.append(list(k[0]) + [Fraction(k[1])])
+    nlabs = list(N.weight_of)
+    w0 = N.weight_of[nlabs[0]]
+    for nl in nlabs[1:]:
+        w = N.weight_of[nl]
+        dvec = [a - c for a, c in zip(w.fin, w0.fin)] + [w.d - w0.d]
+        if levi_cols:
+            mat = [[col[i] for col in levi_cols] for i in range(len(dvec))]
+            if solve_any(mat, dvec) is None:
+                raise ValueError("N is supported on several Levi root lattice cosets")
+        elif any(dvec):
+            raise ValueError("N is supported on several Levi root lattice cosets")
+
+    mons = [()]
+    for r in range(1, depth + 1):
+        mons.extend(itertools.combinations_with_replacement(letters, r))
+    weight_of = {}
+    for mon in mons:
+        wl = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
+        for l in mon:
+            wl = wl + A.loop_weight(l)
+        for nl in nlabs:
+            weight_of[(mon, nl)] = wl + N.weight_of[nl]
+
+    cache_act, cache_ins = {}, {}
+
+    def past_first(key, rest, mon, nl):
+        """key . (mon[0] mon[1:]) = mon[0] (key . mon[1:]) + [key, mon[0]] . mon[1:],
+        given rest = (key . mon[1:], taint)."""
+        l1 = mon[0]
+        out, taint = {}, rest[1]
+        for (mon2, nl2), c in rest[0].items():
+            v2, t2 = insert_letter(l1, mon2, nl2)
+            taint |= t2
+            _acc(out, v2, c)
+        v3, t3 = act_elt(A.basis_bracket(key, l1), mon[1:], nl)
+        _acc(out, v3)
+        return out, taint | t3
+
+    def insert_letter(l, mon, nl):
+        key = (l, mon, nl)
+        if key in cache_ins:
+            return cache_ins[key]
+        if len(mon) >= depth:
+            res = ({}, True)
+        elif not mon or lorder[l] <= lorder[mon[0]]:
+            res = ({((l,) + mon, nl): _ONE}, False)
+        else:
+            res = past_first(l, insert_letter(l, mon[1:], nl), mon, nl)
+        cache_ins[key] = res
+        return res
+
+    def act_key(lab, m, mon, nl):
+        key = (lab, m, mon, nl)
+        if key in cache_act:
+            return cache_act[key]
+        cls = P.basis_kind(lab, m)
+        if cls == "letter":
+            if (lab, m) in lset:
+                res = insert_letter((lab, m), mon, nl)
+            else:
+                res = ({}, True)  # letter root outside the stored window
+        elif not mon:
+            if cls == "nplus":
+                res = ({}, False)
+            else:
+                gk = ("t", lab, m)
+                if (gk, nl) not in N.action:
+                    raise UntabulatedGenerator(f"Levi generator {gk!r} is not tabulated in N")
+                vec = {((), t): c for t, c in N.action[(gk, nl)].items()}
+                res = (vec, nl in N.boundary)
+        else:
+            res = past_first((lab, m), act_key(lab, m, mon[1:], nl), mon, nl)
+        cache_act[key] = res
+        return res
+
+    def act_elt(x, mon, nl):
+        # x is a shared basis bracket (read only here), so it has no D part
+        out, taint = {}, False
+        for (lab, m), c in x.c.items():
+            v, t = act_key(lab, m, mon, nl)
+            taint |= t
+            _acc(out, v, c)
+        if x.k and N.k_value:
+            _acc(out, {(mon, nl): N.k_value}, x.k)
+        return out, taint
+
+    gens = _loop_gens(A, gen_window)
+
+    action, boundary = {}, set()
+    for (mon, nl) in weight_of:
+        lab = (mon, nl)
+        w = weight_of[lab]
+        action[("D", lab)] = {lab: w.d} if w.d else {}
+        action[("K", lab)] = _scaled({lab: _ONE}, N.k_value)
+        if nl in N.boundary:
+            boundary.add(lab)
+        for gk in gens:
+            if gk in ("D", "K"):
+                continue
+            vec, taint = act_key(gk[1], gk[2], mon, nl)
+            action[(gk, lab)] = dict(vec)
+            if taint:
+                boundary.add(lab)
+    return GradedModule(
+        A, P.window, weight_of, action, boundary, N.k_value, gens,
+        provenance={"letters": letters},
+    )
+
+
+_PUSH_FLAGS = {"A2": (A2aff, (1, 2, 5)), "C2": (build_affine(build_simple("C2")), (1, F(1, 2), -2))}
+_PUSH_PS = {}
+
+
+def _push_P(name):
+    """One long-lived P per flag, so the cases after the first reuse its table."""
+    if name not in _PUSH_PS:
+        A, phi1 = _PUSH_FLAGS[name]
+        flag = make_flag(A, tuple(F(c) for c in phi1))
+        _PUSH_PS[name] = assemble_parabolic(A, flag, DegreeWindow(-1, 1))
+    return _PUSH_PS[name]
+
+
+def _push_N(P, b, variant):
+    """A dense Levi line with h-value b at j = 0, plain, twisted or at level 3."""
+    from affinekit.locfun import make_twist_spec, twist_module
+
+    A = P.algebra
+    root = levi_sl2_root(P)
+    h = sl2_triple(A, root)[2]
+    # base_fin = (t, 4, ...) with t chosen so that the Levi coroot reads b
+    rest = [F(4)] * (A.fin_rank - 1)
+    v0 = _cartan_value(A, h, (F(0), *rest))
+    v1 = _cartan_value(A, h, (F(1), *rest)) - v0
+    base = ((F(b) - v0) / v1, *rest)
+    N = levi_dense_module(P, DenseSL2Params(F(b), F(5, 2)), DegreeWindow(-2, 2), base)
+    if variant == "twisted":
+        return twist_module(N, make_twist_spec(N, root, F(1, 2)))
+    if variant == "level3":
+        action = dict(N.action)
+        for lab in N.weight_of:
+            action[("K", lab)] = {lab: F(3)}
+        return dataclasses.replace(N, action=action, k_value=F(3))
+    return N
+
+
+_PUSH_CASES = [
+    ("A2", 1, None, F(1, 2), "plain"),
+    ("A2", 1, 2, F(2), "level3"),
+    ("A2", 2, None, F(2), "plain"),
+    ("A2", 2, None, F(1, 2), "twisted"),
+    ("A2", 3, None, F(-3, 2), "plain"),
+    ("C2", 1, None, F(-1), "twisted"),
+    ("C2", 2, None, F(1, 2), "plain"),
+    ("C2", 2, 2, F(0), "level3"),
+]
+
+
+@pytest.mark.parametrize(
+    "algebra,depth,gen_window,b,variant",
+    _PUSH_CASES,
+    ids=[f"{a}-depth{d}-gw{g}-b{b}-{v}" for a, d, g, b, v in _PUSH_CASES],
+)
+def test_induced_push_matches_the_per_label_push(algebra, depth, gen_window, b, variant):
+    P = _push_P(algebra)
+    N = _push_N(P, b, variant)
+    got = induced_truncated(P, N, depth, gen_window)
+    want = _induced_per_label(P, N, depth, gen_window)
+    assert got.weight_of == want.weight_of
+    assert got.action == want.action
+    assert got.boundary == want.boundary
+    assert got.gens == want.gens and got.provenance == want.provenance
+
+
+def test_induction_push_is_built_once_per_parabolic(monkeypatch):
+    from affinekit.affine import AffineAlgebra
+    from affinekit.rootpar import ParabolicSet
+
+    P = _standard_P()
+    N = _levi_N()
+    first = induced_truncated(P, N, depth=2)
+    T = dataclasses.replace(N, action={**N.action, ("D", ("w", 0)): {("w", 0): F(7)}})
+    calls = {"basis_bracket": 0, "basis_kind": 0}
+    for cls, name in ((AffineAlgebra, "basis_bracket"), (ParabolicSet, "basis_kind")):
+        orig = getattr(cls, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    again = induced_truncated(P, T, depth=2)
+    assert calls == {"basis_bracket": 0, "basis_kind": 0}
+    assert again.action == first.action and again.boundary == first.boundary
+    induced_truncated(P, N, depth=1)
+    assert calls["basis_kind"] > 0
+
+
+def test_induced_guard_masks_only_where_its_terms_are_nonzero():
+    # no table built from a real flag has shown a guard yet, so one is
+    # planted: the first row on the empty monomial loses a term wherever the
+    # e row of N is nonzero, which with c = 0 excludes the interior j = 0
+    from affinekit.modrep import _induction_push
+
+    P = _standard_P()
+    N = levi_dense_module(
+        P, DenseSL2Params(F(1, 2), F(0)), DegreeWindow(-2, 2), base_fin=(F(1, 2), F(4))
+    )
+    egen = N.gens[0]
+    assert N.action[(egen, ("w", 0))] == {} and ("w", 0) not in N.boundary
+    plain = induced_truncated(P, N, depth=1)
+    push = _induction_push(P, 1, 1)
+    gk, terms, _, reads, _ = push.rows[()][0]
+    planted = (gk, terms, False, reads + (egen,), {((egen, F(1)),)})
+    P._pushes[(1, 1)] = dataclasses.replace(push, rows={**push.rows, (): [planted, *push.rows[()][1:]]})
+    M = induced_truncated(P, N, depth=1)
+    assert M.action == plain.action
+    assert M.boundary - plain.boundary == {((), ("w", -1)), ((), ("w", 1))}
+    assert plain.boundary <= M.boundary
+
+
+def test_induced_untabulated_levi_row_is_named():
+    P = _standard_P()
+    N = _levi_N()
+    fgen = N.gens[1]
+    bad = dataclasses.replace(
+        N, action={key: row for key, row in N.action.items() if key != (fgen, ("w", 0))}
+    )
+    with pytest.raises(UntabulatedGenerator, match=re.escape(repr(fgen))):
         induced_truncated(P, bad, depth=1)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from affinekit import rootpar
 from affinekit.affine import DegreeWindow, build_affine, roots_window
 from affinekit.exact import integer_solve
 from affinekit.finlie import build_simple, sigma_aut
@@ -459,13 +460,19 @@ def test_NG_scaled_lattice_membership(algebras):
             assert in_QP(cone, scaled)
 
 
-def test_in_QP_checks_its_lattice_matrix_once(algebras):
+def test_in_QP_checks_its_lattice_matrix_once(algebras, monkeypatch):
     A = algebras["A2u"]
     cone = phi_P(assemble_parabolic(A, make_flag(A, (F(1), F(2), F(5))), W3))
     delta = [F(0), F(0), cone.NG]
+    reductions = []
+    reduce = rootpar.hermite_reduce
+    monkeypatch.setattr(rootpar, "hermite_reduce", lambda m: reductions.append(m) or reduce(m))
     assert in_QP(cone, delta)
     matrix = vars(cone)["_lattice_matrix"]
     assert in_QP(cone, delta) and vars(cone)["_lattice_matrix"] is matrix
+    assert not in_QP(cone, [F(1), F(0), F(0)])
+    # the Hermite reduction is made once per cone, whatever the right-hand side
+    assert reductions == [matrix]
     assert in_QP(cone, [F(1, 2), F(0), F(0)]) is False
     # a non-integer root is refused on every call, not only the first
     bad = dataclasses.replace(cone, phi_P=[((F(1, 2), F(0)), 0), *cone.phi_P])
