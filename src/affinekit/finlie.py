@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import coordinate_map, group_closure, mat_mul
+from .exact import coordinate_map, group_closure
 
 
 class LieElt:
@@ -106,11 +106,6 @@ def _msub(a, b):
     return _madd(a, _mneg(b))
 
 
-def _trace_prod(a, b):
-    n = len(a)
-    return sum((a[i][j] * b[j][i] for i in range(n) for j in range(n)), Fraction(0))
-
-
 def _vec(m):
     return [x for row in m for x in row]
 
@@ -132,19 +127,42 @@ class SimpleLieAlgebra:
         self._tabulate()
 
     def _tabulate(self):
+        # [a, b] and tr(ab) as sums over pairs of nonzero matrix entries:
+        # (ab)_{ik} = sum_j a_ij b_jk, and tr(ab) pairs a_ij with b_ji
         self.bracket_table = {}
         self.form_table = {}
+        n = len(self.mats[self.basis[0]])
         matrix_coords = coordinate_map([_vec(self.mats[a]) for a in self.basis])
+        rows = {}  # name -> {i: [(j, x)]}, the nonzero entries row by row
         for a in self.basis:
+            rows[a] = {}
+            for i, row in enumerate(self.mats[a]):
+                nz = [(j, x) for j, x in enumerate(row) if x]
+                if nz:
+                    rows[a][i] = nz
+        for a in self.basis:
+            ra = rows[a]
             for b in self.basis:
-                z = _msub(mat_mul(self.mats[a], self.mats[b]), mat_mul(self.mats[b], self.mats[a]))
-                coords = matrix_coords(_vec(z))
+                rb = rows[b]
+                z = [Fraction(0)] * (n * n)
+                tr = Fraction(0)
+                for i, nz in ra.items():
+                    for j, x in nz:
+                        for k, y in rb.get(j, ()):
+                            z[i * n + k] += x * y
+                            if k == i:
+                                tr += x * y
+                for i, nz in rb.items():
+                    for j, y in nz:
+                        for k, x in ra.get(j, ()):
+                            z[i * n + k] -= y * x
+                coords = matrix_coords(z)
                 if coords is None:
                     raise ValueError("matrix not in the algebra")
                 self.bracket_table[(a, b)] = {
-                    n: c for n, c in zip(self.basis, coords) if c
+                    nm: c for nm, c in zip(self.basis, coords) if c
                 }
-                self.form_table[(a, b)] = _trace_prod(self.mats[a], self.mats[b])
+                self.form_table[(a, b)] = tr
         # weights: eigenvalue of ad h_i on each basis vector
         self.weight_of = {}
         for a in self.basis:

@@ -37,12 +37,7 @@ from .affine import (
 from .exact import coordinate_map, kernel, mat_mul, rational_sqrt, solve_any
 from .exact import invert  # noqa: F401  perfbench's tracer test rebinds modrep.invert
 from .finlie import LieElt, build_simple
-from .rootpar import (
-    ParabolicSet,
-    _band_roots,
-    check_parabolic_axioms,
-    principal_witness,
-)
+from .rootpar import ParabolicSet, check_parabolic_axioms
 
 _Z = Fraction(0)
 _ONE = Fraction(1)
@@ -451,6 +446,8 @@ def loop_module(A, factors, scalars, window, gen_window=2):
                 {fl: Fm.apply_elt(u, {fl: _ONE}) for fl in Fm.weight_of} for Fm in factors
             ]
     tgens = [(gk, factor_rows[(A.class_of(gk[2]), gk[1])]) for gk in gens if gk not in ("D", "K")]
+    # a_i^m once per degree m for this call
+    powers = {m: [a ** m for a in scalars] for m in range(-gen_window, gen_window + 1)}
 
     for (tlab, s) in weight_of:
         lab = (tlab, s)
@@ -463,11 +460,21 @@ def loop_module(A, factors, scalars, window, gen_window=2):
                 boundary.add(lab)
                 continue
             vec = {}
-            for i, frows in enumerate(rows):
-                an = scalars[i] ** m
+            for i, (frows, an) in enumerate(zip(rows, powers[m])):
                 for tgt, c in frows[tlab[i]].items():
                     nl = (tlab[:i] + (tgt,) + tlab[i + 1 :], s + m)
-                    _acc(vec, {nl: c * an})
+                    v = c * an
+                    old = vec.get(nl)
+                    if old is None:
+                        if v:
+                            vec[nl] = v
+                    else:
+                        # two factors can reach the same label on the diagonal
+                        v += old
+                        if v:
+                            vec[nl] = v
+                        else:
+                            del vec[nl]
             action[(gk, lab)] = vec
     return GradedModule(A, window, weight_of, action, boundary, _Z, gens)
 
@@ -664,13 +671,21 @@ def imaginary_verma(
     def grade_of(mon):
         return sum(k * nk for k, nk in mon)
 
+    bumped = {}  # (mon, k, delta) -> bump(mon, k, delta), for this call only
+
     def bump(mon, k, delta):
         """mon with the multiplicity of mode k changed by delta, or None."""
+        key = (mon, k, delta)
+        if key in bumped:
+            return bumped[key]
         d = dict(mon)
         d[k] = d.get(k, 0) + delta
         if d[k] < 0:
-            return None
-        return tuple(sorted((m, n) for m, n in d.items() if n))
+            res = None
+        else:
+            res = tuple(sorted((m, n) for m, n in d.items() if n))
+        bumped[key] = res
+        return res
 
     weight_of = {}
     for mon in mons:
@@ -693,7 +708,16 @@ def imaginary_verma(
                 return
             tg = ("m", np, nm)
             if tg in weight_of:
-                _acc(vec, {tg: Fraction(coeff)})
+                old = vec.get(tg)
+                if old is None:
+                    if coeff:
+                        vec[tg] = Fraction(coeff)
+                else:
+                    w = old + coeff
+                    if w:
+                        vec[tg] = w
+                    else:
+                        del vec[tg]
             else:
                 drops.append(tg)
 
@@ -783,19 +807,12 @@ def _cartan_value(A, x, fin):
 
 
 def levi_sl2_root(P):
-    """The one positive real root of the sl2 Levi of P.
+    """The one positive real root of the sl2 Levi of P (P.levi_root_keys).
 
-    For a standard P with its flag the Levi roots are the roots with psi = 0,
-    psi the principal witness: a finite set, found by the band search and
-    not cut off by the window.  Any other P reads them off its window.
     Raises IncompatibleData unless the real roots of the Levi are exactly
     one positive root and its negative.
     """
-    if P.flag is not None and P.tag == "standard":
-        levi = _band_roots(P.algebra, principal_witness(P), 0, 0)
-    else:
-        levi = P.levi_keys()
-    real_levi = [k for k in levi if any(c for c in k[0])]
+    real_levi = [k for k in P.levi_root_keys() if any(c for c in k[0])]
     if len(real_levi) != 2:
         raise IncompatibleData(f"needs an sl2 Levi, got {len(real_levi)} real Levi roots")
     pos = [k for k in real_levi if is_positive_root(P.algebra, k[0], k[1])]
@@ -996,9 +1013,10 @@ def induced_truncated(P, N, depth, gen_window=None):
     alphabet; the basis is (nondecreasing letter monomial, N-label) and the
     action is computed by pushing generators through monomials with exact
     brackets.  N must be supported in a single coset of the Levi root
-    lattice.  The push does not depend on N: it is tabulated once per
-    (depth, gen_window) on P (_induction_push), and each call evaluates it
-    at the labels of N.
+    lattice, with the Levi read as levi_sl2_root reads it (P.levi_root_keys).
+    The push does not depend on N: it is tabulated once per (depth,
+    gen_window) on P (_induction_push), and each call evaluates it at the
+    labels of N.
     """
     A = P.algebra
     if P.tag != "standard":
@@ -1007,7 +1025,7 @@ def induced_truncated(P, N, depth, gen_window=None):
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
 
     levi_cols = []
-    for k in P.levi_keys():
+    for k in P.levi_root_keys():
         if any(c for c in k[0]) or k[1] != 0:
             levi_cols.append(list(k[0]) + [Fraction(k[1])])
     nlabs = list(N.weight_of)

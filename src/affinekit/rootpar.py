@@ -183,6 +183,7 @@ class ParabolicSet:
         self._tag = tag
         self._kinds = {}
         self._levi_keys = None
+        self._levi_root_keys = None
         # modrep._induction_push's tables, one per (depth, gen_window)
         self._pushes = {}
 
@@ -250,6 +251,21 @@ class ParabolicSet:
                 k for k in self.keys() if self.member_key(k) and self.member_key(_neg(k))
             ]
         return self._levi_keys
+
+    def levi_root_keys(self):
+        """Root keys of the Levi of P, computed on first call.
+
+        For a standard P with its flag the Levi roots are the roots with
+        psi = 0, psi the principal witness: a finite set, found by the band
+        search and not cut off by the window.  Any other P reads them off
+        its window (levi_keys).
+        """
+        if self._levi_root_keys is None:
+            if self.flag is not None and self.tag == "standard":
+                self._levi_root_keys = _band_roots(self.algebra, principal_witness(self), 0, 0)
+            else:
+                self._levi_root_keys = self.levi_keys()
+        return self._levi_root_keys
 
     def radical_keys(self):
         return [

@@ -24,6 +24,30 @@ def algebras():
     return {t: build_simple(t) for t in TYPES}
 
 
+def test_structure_tables_match_matrix_commutators(algebras):
+    # [a, b] = ab - ba and (a, b) = tr(ab) on the defining matrices, with the
+    # coordinates of [a, b] solved by sympy against the basis matrices
+    sympy = pytest.importorskip("sympy")
+    for t in TYPES:
+        g = algebras[t]
+        mats = {a: sympy.Matrix(g.mats[a]) for a in g.basis}
+        B = sympy.Matrix.hstack(*[mats[a].reshape(len(mats[a]), 1) for a in g.basis])
+        left_inv = (B.T * B).inv() * B.T
+        for a, b in itertools.product(g.basis, repeat=2):
+            z = mats[a] * mats[b] - mats[b] * mats[a]
+            z = z.reshape(len(z), 1)
+            x = left_inv * z
+            assert B * x == z
+            want = {n: F(int(v.p), int(v.q)) for n, v in zip(g.basis, x) if v}
+            row = g.bracket_table[(a, b)]
+            assert row == want
+            assert list(row) == [n for n in g.basis if n in row]
+            form = g.form_table[(a, b)]
+            assert type(form) is F
+            tr = (mats[a] * mats[b]).trace()
+            assert form == F(int(tr.p), int(tr.q))
+
+
 def test_dimensions(algebras):
     for t in TYPES:
         g = algebras[t]

@@ -248,6 +248,48 @@ def test_loop_rejects_zero_scalar():
         loop_module(A1aff, [finite_dim_sl2(1)], [F(0)], DegreeWindow(-2, 2))
 
 
+_LOOP_ORACLE_CASES = [
+    # fractional and negative scalars; the pair a, -a cancels h on the diagonal
+    ([finite_dim_sl2(2), natural_rep(A1)], [F(-2, 3), F(5, 2)]),
+    ([natural_rep(A1), natural_rep(A1)], [F(3, 2), F(-3, 2)]),
+    ([dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-2, 2)), natural_rep(A1)],
+     [F(-1), F(1, 3)]),
+]
+
+
+@pytest.mark.parametrize("factors,scalars", _LOOP_ORACLE_CASES)
+def test_loop_module_matches_the_evaluation_formula(factors, scalars):
+    # (X t^m)(v_1 x ... x v_k) t^s = sum_i a_i^m (... X v_i ...) t^{s+m}, read
+    # straight off the factors' finite tables
+    W, gw = DegreeWindow(-2, 2), 2
+    M = loop_module(A1aff, factors, scalars, W, gen_window=gw)
+    tlabels = list(itertools.product(*[list(Fm.weight_of) for Fm in factors]))
+    assert set(M.weight_of) == {(t, s) for t in tlabels for s in W}
+    mask = set()
+    for tlab in tlabels:
+        for s in W:
+            lab = (tlab, s)
+            if any(tlab[i] in Fm.boundary for i, Fm in enumerate(factors)):
+                mask.add(lab)
+            assert M.action[("D", lab)] == ({lab: F(s)} if s else {})
+            assert M.action[("K", lab)] == {}
+            for m in range(-gw, gw + 1):
+                for X in A1.basis:
+                    row = M.action[(("t", X, m), lab)]
+                    if s + m not in W:
+                        mask.add(lab)
+                        assert row == {}
+                        continue
+                    want = {}
+                    for i, Fm in enumerate(factors):
+                        for tgt, c in Fm.action[(("fin", X), tlab[i])].items():
+                            key = (tlab[:i] + (tgt,) + tlab[i + 1 :], s + m)
+                            want[key] = want.get(key, 0) + scalars[i] ** m * c
+                    assert row == {k: v for k, v in want.items() if v}
+    assert len(M.action) == len(M.weight_of) * (3 * (2 * gw + 1) + 2)
+    assert M.boundary == mask
+
+
 # ------------------------------------------------------------ twisted loops
 
 
@@ -846,6 +888,21 @@ def test_induction_push_is_built_once_per_parabolic(monkeypatch):
     assert again.action == first.action and again.boundary == first.boundary
     induced_truncated(P, N, depth=1)
     assert calls["basis_kind"] > 0
+
+
+def test_induction_reads_the_levi_beyond_the_window():
+    # the Levi root of this flag sits at degree 3, outside the window
+    A = build_affine(build_simple("C2"))
+    P = assemble_parabolic(A, make_flag(A, (F(3), F(1, 2), F(2))), DegreeWindow(-1, 1))
+    assert P.tag == "standard" and P.levi_keys() == []
+    assert levi_sl2_root(P) == AffRoot("real", (F(-2), F(0)), 3)
+    assert P.levi_root_keys() is P.levi_root_keys()
+    N = _push_N(P, F(1, 2), "plain")
+    for depth, size in ((1, 75), (2, 600)):
+        M = induced_truncated(P, N, depth)
+        assert len(M.weight_of) == size
+        assert check_bracket_compat(M) == []
+        assert check_weight_additivity(M) == []
 
 
 def test_induced_guard_masks_only_where_its_terms_are_nonzero():
