@@ -15,6 +15,7 @@ does not tabulate).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -781,7 +782,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process from _COMMANDS.
+
+    It reads only names, help and flags; run looks each handler up in
+    _COMMANDS at call time.
+    """
     ap = _Parser(
         prog="affinekit",
         description="exact reports over affine root systems and weight modules",

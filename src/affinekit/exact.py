@@ -117,18 +117,11 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def const(cls, c) -> "Poly":
-        return cls([Fraction(c)])
-
-    @classmethod
     def x(cls) -> "Poly":
         return cls([Fraction(0), Fraction(1)])
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def degree(self) -> int:
         # degree of the zero polynomial reported as -1

@@ -223,12 +223,6 @@ class SimpleLieAlgebra:
         """Invariant form on weights given in fw-coordinates."""
         return sum((Fraction(a) * b for a, b in zip(v, self._coroot_dual(w))), Fraction(0))
 
-    def chevalley_triple(self, i):
-        """(e_i, f_i, h_i) for the i-th simple root, i = 1..rank."""
-        en, fn = self._chevalley[i]
-        e, f = LieElt({en: 1}), LieElt({fn: 1})
-        return e, f, self.bracket(e, f)
-
 
 def build_simple(label):
     """Construct one of the supported simple Lie algebras by type label."""

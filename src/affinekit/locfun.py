@@ -141,16 +141,22 @@ def _wshift(w, aw, x):
 
 
 def _f_inverse(M, f_elt, vec, cache):
-    """Solve f_elt . u = vec one weight band at a time."""
+    """Solve f_elt . u = vec one weight band at a time.
+
+    cache keeps each band's inverse under the band's first target label: a
+    label lies in exactly one band, and a twist along f_alpha shifts every
+    weight by the same x alpha, so the key stays valid on M's twists.
+    """
     disp = cache.get("_disp")
     if disp is None:
         disp = cache["_disp"] = _elt_disp(M, f_elt)
     out = {}
     bands = {}
     for lab, c in vec.items():
-        bands.setdefault(M.weight_of[lab], {})[lab] = c
-    for w, sub in bands.items():
-        entry = cache.get(w)
+        w = M.weight_of[lab]
+        bands.setdefault(M.weights[w][0], (w, {}))[1][lab] = c
+    for key, (w, sub) in bands.items():
+        entry = cache.get(key)
         if entry is None:
             src_w = _wshift(w, disp, -1)
             src = M.weights.get(src_w)
@@ -161,7 +167,7 @@ def _f_inverse(M, f_elt, vec, cache):
             tgt = M.weights[w]
             mat = _band_matrix(M, f_elt, src, tgt)
             inv = invert(mat) if len(src) == len(tgt) else None
-            entry = cache[w] = (src, tgt, mat, inv)
+            entry = cache[key] = (src, tgt, mat, inv)
         src, tgt, mat, inv = entry
         rhs = [sub.get(t, _Z) for t in tgt]
         if inv is not None:
@@ -205,14 +211,20 @@ def _clean(M, vec):
 
 
 def twist_table(M, spec):
-    """The x-independent table M keeps for twists along spec.alpha.
+    """M's table for twists along spec.alpha.
 
-    It holds band inverses, ladders, lowering chains and series terms, all
-    made with one f_alpha, which it records: a spec whose f_elt differs
-    from the recorded one raises IncompatibleData.
+    The table keeps M's own series terms W_i, keyed by (generator key,
+    vector key), and under "_store" the store of band inverses, ladders
+    f^{-i} v and lowering chains.  A store is made with one f_alpha, which
+    it records: a spec whose f_elt differs from the recorded one raises
+    IncompatibleData.  M's twists along spec.alpha read M's store (see
+    twist_module), so it is made here only, for a module that has none.
     """
-    table = M.twist_tables.setdefault(spec.alpha, {"_f": spec.f_elt})
-    if table["_f"] != spec.f_elt:
+    table = M.twist_tables.get(spec.alpha)
+    if table is None:
+        store = {"_f": spec.f_elt, "_ladders": {}, "_chains": {}}
+        table = M.twist_tables[spec.alpha] = {"_store": store}
+    elif table["_store"]["_f"] != spec.f_elt:
         raise IncompatibleData(f"the twist table of {spec.alpha} was built with another f_alpha")
     return table
 
@@ -223,8 +235,9 @@ def f_power(M, f_elt, v, p, cache=None):
     Honest steps refuse masked routes: a masked label has an empty
     tabulated row, which would silently drop terms, so a step from a vector
     on a masked label raises BandError.  Inverse steps raise BandError when
-    a solve fails.  cache holds band inverses made with f_elt, such as
-    twist_table(M, spec); without it every band is solved afresh.
+    a solve fails.  cache holds band inverses made with f_elt, such as the
+    store twist_table(M, spec)["_store"]; without it every band is solved
+    afresh.
     """
     vec = _as_vec(v)
     if p >= 0:
@@ -250,37 +263,57 @@ def _lowering_chain(M, f_elt, u):
     return chain
 
 
+def _vec_key(fv):
+    """The ladder key of a vector: its label when it is a unit vector."""
+    if len(fv) == 1:
+        (lab, c), = fv.items()
+        if c == 1:
+            return lab
+    return frozenset(fv.items())
+
+
 def theta_action(M, spec, X, v, cache=None, touched=None):
     """Theta_{spec.x}(X) . v evaluated through the stored action tables.
 
     Theta_x(X) . v = sum_i binom(x, i) W_i with W_i = ad(f)^i(X) . f^{-i} v,
-    the sum cut at i = x for x in N.  Raises BandError when an inverse power
-    falls off the window and UntabulatedGenerator when the series needs a
-    generator M lacks.  When a set is passed as touched it collects every
-    label the series read a row at, so callers can tell whether a masked
-    (possibly incomplete) row was used.
+    the sum cut at i = x for x in N.  v is a sparse vector or a bare label,
+    which stands for its unit vector.  Raises BandError when an inverse
+    power falls off the window and UntabulatedGenerator when the series
+    needs a generator M lacks.  When a set is passed as touched it collects
+    every label the series read a row at, so callers can tell whether a
+    masked (possibly incomplete) row was used.
 
-    Nothing in the cache depends on x, so one cache serves every twist of M
-    along one f_alpha = spec.f_elt (specs come from make_twist_spec): the
-    band inverses, the ladder f^{-i} v of each v, the lowering chain of
-    each generator key, and per (generator key, v) the terms W_i, each
-    computed the first time an x needs it.  An algebra element X gets a
-    chain and terms of its own, which are not kept.  Without a cache the
-    series reads twist_table(M, spec).
+    cache is M's table twist_table(M, spec), read when it is None.  Nothing
+    in it depends on x, so one table serves every twist of M along one
+    f_alpha = spec.f_elt (specs come from make_twist_spec).  Its store keeps
+    the band inverses, the ladder f^{-i} v of each v (a unit vector's under
+    its label) and the lowering chain of each generator key; the table
+    itself keeps, per (generator key, v), the terms W_i, each computed the
+    first time an x needs it.  An algebra element X gets a chain and terms
+    of its own, which are not kept.
     """
     if cache is None:
         cache = twist_table(M, spec)
-    fv = _as_vec(v)
-    vkey = frozenset(fv.items())
-    ladder = cache.setdefault("_ladders", {}).setdefault(vkey, [fv])
+    store = cache["_store"]
+    if isinstance(v, dict):
+        fv = _as_vec(v)
+        vkey = _vec_key(fv)
+    else:
+        fv, vkey = None, v
+    ladders = store["_ladders"]
+    ladder = ladders.get(vkey)
+    if ladder is None:
+        ladder = ladders[vkey] = [{v: _ONE} if fv is None else fv]
     if isinstance(X, (LieElt, AffElt)):
         chain, terms = _lowering_chain(M, spec.f_elt, X), []
     else:
-        chains = cache.setdefault("_chains", {})
+        chains = store["_chains"]
         chain = chains.get(X)
         if chain is None:
             chain = chains[X] = _lowering_chain(M, spec.f_elt, M.gen_elt(X))
-        terms = cache.setdefault("_terms", {}).setdefault((X, vkey), [])
+        terms = cache.get((X, vkey))
+        if terms is None:
+            terms = cache[(X, vkey)] = []
     x = spec.x
     n = len(chain)
     if x.denominator == 1 and x >= 0:
@@ -288,7 +321,7 @@ def theta_action(M, spec, X, v, cache=None, touched=None):
     out = {}
     for i in range(n):
         if i == len(terms):
-            terms.append(M.apply_elt(chain[i], _rung(M, spec.f_elt, ladder, i, cache)))
+            terms.append(M.apply_elt(chain[i], _rung(M, spec.f_elt, ladder, i, store)))
         if touched is not None:
             touched.update(ladder[i])
         if i:
@@ -310,13 +343,20 @@ def twist_module(M, spec):
     Every row reads twist_table(M, spec), so a twist of M by a new x along
     a root M was twisted along before solves no band and applies no term
     again: it only re-weights the kept terms by binom(x, i).  spec must come
-    from make_twist_spec, whose f_elt is the one the table records.
+    from make_twist_spec, whose f_elt is the one the store records.
+
+    The result reads M's store for its own twists along spec.alpha.  That is
+    exact when ad(f) kills each generator f_elt is made of (a one-term
+    lowering chain, which every f from make_twist_spec has): then the f rows
+    of the result are M's at every label, masked ones included, its labels
+    fall into the same bands, and so its band inverses and ladders are M's.
+    Only the terms W_i, which read the other rows, are the result's own.
     """
     x = spec.x
     weight_of = {lab: _wshift(w, spec.weight, x) for lab, w in M.weight_of.items()}
     action = {}
     boundary = set(M.boundary)
-    cache = twist_table(M, spec)
+    table = twist_table(M, spec)
     for lab in M.weight_of:
         for gk in M.gens:
             if gk == "K":
@@ -324,7 +364,7 @@ def twist_module(M, spec):
                 continue
             touched = set()
             try:
-                row = theta_action(M, spec, gk, {lab: _ONE}, cache, touched)
+                row = theta_action(M, spec, gk, lab, table, touched)
             except BandError:
                 action[(gk, lab)] = {}
                 boundary.add(lab)
@@ -332,9 +372,14 @@ def twist_module(M, spec):
             action[(gk, lab)] = row
             if touched & M.boundary:
                 boundary.add(lab)
-    return GradedModule(
+    T = GradedModule(
         M.algebra, M.window, weight_of, action, boundary, M.k_value, list(M.gens)
     )
+    store = table["_store"]
+    f_keys = [("fin", key) if M.kind == "fin" else ("t",) + key for key in spec.f_elt.c]
+    if all(len(store["_chains"].get(gk, ())) == 1 for gk in f_keys):
+        T.twist_tables[spec.alpha] = {"_store": store}
+    return T
 
 
 # ------------------------------------------------------------- twist laws
@@ -376,13 +421,13 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
 
     spec = make_twist_spec(M, alpha, Fraction(m))
     T = twist_module(M, spec)
-    table = twist_table(M, spec)
+    store = twist_table(M, spec)["_store"]
     conj = [0, 0]
     for lab in labs:
         if lab in T.boundary:
             continue
         try:
-            down = f_power(M, spec.f_elt, {lab: _ONE}, -m, table)
+            down = f_power(M, spec.f_elt, {lab: _ONE}, -m, store)
         except BandError:
             continue
         if not _clean(M, down):
@@ -392,7 +437,7 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
             if not _clean(M, mid):
                 continue
             try:
-                want = f_power(M, spec.f_elt, mid, m, table)
+                want = f_power(M, spec.f_elt, mid, m, store)
             except BandError:
                 continue
             conj[0] += 1
@@ -401,9 +446,9 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
     power = [0, 0]
     for lab in labs:
         try:
-            inner = f_power(M, spec.f_elt, {lab: _ONE}, q, table)
-            two = f_power(M, spec.f_elt, inner, p, table)
-            one = f_power(M, spec.f_elt, {lab: _ONE}, p + q, table)
+            inner = f_power(M, spec.f_elt, {lab: _ONE}, q, store)
+            two = f_power(M, spec.f_elt, inner, p, store)
+            one = f_power(M, spec.f_elt, {lab: _ONE}, p + q, store)
         except BandError:
             continue
         power[0] += 1
@@ -540,9 +585,9 @@ def find_twist_parameter(M, alpha, lam, v):
         raise IncompatibleData("v must be weight homogeneous")
     if lam is not None and next(iter(ws)) != lam:
         raise IncompatibleData("v does not lie in the stated weight space")
-    table = twist_table(M, spec)
+    store = twist_table(M, spec)["_store"]
     ladder = [vec]
-    ref = _rung(M, spec.f_elt, ladder, 1, table)
+    ref = _rung(M, spec.f_elt, ladder, 1, store)
 
     def ratio(wv):
         if not wv:
@@ -556,7 +601,7 @@ def find_twist_parameter(M, alpha, lam, v):
         return c
 
     chain = [
-        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, table))
+        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, store))
         for i, u in enumerate(_lowering_chain(M, spec.f_elt, spec.e_elt))
     ]
 
@@ -680,7 +725,7 @@ def _loop_expand(data, vec, K):
     """
     out = {}
     f_elt = data.spec.f_elt
-    table = twist_table(data.factors[0], data.spec)
+    store = twist_table(data.factors[0], data.spec)["_store"]
     for (tlab, s), c0 in vec.items():
         sp = s + K * data.r
         if sp not in data.window:
@@ -693,7 +738,7 @@ def _loop_expand(data, vec, K):
             coef *= data.scalars[0] ** (i0 * data.r)
             for t, it in enumerate(itup):
                 coef *= data.scalars[t + 1] ** (it * data.r)
-            parts = [f_power(data.factors[0], f_elt, {tlab[0]: _ONE}, i0, table)]
+            parts = [f_power(data.factors[0], f_elt, {tlab[0]: _ONE}, i0, store)]
             for t, it in enumerate(itup):
                 pt = f_power(data.factors[t + 1], f_elt, {tlab[t + 1]: _ONE}, it)
                 if not pt:

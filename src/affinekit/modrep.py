@@ -116,8 +116,9 @@ class GradedModule:
 
     @cached_property
     def twist_tables(self):
-        """The x-independent f_alpha^{-1} work of locfun, one table per root;
-        locfun.twist_table is its one owner."""
+        """The x-independent f_alpha^{-1} work of locfun, one table per root,
+        whose store a twist shares with its parent; locfun.twist_table is
+        its one owner."""
         return {}
 
     @cached_property
@@ -218,11 +219,10 @@ def check_bracket_compat(M):
             if M.kind == "aff" and any(key not in tgens for key in br.c):
                 continue
             for lab in clean[X] & clean[Y]:
-                v = {lab: _ONE}
-                lhs = M.apply_elt(br, v)
+                lhs = M.apply_elt(br, {lab: _ONE})
                 rhs = _acc(
-                    M.apply_gen(X, M.apply_gen(Y, v)),
-                    M.apply_gen(Y, M.apply_gen(X, v)),
+                    M.apply_gen(X, M.action[(Y, lab)]),
+                    M.apply_gen(Y, M.action[(X, lab)]),
                     -_ONE,
                 )
                 if lhs != rhs:

@@ -267,13 +267,6 @@ class ParabolicSet:
                 self._levi_root_keys = self.levi_keys()
         return self._levi_root_keys
 
-    def radical_keys(self):
-        return [
-            k
-            for k in self.keys()
-            if self.member_key(k) and not self.member_key(_neg(k))
-        ]
-
 
 def _sign_line(phi, fin):
     """Integers (a, d) such that a + n d has the sign of phi(fin, n) for every n.

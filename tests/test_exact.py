@@ -178,14 +178,14 @@ def test_rational_sqrt(p, q):
 
 def test_poly_arithmetic():
     x = Poly.x()
-    p = x * x - Poly.const(F(3)) * x + Poly.const(F(2))
+    p = x * x - Poly([F(3)]) * x + Poly([F(2)])
     assert p(F(1)) == 0
     assert p(F(2)) == 0
     assert p(F(0)) == 2
     assert p.degree() == 2
     assert (p - p).is_zero()
-    assert Poly.const(F(5)).is_constant()
-    assert not p.is_constant()
+    assert Poly([F(5)]).degree() == 0
+    assert Poly([F(5), F(0)]).coeffs == (F(5),)
 
 
 def test_poly_mul_eval_compat():

@@ -111,7 +111,8 @@ def test_long_root_normalization(algebras):
 
 def test_a1_form_values(algebras):
     g = algebras["A1"]
-    e, f, h = g.chevalley_triple(1)
+    e, f = LieElt({"E12": 1}), LieElt({"E21": 1})
+    h = g.bracket(e, f)
     assert g.form(e, f) == 1
     assert g.form(e, e) == 0
     assert g.form(h, h) == 2

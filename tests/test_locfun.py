@@ -297,7 +297,7 @@ def test_twist_keeps_a_failed_rung(monkeypatch):
         try:
             return theta(M, spec, X, v, cache, touched)
         except BandError:
-            raising_labels.update(v)
+            raising_labels.update(locfun._as_vec(v))
             raise
 
     monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
@@ -385,6 +385,85 @@ def test_twist_table_refuses_another_f():
     assert again.binom(3) == spec.binom(3)
     assert dataclasses.replace(spec, x=F(5, 2)).binom(3) == gen_binom(F(5, 2), 3)
     assert twist_module(M, again).action == T.action
+
+
+@_BUILDS
+@pytest.mark.parametrize("x, y", [
+    (F(1, 2), F(3, 2)), (F(-1, 2), F(2)), (F(3), F(-3, 2)), (F(-2), F(1, 2)),
+])
+def test_twist_of_a_twist_shares_the_store(build, x, y, monkeypatch):
+    # the twist Tx reads M's store, so twisting Tx again gives what a fresh
+    # store gives and, with M's store warm, solves no band
+    M = build()
+    twist_module(M, make_twist_spec(M, (F(2),), F(1, 2)))  # every ladder at full depth
+    spec = make_twist_spec(M, (F(2),), x)
+    Tx = twist_module(M, spec)
+    added = []  # band entries each _f_inverse call adds to its cache
+    solve = locfun._f_inverse
+
+    def counting_solve(M, f_elt, vec, cache):
+        before = sum(not isinstance(k, str) for k in cache)
+        try:
+            return solve(M, f_elt, vec, cache)
+        finally:
+            added.append(sum(not isinstance(k, str) for k in cache) - before)
+
+    monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
+    T = twist_module(Tx, make_twist_spec(Tx, (F(2),), y))
+    assert sum(added) == 0
+    assert Tx.twist_tables[spec.alpha]["_store"] is M.twist_tables[spec.alpha]["_store"]
+    fresh = dataclasses.replace(Tx)
+    assert not fresh.twist_tables
+    U = twist_module(fresh, make_twist_spec(fresh, (F(2),), y))
+    assert sum(added) > 0  # the counter sees the solves of an empty store
+    assert T.weight_of == U.weight_of
+    assert T.boundary == U.boundary
+    assert list(T.action) == list(U.action)
+    for key, row in T.action.items():
+        assert list(row.items()) == list(U.action[key].items()), key
+
+
+def test_theta_action_of_a_label_is_its_unit_vector():
+    # a bare label and its unit vector read one ladder and one term list
+    M = _loop_line()
+    spec = make_twist_spec(M, (F(2),), F(-3, 2))
+    table = locfun.twist_table(M, spec)
+    ladders = table["_store"]["_ladders"]
+    compared = 0
+    for lab in sorted(M.weight_of)[::7]:
+        for gk in (("t", "E12", 0), ("t", "H1", 1), "D"):
+            try:
+                by_label = theta_action(M, spec, gk, lab)
+            except BandError:
+                with pytest.raises(BandError):
+                    theta_action(M, spec, gk, {lab: F(1)})
+                continue
+            ladder, n = ladders[lab], len(ladders)
+            assert theta_action(M, spec, gk, {lab: F(1)}) == by_label
+            assert ladders[lab] is ladder and len(ladders) == n
+            assert (gk, lab) in table
+            compared += 1
+    assert compared > 10
+    # any other vector gets a ladder of its own
+    lab = sorted(M.weight_of)[40]
+    theta_action(M, spec, ("t", "H1", 0), {lab: F(2)})
+    assert frozenset({lab: F(2)}.items()) in ladders
+
+
+def test_bracket_check_finds_a_planted_row_on_a_twist():
+    # doubling f t^0 at ((w, -3), (u, 0)) in degree -1 breaks exactly one
+    # pair: f t^-1 carries the clean label ((w, -2), (u, 0)) in degree 0
+    # there, where f t^0 reads the planted row, and [f t^-1, f t^0] = 0
+    M = _loop_line()
+    T = twist_module(M, make_twist_spec(M, (F(2),), F(1, 2)))
+    assert check_bracket_compat(T) == []
+    f0, f_1 = ("t", "E21", 0), ("t", "E21", -1)
+    planted = (f0, ((("w", -3), ("u", 0)), -1))
+    assert planted[1] not in T.boundary and T.action[planted]
+    action = dict(T.action)
+    action[planted] = {k: 2 * c for k, c in T.action[planted].items()}
+    bad = check_bracket_compat(dataclasses.replace(T, action=action))
+    assert bad == [(f_1, f0, ((("w", -2), ("u", 0)), 0))]
 
 
 # ---------------------------------------------------------------- localize
@@ -756,6 +835,7 @@ def test_twist_laws_powers_reuse_the_twist_table(monkeypatch):
     assert reused == fresh
     assert [n for n, failed in fresh.values()] == [34, 17, 6, 1]
     assert all(failed == 0 for _, failed in fresh.values())
-    # every band the honest inverse powers need was solved for the twists
-    assert fresh_solves == {"all": 80, "f_power": 48}
-    assert reused_solves == {"all": 32, "f_power": 0}
+    # every band the honest inverse powers need was solved for the twists,
+    # and the twist of the twist solves none: it reads its parent's store
+    assert fresh_solves == {"all": 64, "f_power": 48}
+    assert reused_solves == {"all": 16, "f_power": 0}

@@ -583,7 +583,12 @@ def test_induced_layers_and_top():
     layer0 = [l for l in M.labels() if l[0] == ()]
     assert len(layer0) == len(N.labels())
     # positive radical generators kill the top layer
-    rad = [k for k in P.radical_keys() if any(c != 0 for c in k[0])]
+    # radical keys: k in P with -k outside P
+    rad = [
+        (fin, n) for fin, n in P.keys()
+        if any(fin) and P.member_key((fin, n))
+        and not P.member_key((tuple(-c for c in fin), -n))
+    ]
     for fin, n in rad[:6]:
         from affinekit.affine import canonical_generator
 
