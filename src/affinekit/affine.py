@@ -329,7 +329,7 @@ class AffineAlgebra:
     @cached_property
     def NG(self):
         """lcm of the denominators of (a,a)/2(a,b) over real root directions
-        a, b with (a,b) != 0; rootpar.compute_NG reads it."""
+        a, b with (a,b) != 0; rootpar.phi_P reads it."""
         dirs = {fam.fin for fam in self._families if not fam.imaginary}
         pairs = [(self.fin_form(a, a), self.fin_form(a, b)) for a in dirs for b in dirs]
         return math.lcm(*((aa / (2 * p)).denominator for aa, p in pairs if p))

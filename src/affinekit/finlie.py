@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import coordinate_map, group_closure
+from .exact import coordinate_map
 
 
 class LieElt:
@@ -317,45 +317,3 @@ def sigma_aut(g):
         "E13": ("E13", -1), "E31": ("E31", -1),
     }
     return DiagramAut(2, mapping)
-
-
-def sigma_a2(g, x):
-    return sigma_aut(g).apply(x)
-
-
-# ----------------------------------------------------------------- Weyl
-
-
-def _refl_matrix(g, i):
-    """Matrix of the i-th simple reflection on fw-coordinates (1-based i)."""
-    alpha = g.simple_roots[i - 1]
-    mat = []
-    for k in range(g.rank):
-        row = []
-        for j in range(g.rank):
-            v = Fraction(1 if k == j else 0)
-            if j == i - 1:
-                v -= Fraction(alpha[k])
-            row.append(v)
-        mat.append(tuple(row))
-    return tuple(mat)
-
-
-def _matvec(m, v):
-    return tuple(
-        sum((m[i][j] * Fraction(v[j]) for j in range(len(v))), Fraction(0))
-        for i in range(len(m))
-    )
-
-
-def weyl_group(g, indices=None):
-    """All elements of the Weyl group (or parabolic subgroup) as fw-matrices."""
-    if indices is None:
-        indices = range(1, g.rank + 1)
-    return group_closure([_refl_matrix(g, i) for i in indices], g.rank)
-
-
-def weyl_orbit(g, elements, v):
-    """Orbit of the fw-weight v under the given list of group elements."""
-    vv = tuple(Fraction(c) for c in v)
-    return {_matvec(m, vv) for m in elements}

@@ -209,7 +209,7 @@ def check_bracket_compat(M):
     are skipped; everything else is compared exactly.  Returns a list of
     violations, empty when the identity holds.
     """
-    gens = [g for g in M.gens]
+    gens = M.gens
     clean = {g: _clean_labels(M, g) for g in gens}
     tgens = {g[1:] for g in gens if isinstance(g, tuple) and g[0] == "t"}
     bad = []
@@ -353,33 +353,6 @@ def adjoint_rep(g):
             action[(("fin", x), ("a", y))] = {("a", n): c for n, c in br.c.items()}
     gens = [("fin", n) for n in g.basis]
     return GradedModule(g, None, weight_of, action, set(), _Z, gens)
-
-
-def tensor_product(M1, M2):
-    """Tensor product of two "fin" modules over the same algebra."""
-    if M1.kind != "fin" or M2.kind != "fin":
-        raise ValueError("tensor_product expects finite-algebra modules")
-    g = M1.algebra
-    if M2.algebra is not g and M2.algebra.label != g.label:
-        raise ValueError("factors live over different algebras")
-    weight_of = {}
-    for l1 in M1.weight_of:
-        for l2 in M2.weight_of:
-            weight_of[(l1, l2)] = M1.weight_of[l1] + M2.weight_of[l2]
-    action = {}
-    boundary = set()
-    for (l1, l2) in weight_of:
-        if l1 in M1.boundary or l2 in M2.boundary:
-            boundary.add((l1, l2))
-        for name in g.basis:
-            vec = {}
-            for t1, c in M1.action[(("fin", name), l1)].items():
-                vec[(t1, l2)] = c
-            for t2, c in M2.action[(("fin", name), l2)].items():
-                _acc(vec, {(l1, t2): c})
-            action[(("fin", name), (l1, l2))] = vec
-    gens = [("fin", n) for n in g.basis]
-    return GradedModule(g, None, weight_of, action, boundary, M1.k_value + M2.k_value, gens)
 
 
 # ------------------------------------------------------------ loop modules
@@ -1260,23 +1233,6 @@ def build_PM(A, table, window):
     if not check_parabolic_axioms(P):
         raise ValueError("shadow table does not assemble into a parabolic set")
     return P
-
-
-def find_extreme_weight(M, td):
-    """First support weight with no positive-root successor in the support.
-
-    Candidates are weights carrying at least one unmasked label; masked-only
-    weights sit at the truncation edge and cannot witness extremality.
-    Returns None when every candidate has a successor.
-    """
-    disps = [AffWeight(r.fin, Fraction(r.n), _Z) for r in td.plus]
-    supp = M.weights
-    for w in M.support_sorted():
-        if all(l in M.boundary for l in supp[w]):
-            continue
-        if all(w + d not in supp for d in disps):
-            return w
-    return None
 
 
 # ------------------------------------------------------------- boundedness

@@ -118,26 +118,6 @@ def random_flag(A, rng):
             continue
 
 
-# ------------------------------------------------------------ decomposition
-
-
-@dataclass
-class TriDecomp:
-    window: object
-    plus: list
-    zero: list
-    minus: list
-
-
-def triangular_decomposition(A, phi1, window):
-    phi1 = _coerce(A, phi1)
-    plus, zero, minus = [], [], []
-    for r in roots_window(A, window):
-        v = flag_value(phi1, r.fin, r.n)
-        (plus if v > 0 else minus if v < 0 else zero).append(r)
-    return TriDecomp(window, plus, zero, minus)
-
-
 def _neg(key):
     return (tuple(-c for c in key[0]), -key[1])
 
@@ -201,9 +181,6 @@ class ParabolicSet:
         line = self._lines.get(fin)
         return _line_signs(self.flag, fin) if line is None else line
 
-    def _formula(self, fin, n):
-        return _in_P(self._line(fin), n)
-
     def member(self, fin, n):
         return self._member(tuple(Fraction(c) for c in fin), n)
 
@@ -214,7 +191,7 @@ class ParabolicSet:
             return m
         if self.flag is None:
             raise ValueError("membership outside the window needs a defining flag")
-        return self._formula(fin, n)
+        return _in_P(self._line(fin), n)
 
     def member_key(self, key):
         return self.member(key[0], key[1])
@@ -449,46 +426,6 @@ def verify_classification(P, cert=None):
     )
 
 
-# ------------------------------------------------------------ bases
-
-
-def simple_roots_of_positive_system(td):
-    """Indecomposable roots of a Borel-type decomposition, with certification."""
-    if td.zero:
-        raise ValueError("decomposition is not Borel-type (nonempty Delta0)")
-    plus = [(r.fin, r.n) for r in td.plus]
-    plus_set = set(plus)
-
-    def sub(k1, k2):
-        return (tuple(a - b for a, b in zip(k1[0], k2[0])), k1[1] - k2[1])
-
-    simples = []
-    for k in plus:
-        if not any(sub(k, q) in plus_set for q in plus):
-            simples.append(k)
-    memo = {}
-
-    def reach(k):
-        if k in memo:
-            return memo[k]
-        if k in simple_set:
-            memo[k] = True
-            return True
-        memo[k] = False
-        for s in simples:
-            rem = sub(k, s)
-            if rem in plus_set and reach(rem):
-                memo[k] = True
-                break
-        return memo[k]
-
-    simple_set = set(simples)
-    for k in plus:
-        if not reach(k):
-            raise ValueError("window too small to certify the base")
-    return sorted(simples)
-
-
 # ------------------------------------------------------------ cone data
 
 
@@ -644,17 +581,9 @@ def phi_P(P):
         c=list(c),
         d=d,
         wl_order=len(group),
-        NG=compute_NG(A),
+        NG=A.NG,
         lattice_rank=rank,
     )
-
-
-def compute_NG(A):
-    """lcm of the denominators of (a,a)/2(a,b) over real root directions with (a,b) != 0.
-
-    A constant of the algebra, computed once per algebra as A.NG.
-    """
-    return A.NG
 
 
 def in_QP(cone, coords):

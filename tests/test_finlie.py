@@ -1,19 +1,15 @@
-"""Tests for the finite-dimensional simple Lie algebras and the A2 involution."""
+"""Tests for the finite-dimensional simple Lie algebras, the A2 involution and
+their Weyl groups."""
 
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from affinekit.affine import DegreeWindow, build_affine
 from affinekit.exact import det
-from affinekit.finlie import (
-    LieElt,
-    build_simple,
-    sigma_a2,
-    sigma_aut,
-    weyl_group,
-    weyl_orbit,
-)
+from affinekit.finlie import LieElt, build_simple, sigma_aut
+from affinekit.rootpar import assemble_parabolic, make_flag, phi_P
 
 TYPES = ["A1", "A2", "A3", "C2"]
 DIMS = {"A1": 3, "A2": 8, "A3": 15, "C2": 10}
@@ -152,23 +148,25 @@ def test_cartan_matrix_consistency(algebras):
 
 def test_sigma_order_two(algebras):
     g = algebras["A2"]
+    sigma = sigma_aut(g).apply
     for a in g.basis:
         x = LieElt({a: 1})
-        assert sigma_a2(g, sigma_a2(g, x)) == x
+        assert sigma(sigma(x)) == x
 
 
 def test_sigma_wrong_algebra(algebras):
     with pytest.raises(ValueError):
-        sigma_a2(algebras["A1"], LieElt({"E12": 1}))
+        sigma_aut(algebras["A1"]).apply(LieElt({"E12": 1}))
 
 
 def test_sigma_preserves_bracket_and_form(algebras):
     g = algebras["A2"]
+    sigma = sigma_aut(g).apply
     for a in g.basis:
         for b in g.basis:
             x, y = LieElt({a: 1}), LieElt({b: 1})
-            assert sigma_a2(g, g.bracket(x, y)) == g.bracket(sigma_a2(g, x), sigma_a2(g, y))
-            assert g.form(sigma_a2(g, x), sigma_a2(g, y)) == g.form(x, y)
+            assert sigma(g.bracket(x, y)) == g.bracket(sigma(x), sigma(y))
+            assert g.form(sigma(x), sigma(y)) == g.form(x, y)
 
 
 def test_sigma_eigenspace_dims(algebras):
@@ -184,7 +182,7 @@ def test_sigma_permutes_roots_fixes_highest_pair(algebras):
     g = algebras["A2"]
     images = set()
     for r in g.roots:
-        img = sigma_a2(g, LieElt({g.root_vector[r]: 1}))
+        img = sigma_aut(g).apply(LieElt({g.root_vector[r]: 1}))
         # image is a single basis vector up to sign, hence a root vector
         assert len(img.c) == 1
         name = next(iter(img.c))
@@ -193,43 +191,55 @@ def test_sigma_permutes_roots_fixes_highest_pair(algebras):
     theta = max(g.roots, key=lambda r: sum(r))  # highest root
     neg_theta = tuple(-c for c in theta)
     for r in (theta, neg_theta):
-        img = sigma_a2(g, LieElt({g.root_vector[r]: 1}))
+        img = sigma_aut(g).apply(LieElt({g.root_vector[r]: 1}))
         name = next(iter(img.c))
         assert g.weight_of[name] in (theta, neg_theta)
 
 
 # ------------------------------------------------------------------- Weyl
+# Weyl groups and orbits are the ones phi_P builds for a Levi: the group is
+# closed from the Levi base reflections, and Phi_P is the orbit of the other
+# base roots.  phi1 = delta^* makes the Levi the whole finite root system, with
+# alpha_0 = delta - theta the one base root outside it.
+
+
+def _full_levi_cone(g):
+    A = build_affine(g)
+    flag = make_flag(A, (F(0),) * g.rank + (F(1),))
+    return A, phi_P(assemble_parabolic(A, flag, DegreeWindow(-1, 1)))
 
 
 def test_weyl_group_orders(algebras):
     orders = {"A1": 2, "A2": 6, "A3": 24, "C2": 8}
     for t, g in algebras.items():
-        assert len(weyl_group(g)) == orders[t]
+        assert _full_levi_cone(g)[1].wl_order == orders[t]
 
 
 def test_weyl_orbit_regular(algebras):
-    g = algebras["A2"]
-    W = weyl_group(g)
-    orbit = weyl_orbit(g, W, (F(1), F(2)))
-    assert len(orbit) == 6
-    # orbit of a singular weight is smaller
-    assert len(weyl_orbit(g, W, (F(1), F(0)))) == 3
+    # theta is regular in A2: its orbit has |W| elements, each reached once;
+    # theta is singular in C2: 4 of 8, each reached by its stabilizer of order 2
+    for t, size in (("A2", 6), ("C2", 4)):
+        cone = _full_levi_cone(algebras[t])[1]
+        assert len(cone.phi_P) == size
+        assert set(cone.d.values()) == {F(cone.wl_order, size)}
 
 
 def test_weyl_orbit_closed_and_preserves_form(algebras):
     for t in ("A2", "C2"):
         g = algebras[t]
-        W = weyl_group(g)
-        v = (F(1), F(1))
-        orbit = weyl_orbit(g, W, v)
-        nv = g.weight_form(v, v)
-        for w in orbit:
-            assert g.weight_form(w, w) == nv
-        # roots are permuted by the full group
-        assert weyl_orbit(g, W, g.simple_roots[0]) <= set(g.roots)
+        A, cone = _full_levi_cone(g)
+        (j,) = cone.J
+        neg_theta = cone.base[j][0]  # alpha_0 = delta - theta
+        for fin, n in cone.phi_P:
+            # W fixes delta, permutes the finite roots and keeps their norms
+            assert n == 1 and fin in g.roots
+            assert A.fin_form(fin, fin) == A.fin_form(neg_theta, neg_theta)
 
 
 def test_weyl_subgroup(algebras):
+    # (1, 2, 5) vanishes on alpha_1 alone: the Levi Weyl group is <s_1>
     g = algebras["A2"]
-    sub = weyl_group(g, indices=[1])
-    assert len(sub) == 2
+    A = build_affine(g)
+    cone = phi_P(assemble_parabolic(A, make_flag(A, (F(1), F(2), F(5))), DegreeWindow(-1, 1)))
+    assert cone.wl_order == 2
+    assert [cone.base[i] for i in cone.I] == [(g.simple_roots[0], 0)]

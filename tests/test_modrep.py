@@ -18,7 +18,7 @@ from affinekit.affine import (
     root_space,
     sl2_triple,
 )
-from affinekit.rootpar import assemble_parabolic, make_flag, triangular_decomposition
+from affinekit.rootpar import assemble_parabolic, make_flag
 from affinekit.modrep import (
     _ONE,
     _Z,
@@ -37,7 +37,6 @@ from affinekit.modrep import (
     check_level,
     check_weight_additivity,
     dense_sl2,
-    find_extreme_weight,
     finite_dim_sl2,
     imaginary_verma,
     induced_truncated,
@@ -48,7 +47,6 @@ from affinekit.modrep import (
     prop42_matrix,
     shadow_detect,
     sigma_intertwiner,
-    tensor_product,
     twisted_loop_fixed_points,
 )
 from affinekit.exact import kernel, solve_any
@@ -152,9 +150,23 @@ def test_natural_and_adjoint():
     assert len(natural_rep(build_simple("C2")).labels()) == 4
 
 
+def _tensor(M1, M2):
+    """M1 x M2 as the degree-0 loop module at scalars (1, 1)."""
+    return loop_module(A1aff, [M1, M2], [F(1), F(1)], DegreeWindow(0, 0), gen_window=0)
+
+
 def test_tensor_dims():
-    M = tensor_product(finite_dim_sl2(1), finite_dim_sl2(2))
+    M1, M2 = finite_dim_sl2(1), finite_dim_sl2(2)
+    M = _tensor(M1, M2)
     assert len(M.labels()) == 6
+    # X t^0 acts by the Leibniz rule X v1 x v2 + v1 x X v2
+    for name in A1.basis:
+        for lab in M.labels():
+            (l1, l2), s = lab
+            want = {((t1, l2), s): c for t1, c in M1.action[(("fin", name), l1)].items()}
+            for t2, c in M2.action[(("fin", name), l2)].items():
+                _acc(want, {((l1, t2), s): c})
+            assert M.action[(("t", name, 0), lab)] == want
     # Clebsch-Gordan check on weight multiplicities.
     table = {w.fin[0]: len(l) for w, l in M.weights.items()}
     assert table == {-3: 1, -1: 2, 1: 2, 3: 1}
@@ -166,7 +178,7 @@ def test_bracket_compat_across_constructors():
         finite_dim_sl2(3),
         natural_rep(A2),
         adjoint_rep(A1),
-        tensor_product(finite_dim_sl2(1), finite_dim_sl2(1)),
+        _tensor(finite_dim_sl2(1), finite_dim_sl2(1)),
     ]
     for M in mods:
         assert check_bracket_compat(M) == []
@@ -1103,43 +1115,6 @@ def test_build_PM_inconsistent_table():
     table[((F(2),), 2)] = "i"
     with pytest.raises(ValueError):
         build_PM(A1aff, table, W)
-
-
-# ------------------------------------------------------------ extreme weights
-
-
-def test_extreme_weight_imverma():
-    # extreme only for the flag with vanishing degree component: the vacuum
-    # escapes along every e t^m direction at once, while any real flag keeps
-    # vacuum + (-alpha, 1) inside the support
-    M = imaginary_verma(F(3), depth=2, length_cap=2)
-    td = triangular_decomposition(A1aff, (F(1), F(0)), DegreeWindow(-2, 2))
-    w = find_extreme_weight(M, td)
-    assert w == AffWeight((F(3),), F(0), F(0))
-    td_std = triangular_decomposition(A1aff, (F(1), F(5)), DegreeWindow(-2, 2))
-    assert find_extreme_weight(M, td_std) is None
-
-
-def test_extreme_weight_dense_loop_none():
-    M = loop_module(
-        A1aff,
-        [dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-5, 5))],
-        [F(1)],
-        DegreeWindow(-3, 3),
-    )
-    td = triangular_decomposition(A1aff, (F(1), F(5)), DegreeWindow(-3, 3))
-    assert find_extreme_weight(M, td) is None
-
-
-def test_extreme_weight_induced():
-    P = _standard_P()
-    N = _levi_N()
-    M = induced_truncated(P, N, depth=2)
-    td = triangular_decomposition(A2aff, (F(1), F(2), F(5)), DegreeWindow(-1, 1))
-    w = find_extreme_weight(M, td)
-    assert w is not None
-    layer0_weights = {N.weight(l) for l in N.labels()}
-    assert w in layer0_weights
 
 
 # ----------------------------------------------------------- loop eigenvalues

@@ -1,4 +1,4 @@
-"""Tests for triangular decompositions, parabolic sets, and the cone certificate."""
+"""Tests for functional flags, parabolic sets, and the cone certificate."""
 
 import dataclasses
 import math
@@ -9,7 +9,6 @@ import pytest
 
 from affinekit import rootpar
 from affinekit.affine import DegreeWindow, build_affine, roots_window
-from affinekit.exact import integer_solve
 from affinekit.finlie import build_simple, sigma_aut
 from affinekit.rootpar import (
     FunctionalFlag,
@@ -18,17 +17,13 @@ from affinekit.rootpar import (
     _band_roots,
     assemble_parabolic,
     check_parabolic_axioms,
-    classification_certificate,
     classify_parabolic,
-    compute_NG,
     flag_value,
     in_QP,
     make_flag,
     phi_P,
     principal_witness,
     random_flag,
-    simple_roots_of_positive_system,
-    triangular_decomposition,
     verify_classification,
 )
 
@@ -43,36 +38,6 @@ def algebras():
     g = build_simple("A2")
     out["A2t"] = build_affine(g, twist=sigma_aut(g))
     return out
-
-
-# ---------------------------------------------------- triangular decomposition
-
-
-def test_tridecomp_delta_projection(algebras):
-    A = algebras["A1u"]
-    td = triangular_decomposition(A, (F(0), F(1)), W3)
-    assert {(r.fin, r.n) for r in td.zero} == {((F(2),), 0), ((F(-2),), 0)}
-    assert all(r.n > 0 for r in td.plus)
-    assert all(r.n < 0 for r in td.minus)
-    total = len(td.plus) + len(td.zero) + len(td.minus)
-    assert total == len(roots_window(A, W3))
-
-
-def test_tridecomp_generic_empty_kernel(algebras):
-    A = algebras["A2u"]
-    td = triangular_decomposition(A, (F(1), F(100), F(10007)), W3)
-    assert td.zero == []
-    assert {(r.fin, r.n) for r in td.minus} == {
-        (tuple(-c for c in r.fin), -r.n) for r in td.plus
-    }
-
-
-def test_tridecomp_delta_killed(algebras):
-    A = algebras["A1u"]
-    td = triangular_decomposition(A, (F(1), F(0)), W3)
-    imag = [r for r in roots_window(A, W3) if r.kind == "imaginary"]
-    zero_keys = {(r.fin, r.n) for r in td.zero}
-    assert all((r.fin, r.n) in zero_keys for r in imag)
 
 
 # ---------------------------------------------------- root bands
@@ -123,8 +88,9 @@ def test_assemble_without_phi2(algebras):
     A = algebras["A1u"]
     fl = make_flag(A, (F(0), F(1)))
     P = assemble_parabolic(A, fl, W3)
-    td = triangular_decomposition(A, fl.phi1, W3)
-    expect = {(r.fin, r.n) for r in td.plus} | {(r.fin, r.n) for r in td.zero}
+    expect = {
+        (r.fin, r.n) for r in roots_window(A, W3) if flag_value(fl.phi1, r.fin, r.n) >= 0
+    }
     assert {k for k in P.keys() if P.member_key(k)} == expect
 
 
@@ -331,27 +297,18 @@ def test_window_doubling_stability(algebras):
 
 def test_simple_roots_a1(algebras):
     A = algebras["A1u"]
-    td = triangular_decomposition(A, (F(1), F(5)), W3)
-    base = simple_roots_of_positive_system(td)
+    base = phi_P(assemble_parabolic(A, make_flag(A, (F(1), F(5))), W3)).base
     assert set(base) == {((F(2),), 0), ((F(-2),), 1)}
 
 
 def test_simple_roots_a2(algebras):
     A = algebras["A2u"]
-    td = triangular_decomposition(A, (F(2), F(3), F(20)), W3)
-    base = simple_roots_of_positive_system(td)
+    base = phi_P(assemble_parabolic(A, make_flag(A, (F(2), F(3), F(20))), W3)).base
     assert set(base) == {
         ((F(2), F(-1)), 0),
         ((F(-1), F(2)), 0),
         ((F(-1), F(-1)), 1),
     }
-
-
-def test_simple_roots_requires_borel(algebras):
-    A = algebras["A1u"]
-    td = triangular_decomposition(A, (F(0), F(1)), W3)
-    with pytest.raises(ValueError):
-        simple_roots_of_positive_system(td)
 
 
 def test_phi_P_borel_case(algebras):
@@ -412,7 +369,7 @@ def test_phi_P_rejects_non_standard(algebras):
         phi_P(P)
 
 
-def test_compute_NG_frozen_values(algebras):
+def test_NG_frozen_values(algebras):
     def oracle(roots, form):
         # direct lcm over all root pairs with nonzero pairing
         denoms = []
@@ -427,12 +384,12 @@ def test_compute_NG_frozen_values(algebras):
     for t, want in expected.items():
         g = build_simple(t)
         assert oracle(g.roots, g.weight_form) == want
-        assert compute_NG(build_affine(g)) == want
+        assert build_affine(g).NG == want
     # twisted A2: the real root directions are +-beta and +-2beta
     A = algebras["A2t"]
     dirs = {r.fin for r in roots_window(A, W3) if r.kind == "real"}
     assert oracle(dirs, A.fin_form) == 4
-    assert compute_NG(A) == 4
+    assert A.NG == 4
 
 
 def test_NG_scaled_lattice_membership(algebras):
@@ -484,9 +441,9 @@ def test_in_QP_checks_its_lattice_matrix_once(algebras, monkeypatch):
 def test_NG_is_computed_once_per_algebra(algebras):
     A = build_affine(build_simple("C2"))
     assert "NG" not in vars(A)
-    assert compute_NG(A) == 2
+    cone = phi_P(assemble_parabolic(A, make_flag(A, (F(1), F(2), F(5))), W3))
+    assert cone.NG == 2
     assert vars(A)["NG"] == 2  # kept on the algebra, read by every later call
-    assert compute_NG(A) == A.NG
 
 
 # ---------------------------------------------------- line values and closure

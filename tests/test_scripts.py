@@ -4,11 +4,14 @@ The scripts check their own results (twist_scan.py, for one, compares every
 walk with the closed-form product), so exit status 0 is the assertion.
 """
 
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,32 @@ def test_bench_pairs_summary_on_canned_runs():
     assert out["item_p50_ms"]["pairs_won"] == 3 and out["item_p50_ms"]["better"] == "lower"
     one = bp.summarize([(base[0], change[0])], {})
     assert one["items_per_s"]["base"] == {"median": 10, "q1": 10, "q3": 10}
+
+
+def _perfbench_source(name):
+    """perfbench/<name>.py executed from its source text, so nothing is
+    written under perfbench/ (no bytecode cache)."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    mod = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), vars(mod))
+    return mod
+
+
+def test_benchmark_names_resolve_in_affinekit():
+    # A deletion or rename in src/ that breaks perfbench/run.py --trace 1
+    # fails here, not only in the slow perfbench suite.  Each name is looked
+    # up the way the tracer binds it: in the layer module's or class's own
+    # namespace.
+    tracer, workloads = _perfbench_source("tracer"), _perfbench_source("workloads")
+    metrics = set()
+    for layer in tracer.LAYERS:
+        mod = importlib.import_module(f"affinekit.{layer}")
+        for qual in tracer.NAMED[layer]:
+            obj = mod
+            for part in qual.split("."):
+                obj = getattr(obj, "__dict__", {}).get(part)
+            assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, f"{layer}.{qual}"
+            metrics.add(tracer.metric_name(layer, qual))
+    assert {f"modrep.{b}" for b in tracer.MODULE_CONSTRUCTORS} <= metrics
+    for w in workloads.WORKLOADS.values():
+        assert set(w.must_reach) <= metrics, (w.name, set(w.must_reach) - metrics)
