@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import coordinate_map, solve_unique
-from .finlie import LieElt, sl2_normalise
+from .finlie import LieElt, longest_string, sl2_normalise
 
 
 class DegreeWindow:
@@ -333,6 +333,13 @@ class AffineAlgebra:
         dirs = {fam.fin for fam in self._families if not fam.imaginary}
         pairs = [(self.fin_form(a, a), self.fin_form(a, b)) for a in dirs for b in dirs]
         return math.lcm(*((aa / (2 * p)).denominator for aa, p in pairs if p))
+
+    @cached_property
+    def longest_root_string(self):
+        """The longest string of finite root parts through an adjoint weight,
+        degrees ignored (see finlie.longest_string): no lowering chain of a
+        real root vector f t^r has more nonzero terms."""
+        return longest_string(fam.fin for fam in self._families)
 
     def is_root(self, fin, n):
         fin = tuple(Fraction(c) for c in fin)

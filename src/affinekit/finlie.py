@@ -13,6 +13,7 @@ coordinate vector of alpha_j.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import coordinate_map
 
@@ -64,6 +65,27 @@ class LieElt:
             return "LieElt(0)"
         parts = " + ".join(f"{v}*{k}" for k, v in sorted(self.c.items()))
         return f"LieElt({parts})"
+
+
+def longest_string(weights):
+    """The most terms of a run b, b - a, b - 2a, ... inside weights, a != 0.
+
+    weights are the weights of the adjoint representation, zero included.
+    A homogeneous f of nonzero weight -a shifts weights by -a, so u, ad(f)u,
+    ad(f)^2 u, ... has at most this many nonzero terms for every u.
+    """
+    weights = set(weights)
+    best = 0
+    for a in weights:
+        if not any(a):
+            continue
+        for b in weights:
+            n, w = 0, b
+            while w in weights:
+                n += 1
+                w = tuple(x - y for x, y in zip(w, a))
+            best = max(best, n)
+    return best
 
 
 def sl2_normalise(bracket, e, f0):
@@ -222,6 +244,11 @@ class SimpleLieAlgebra:
     def weight_form(self, v, w):
         """Invariant form on weights given in fw-coordinates."""
         return sum((Fraction(a) * b for a, b in zip(v, self._coroot_dual(w))), Fraction(0))
+
+    @cached_property
+    def longest_root_string(self):
+        """The longest root string through an adjoint weight; see longest_string."""
+        return longest_string(self.weight_of.values())
 
 
 def build_simple(label):

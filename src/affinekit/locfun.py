@@ -27,6 +27,7 @@ from .affine import AffElt, AffRoot, AffWeight, sl2_triple
 from .modrep import (
     GradedModule,
     IncompatibleData,
+    UntabulatedGenerator,
     _acc,
     _band_matrix,
     _scaled,
@@ -69,6 +70,13 @@ class TwistSpec:
     @cached_property
     def _binoms(self):
         return []
+
+    @cached_property
+    def cut(self):
+        """How many series terms count at x: x + 1 for x in N, as binom(x, i) = 0
+        for i > x; None for any other x, whose series runs to the chain's end."""
+        x = self.x
+        return int(x) + 1 if x.denominator == 1 and x >= 0 else None
 
     def binom(self, i):
         """binom(x, i), computed once per spec; i runs up from 0."""
@@ -133,10 +141,11 @@ def _elt_disp(M, elt):
 
 
 def _wshift(w, aw, x):
+    """w + x aw; a zero component of aw leaves w's as it is."""
     return AffWeight(
-        tuple(a + x * b for a, b in zip(w.fin, aw.fin)),
-        w.d + x * aw.d,
-        w.k + x * aw.k,
+        tuple(a + x * b if b else a for a, b in zip(w.fin, aw.fin)),
+        w.d + x * aw.d if aw.d else w.d,
+        w.k + x * aw.k if aw.k else w.k,
     )
 
 
@@ -253,11 +262,19 @@ def f_power(M, f_elt, v, p, cache=None):
 
 
 def _lowering_chain(M, f_elt, u):
-    """The nonzero terms u, ad(f)u, ad(f)^2 u, ..."""
+    """The nonzero terms u, ad(f)u, ad(f)^2 u, ...
+
+    A root vector f ends the chain within the algebra's longest root string;
+    a longer chain means f is no root vector, and raises IncompatibleData.
+    """
+    bound = M.algebra.longest_root_string
     chain = []
     while not u.is_zero():
-        if len(chain) > 40:
-            raise IncompatibleData("the lowering chain did not terminate")
+        if len(chain) == bound:
+            raise IncompatibleData(
+                f"ad(f)^{bound} of {chain[0]!r} is not zero for f = {f_elt!r}: the "
+                f"lowering chain outruns the longest root string, {bound} terms"
+            )
         chain.append(u)
         u = M.bracket(f_elt, u)
     return chain
@@ -289,8 +306,9 @@ def theta_action(M, spec, X, v, cache=None, touched=None):
     the band inverses, the ladder f^{-i} v of each v (a unit vector's under
     its label) and the lowering chain of each generator key; the table
     itself keeps, per (generator key, v), the terms W_i, each computed the
-    first time an x needs it.  An algebra element X gets a chain and terms
-    of its own, which are not kept.
+    first time an x needs it.  For a generator key X and a bare label v the
+    first term X . v is M's row itself, shared and never written to.  An
+    algebra element X gets a chain and terms of its own, which are not kept.
     """
     if cache is None:
         cache = twist_table(M, spec)
@@ -313,11 +331,16 @@ def theta_action(M, spec, X, v, cache=None, touched=None):
             chain = chains[X] = _lowering_chain(M, spec.f_elt, M.gen_elt(X))
         terms = cache.get((X, vkey))
         if terms is None:
-            terms = cache[(X, vkey)] = []
-    x = spec.x
+            terms = []
+            if fv is None:
+                try:
+                    terms.append(M.action[(X, v)])
+                except KeyError:
+                    raise UntabulatedGenerator(f"generator {X!r} is not tabulated") from None
+            cache[(X, vkey)] = terms
     n = len(chain)
-    if x.denominator == 1 and x >= 0:
-        n = min(n, int(x) + 1)
+    if spec.cut is not None and spec.cut < n:
+        n = spec.cut
     out = {}
     for i in range(n):
         if i == len(terms):
@@ -352,8 +375,12 @@ def twist_module(M, spec):
     fall into the same bands, and so its band inverses and ladders are M's.
     Only the terms W_i, which read the other rows, are the result's own.
     """
-    x = spec.x
-    weight_of = {lab: _wshift(w, spec.weight, x) for lab, w in M.weight_of.items()}
+    # one shift per weight band; fromkeys keeps M's label order
+    weight_of = dict.fromkeys(M.weight_of)
+    for w, labs in M.weights.items():
+        tw = _wshift(w, spec.weight, spec.x)
+        for lab in labs:
+            weight_of[lab] = tw
     action = {}
     boundary = set(M.boundary)
     table = twist_table(M, spec)

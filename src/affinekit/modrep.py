@@ -57,12 +57,25 @@ class UntabulatedGenerator(ValueError):
 
 
 def _acc(out, vec, c=_ONE):
+    """out += c * vec in place, dropping zeros; returns out.
+
+    The values of vec are Fractions.  A unit c multiplies nothing, and a key
+    new to out takes its product as it is instead of adding it to zero, so
+    keys keep the order of a plain sum and every stored value is a nonzero
+    Fraction.
+    """
+    unit = c is _ONE or c == 1
     for key, v in vec.items():
-        w = out.get(key, _Z) + v * c
-        if w:
+        if not unit:
+            v = v * c
+        w = out.get(key)
+        if w is None:
+            if v:
+                out[key] = v
+        elif w := w + v:
             out[key] = w
         else:
-            out.pop(key, None)
+            del out[key]
     return out
 
 
@@ -302,7 +315,7 @@ def dense_sl2(params, window):
         weight_of[lab] = AffWeight((hval,), _Z, _Z)
         action[(("fin", "E12"), lab)] = erow
         action[(("fin", "E21"), lab)] = frow
-        action[(("fin", "H1"), lab)] = {lab: hval}
+        action[(("fin", "H1"), lab)] = {lab: hval} if hval else {}
     gens = [("fin", n) for n in g.basis]
     return GradedModule(g, window, weight_of, action, boundary, _Z, gens)
 
@@ -318,7 +331,7 @@ def finite_dim_sl2(m):
         lab = ("u", i)
         action[(("fin", "E12"), lab)] = {("u", i - 1): Fraction(i * (m - i + 1))} if i else {}
         action[(("fin", "E21"), lab)] = {("u", i + 1): _ONE} if i < m else {}
-        action[(("fin", "H1"), lab)] = {lab: Fraction(m - 2 * i)}
+        action[(("fin", "H1"), lab)] = {lab: Fraction(m - 2 * i)} if m != 2 * i else {}
     gens = [("fin", n) for n in g.basis]
     return GradedModule(g, None, weight_of, action, set(), _Z, gens)
 

@@ -15,18 +15,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affinekit.exact import Poly, gen_binom
-from affinekit.finlie import build_simple
+from affinekit.finlie import LieElt, build_simple, sigma_aut
 from affinekit.affine import (
     AffElt,
     AffRoot,
     AffWeight,
     DegreeWindow,
     build_affine,
+    roots_window,
     sl2_triple,
 )
 from affinekit.rootpar import assemble_parabolic, make_flag
 from affinekit.modrep import (
     DenseSL2Params,
+    GradedModule,
     IncompatibleData,
     adjoint_rep,
     check_bracket_compat,
@@ -179,6 +181,50 @@ def test_theta_band_exhaustion_raises():
     spec = make_twist_spec(M, (F(2),), F(1, 2))
     with pytest.raises(BandError):
         theta_action(M, spec, ("fin", "E12"), {("w", 5): F(1)})
+
+
+@pytest.mark.parametrize("label, twisted, bound", [
+    ("A1", False, 3), ("A2", False, 3), ("C2", False, 3), ("A2", True, 5),
+])
+def test_lowering_chains_fill_the_longest_root_string(label, twisted, bound):
+    # every generator in degrees -2..2 under every real root vector f of
+    # degree -1..1: no chain is longer than the bound, and one is that long
+    # (e, h, f on sl2; on twisted A2 a 2 alpha vector down to -2 alpha)
+    g = build_simple(label)
+    A = build_affine(g, sigma_aut(g) if twisted else None)
+    assert A.longest_root_string == bound
+    M = GradedModule(A, None, {}, {}, set(), _Z, [])
+    gens = [AffElt(d=1)] + [AffElt({(lab, m): 1}) for m in range(-2, 3) for lab in A.class_labels(m)]
+    lengths = {
+        len(locfun._lowering_chain(M, sl2_triple(A, root)[1], u))
+        for root in roots_window(A, DegreeWindow(-1, 1)) if root.kind == "real"
+        for u in gens
+    }
+    assert max(lengths) == bound
+    if not twisted:
+        assert g.longest_root_string == bound
+        V = adjoint_rep(g)
+        assert max(
+            len(locfun._lowering_chain(V, make_twist_spec(V, alpha, _Z).f_elt, LieElt({n: 1})))
+            for alpha in g.roots for n in g.basis
+        ) == bound
+
+
+def test_a_cartan_f_runs_past_the_bound():
+    # a hand-built spec whose f is h: ad(h) e = 2e never dies, and the
+    # chain stops at the longest root string of the algebra, named
+    M = _dense(F(1, 2), 3)
+    good = make_twist_spec(M, (F(2),), F(1, 2))
+    spec = dataclasses.replace(good, f_elt=LieElt({"H1": 1}))
+    with pytest.raises(IncompatibleData, match=r"ad\(f\)\^3 of LieElt\(1\*E12\).*3 terms"):
+        theta_action(M, spec, ("fin", "E12"), ("w", 0))
+    with pytest.raises(IncompatibleData, match="longest root string"):
+        twist_module(_dense(F(1, 2), 3), spec)
+    L = _loop_line()
+    h0 = AffElt({("H1", 0): 1})
+    spec = dataclasses.replace(make_twist_spec(L, (F(2),), F(1, 2)), f_elt=h0)
+    with pytest.raises(IncompatibleData, match=r"ad\(f\)\^3"):
+        theta_action(L, spec, ("t", "E12", 1), next(iter(L.weight_of)))
 
 
 # ---------------------------------------------------------- twisted modules
@@ -448,6 +494,87 @@ def test_theta_action_of_a_label_is_its_unit_vector():
     lab = sorted(M.weight_of)[40]
     theta_action(M, spec, ("t", "H1", 0), {lab: F(2)})
     assert frozenset({lab: F(2)}.items()) in ladders
+
+
+def _oracle_twist(M, spec):
+    """Weights, rows and mask of M's twist by spec.x, summed term by term.
+
+    The row of u at v is sum_i binom(x, i) ad(f)^i(u) . f^{-i} v, cut after
+    i = x for x in N: ad(f)^i(u) by M.bracket, f^{-i} v by f_power with a
+    fresh store for every power, the sum a plain one.  A failed power gives
+    an empty row and masks v; so does a power that reads a masked label.
+    """
+    x, f, aw = spec.x, spec.f_elt, spec.weight
+    weight_of = {
+        lab: AffWeight(tuple(a + x * b for a, b in zip(w.fin, aw.fin)), w.d + x * aw.d, w.k + x * aw.k)
+        for lab, w in M.weight_of.items()
+    }
+    chains = {}
+    for gk in M.gens:
+        chain = [M.gen_elt(gk)]
+        while not (u := M.bracket(f, chain[-1])).is_zero():
+            chain.append(u)
+        chains[gk] = chain[: int(x) + 1] if x.denominator == 1 and x >= 0 else chain
+    depth = max(len(chain) for chain in chains.values())
+    action, boundary = {}, set(M.boundary)
+    for lab in M.weight_of:
+        downs = []
+        for i in range(depth):
+            try:
+                downs.append(f_power(M, f, {lab: F(1)}, -i))
+            except BandError:
+                break
+        for gk, chain in chains.items():
+            if gk == "K":
+                action[(gk, lab)] = M.action[(gk, lab)]
+                continue
+            if len(chain) > len(downs):
+                action[(gk, lab)] = {}
+                boundary.add(lab)
+                continue
+            row = {}
+            for i, u in enumerate(chain):
+                if downs[i].keys() & M.boundary:
+                    boundary.add(lab)
+                for t, c in M.apply_elt(u, downs[i]).items():
+                    row[t] = row.get(t, _Z) + gen_binom(x, i) * c
+            action[(gk, lab)] = {t: c for t, c in row.items() if c}
+    return weight_of, action, boundary
+
+
+def _assert_twist_is_the_oracle(T, M, spec):
+    weight_of, action, boundary = _oracle_twist(M, spec)
+    assert list(T.weight_of.items()) == list(weight_of.items())
+    assert list(T.action) == list(action)
+    for key, row in T.action.items():
+        assert row == action[key], key
+        assert all(type(c) is F and c for c in row.values()), key
+    assert T.boundary == boundary
+
+
+_ORACLE_BUILDS = {
+    "dense": (lambda: _dense(F(1, 2), 3, -5, 5), (F(2),)),
+    "dense_b2": (lambda: _dense(2, 1, -4, 4), (F(2),)),
+    "loop": (_loop_line, (F(2),)),
+    "imaginary_verma": (_vac_loc, ALPHA),
+    "finite_dim": (lambda: finite_dim_sl2(4), (F(2),)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_BUILDS))
+@pytest.mark.parametrize("x, y", [(F(2), F(-1, 2)), (F(-3, 2), F(1)), (_Z, F(5, 2))])
+def test_twist_rows_match_the_term_by_term_oracle(name, x, y):
+    # every row, weight and masked label of twist_module, from a cold table,
+    # from a warm one and on a twist of a twist, against the plain series
+    build, alpha = _ORACLE_BUILDS[name]
+    M = build()
+    spec_x, spec_y = make_twist_spec(M, alpha, x), make_twist_spec(M, alpha, y)
+    Tx = twist_module(M, spec_x)  # cold table
+    _assert_twist_is_the_oracle(Tx, M, spec_x)
+    _assert_twist_is_the_oracle(twist_module(M, spec_y), M, spec_y)  # warm
+    _assert_twist_is_the_oracle(twist_module(M, spec_x), M, spec_x)
+    spec_xy = make_twist_spec(Tx, alpha, y)
+    _assert_twist_is_the_oracle(twist_module(Tx, spec_xy), Tx, spec_xy)
 
 
 def test_bracket_check_finds_a_planted_row_on_a_twist():

@@ -1180,6 +1180,98 @@ def test_boundedness_probe():
     assert maxima[0] < maxima[1] < maxima[2]
 
 
+# ------------------------------------------------ sparse sums and stored rows
+
+
+def _plain_acc(out, vec, c):
+    """out += c * vec the long way: every entry multiplied and added to out's."""
+    for key, v in vec.items():
+        w = out.get(key, F(0)) + v * c
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
+    return out
+
+
+_KEYS = st.sampled_from("abcdef")
+_FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(_KEYS, _FRACS.filter(bool), max_size=5),
+    st.dictionaries(_KEYS, _FRACS, max_size=5),
+    st.one_of(
+        st.sampled_from([1, F(1), _ONE, 0, F(0), -1, F(-1)]),
+        st.integers(-3, 3),
+        _FRACS,
+    ),
+)
+def test_acc_is_the_plain_sum(out, vec, c):
+    got = _acc(dict(out), vec, c)
+    want = _plain_acc(dict(out), vec, c)
+    # same values in the same key order, no stored zero, Fractions only
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is Fraction and v for v in got.values())
+
+
+def _standard_induced():
+    return induced_truncated(_standard_P(), _levi_N(), depth=1)
+
+
+def _dense_twist(x):
+    from affinekit.locfun import make_twist_spec, twist_module
+
+    M = dense_sl2(DenseSL2Params(F(2), F(1)), DegreeWindow(-3, 3))
+    return twist_module(M, make_twist_spec(M, (F(2),), x))
+
+
+def _localized_vacuum():
+    from affinekit.locfun import localize
+
+    M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1)
+    return localize(M, AffRoot("real", (F(2),), 0), n0_ext=2)
+
+
+_EVERY_BUILDER = {
+    "dense_half": lambda: dense_sl2(DenseSL2Params(F(1, 2), F(3)), JW),
+    # integral even b: h vanishes on one label of the line
+    "dense_b0": lambda: dense_sl2(DenseSL2Params(F(0), F(1)), JW),
+    "dense_b2": lambda: dense_sl2(DenseSL2Params(F(2), F(0)), JW),
+    "dense_b-4": lambda: dense_sl2(DenseSL2Params(F(-4), F(2)), JW),
+    **{f"finite_dim_{m}": (lambda m=m: finite_dim_sl2(m)) for m in range(5)},
+    "natural_A2": lambda: natural_rep(A2),
+    "natural_C2": lambda: natural_rep(build_simple("C2")),
+    "adjoint_A2": lambda: adjoint_rep(A2),
+    "loop": lambda: loop_module(
+        A1aff, [dense_sl2(DenseSL2Params(F(2), F(1)), DegreeWindow(-2, 2)), finite_dim_sl2(2)],
+        [F(1), F(2)], DegreeWindow(-1, 1), gen_window=1,
+    ),
+    "loop_twisted_A2": lambda: loop_module(
+        A2tw, [natural_rep(A2), adjoint_rep(A2)], [F(2), F(3)], DegreeWindow(-1, 1),
+        gen_window=1,
+    ),
+    "twisted_fixed_points": lambda: twisted_loop_fixed_points(
+        A2tw, [adjoint_rep(A2)] * 2, [F(1), F(-1)], DegreeWindow(-1, 1), gen_window=1
+    ),
+    "imaginary_verma": lambda: imaginary_verma(F(0), depth=2, length_cap=2, gen_window=1),
+    "levi_dense": _levi_N,
+    "induced": _standard_induced,
+    "twist_integer": lambda: _dense_twist(F(2)),
+    "twist_half": lambda: _dense_twist(F(-1, 2)),
+    "localize": _localized_vacuum,
+}
+
+
+@pytest.mark.parametrize("build", list(_EVERY_BUILDER.values()), ids=list(_EVERY_BUILDER))
+def test_builder_rows_hold_nonzero_fractions(build):
+    M = build()
+    assert M.action
+    for key, row in M.action.items():
+        assert all(type(c) is Fraction and c for c in row.values()), (key, row)
+
+
 # ------------------------------------------------------------ helpers
 
 
