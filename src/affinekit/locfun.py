@@ -17,7 +17,7 @@ parameter x stands for the old vector carried by the formal power f^{-x}.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -156,9 +156,7 @@ def _f_inverse(M, f_elt, vec, cache):
     label lies in exactly one band, and a twist along f_alpha shifts every
     weight by the same x alpha, so the key stays valid on M's twists.
     """
-    disp = cache.get("_disp")
-    if disp is None:
-        disp = cache["_disp"] = _elt_disp(M, f_elt)
+    disp = _elt_disp(M, f_elt)
     out = {}
     bands = {}
     for lab, c in vec.items():
@@ -190,9 +188,10 @@ def _f_inverse(M, f_elt, vec, cache):
             sol = solve_unique(mat, rhs)
             if sol is None:
                 raise BandError(f"f_alpha is not bandwise invertible at {w}")
+        # the bands of one call have disjoint sources
         for i, s in enumerate(src):
             if sol[i]:
-                _acc(out, {s: sol[i]})
+                out[s] = sol[i]
     return out
 
 
@@ -219,21 +218,34 @@ def _clean(M, vec):
     return all(lab not in M.boundary for lab in vec)
 
 
-def twist_table(M, spec):
-    """M's table for twists along spec.alpha.
+@dataclass(eq=False)
+class TwistStore:
+    """The f_alpha^{-1} work along one root, made with one f_alpha = f_elt.
 
-    The table keeps M's own series terms W_i, keyed by (generator key,
-    vector key), and under "_store" the store of band inverses, ladders
-    f^{-i} v and lowering chains.  A store is made with one f_alpha, which
-    it records: a spec whose f_elt differs from the recorded one raises
-    IncompatibleData.  M's twists along spec.alpha read M's store (see
-    twist_module), so it is made here only, for a module that has none.
+    bands maps a band's first target label to its inverse (see _f_inverse),
+    ladders a label v to its ladder f^{-i} v (see _rung), and chains a
+    generator key to its lowering chain under f_elt.
+    """
+
+    f_elt: object
+    bands: dict = field(default_factory=dict)
+    ladders: dict = field(default_factory=dict)
+    chains: dict = field(default_factory=dict)
+
+
+def twist_table(M, spec):
+    """M's table for twists along spec.alpha: a pair (store, terms).
+
+    terms keeps M's own series terms W_i, keyed by (generator key, label);
+    store is the TwistStore of band inverses, ladders and lowering chains.
+    A spec whose f_elt differs from the store's raises IncompatibleData.
+    M's twists along spec.alpha read M's store (see twist_module), so it is
+    made here only, for a module that has none.
     """
     table = M.twist_tables.get(spec.alpha)
     if table is None:
-        store = {"_f": spec.f_elt, "_ladders": {}, "_chains": {}}
-        table = M.twist_tables[spec.alpha] = {"_store": store}
-    elif table["_store"]["_f"] != spec.f_elt:
+        table = M.twist_tables[spec.alpha] = (TwistStore(spec.f_elt), {})
+    elif table[0].f_elt != spec.f_elt:
         raise IncompatibleData(f"the twist table of {spec.alpha} was built with another f_alpha")
     return table
 
@@ -244,9 +256,8 @@ def f_power(M, f_elt, v, p, cache=None):
     Honest steps refuse masked routes: a masked label has an empty
     tabulated row, which would silently drop terms, so a step from a vector
     on a masked label raises BandError.  Inverse steps raise BandError when
-    a solve fails.  cache holds band inverses made with f_elt, such as the
-    store twist_table(M, spec)["_store"]; without it every band is solved
-    afresh.
+    a solve fails.  cache holds band inverses made with f_elt, such as
+    twist_table(M, spec)[0].bands; without it every band is solved afresh.
     """
     vec = _as_vec(v)
     if p >= 0:
@@ -280,73 +291,43 @@ def _lowering_chain(M, f_elt, u):
     return chain
 
 
-def _vec_key(fv):
-    """The ladder key of a vector: its label when it is a unit vector."""
-    if len(fv) == 1:
-        (lab, c), = fv.items()
-        if c == 1:
-            return lab
-    return frozenset(fv.items())
-
-
-def theta_action(M, spec, X, v, cache=None, touched=None):
+def theta_action(M, spec, X, v, cache=None):
     """Theta_{spec.x}(X) . v evaluated through the stored action tables.
 
     Theta_x(X) . v = sum_i binom(x, i) W_i with W_i = ad(f)^i(X) . f^{-i} v,
-    the sum cut at i = x for x in N.  v is a sparse vector or a bare label,
-    which stands for its unit vector.  Raises BandError when an inverse
-    power falls off the window and UntabulatedGenerator when the series
-    needs a generator M lacks.  When a set is passed as touched it collects
-    every label the series read a row at, so callers can tell whether a
-    masked (possibly incomplete) row was used.
+    the sum cut at i = x for x in N.  X is a generator key of M and v a
+    label; any other argument follows from these rows by linearity.  Raises
+    BandError when an inverse power falls off the window and
+    UntabulatedGenerator when the series needs a generator M lacks.
 
     cache is M's table twist_table(M, spec), read when it is None.  Nothing
     in it depends on x, so one table serves every twist of M along one
     f_alpha = spec.f_elt (specs come from make_twist_spec).  Its store keeps
-    the band inverses, the ladder f^{-i} v of each v (a unit vector's under
-    its label) and the lowering chain of each generator key; the table
-    itself keeps, per (generator key, v), the terms W_i, each computed the
-    first time an x needs it.  For a generator key X and a bare label v the
-    first term X . v is M's row itself, shared and never written to.  An
-    algebra element X gets a chain and terms of its own, which are not kept.
+    the band inverses, the ladder f^{-i} v of each label v and the lowering
+    chain of each generator key; its terms keep, per (X, v), the terms W_i,
+    each computed the first time an x needs it.  The first term X . v is
+    M's row itself, shared and never written to.
     """
-    if cache is None:
-        cache = twist_table(M, spec)
-    store = cache["_store"]
-    if isinstance(v, dict):
-        fv = _as_vec(v)
-        vkey = _vec_key(fv)
-    else:
-        fv, vkey = None, v
-    ladders = store["_ladders"]
-    ladder = ladders.get(vkey)
+    store, terms_of = twist_table(M, spec) if cache is None else cache
+    ladder = store.ladders.get(v)
     if ladder is None:
-        ladder = ladders[vkey] = [{v: _ONE} if fv is None else fv]
-    if isinstance(X, (LieElt, AffElt)):
-        chain, terms = _lowering_chain(M, spec.f_elt, X), []
-    else:
-        chains = store["_chains"]
-        chain = chains.get(X)
-        if chain is None:
-            chain = chains[X] = _lowering_chain(M, spec.f_elt, M.gen_elt(X))
-        terms = cache.get((X, vkey))
-        if terms is None:
-            terms = []
-            if fv is None:
-                try:
-                    terms.append(M.action[(X, v)])
-                except KeyError:
-                    raise UntabulatedGenerator(f"generator {X!r} is not tabulated") from None
-            cache[(X, vkey)] = terms
+        ladder = store.ladders[v] = [{v: _ONE}]
+    chain = store.chains.get(X)
+    if chain is None:
+        chain = store.chains[X] = _lowering_chain(M, spec.f_elt, M.gen_elt(X))
+    terms = terms_of.get((X, v))
+    if terms is None:
+        try:
+            terms = terms_of[(X, v)] = [M.action[(X, v)]]
+        except KeyError:
+            raise UntabulatedGenerator(f"generator {X!r} is not tabulated") from None
     n = len(chain)
     if spec.cut is not None and spec.cut < n:
         n = spec.cut
     out = {}
     for i in range(n):
         if i == len(terms):
-            terms.append(M.apply_elt(chain[i], _rung(M, spec.f_elt, ladder, i, store)))
-        if touched is not None:
-            touched.update(ladder[i])
+            terms.append(M.apply_elt(chain[i], _rung(M, spec.f_elt, ladder, i, store.bands)))
         if i:
             _acc(out, terms[i], spec.binom(i))
         else:
@@ -362,6 +343,11 @@ def twist_module(M, spec):
     Theta_x(u).  Labels whose series leaves the window keep an empty row and
     join the mask, as do labels whose series routed through a masked row.
     Any other error, such as an untabulated generator, propagates.
+
+    The rows of a label read the rungs f^{-i} v, i < depth, of one ladder,
+    where depth is the longest lowering chain of M's generators, cut at
+    spec.cut; so the label is masked when a rung 1 <= i < depth meets M's
+    mask (rung 0 is the label itself).
 
     Every row reads twist_table(M, spec), so a twist of M by a new x along
     a root M was twisted along before solves no band and applies no term
@@ -384,28 +370,34 @@ def twist_module(M, spec):
     action = {}
     boundary = set(M.boundary)
     table = twist_table(M, spec)
+    store = table[0]
+    depth = None  # read off the chains once the first label made them
     for lab in M.weight_of:
+        failed = False
         for gk in M.gens:
             if gk == "K":
                 action[(gk, lab)] = dict(M.action[(gk, lab)])
                 continue
-            touched = set()
             try:
-                row = theta_action(M, spec, gk, lab, table, touched)
+                action[(gk, lab)] = theta_action(M, spec, gk, lab, table)
             except BandError:
                 action[(gk, lab)] = {}
-                boundary.add(lab)
-                continue
-            action[(gk, lab)] = row
-            if touched & M.boundary:
-                boundary.add(lab)
+                failed = True
+        if depth is None:
+            depth = max((len(store.chains[gk]) for gk in M.gens if gk != "K"), default=1)
+            if spec.cut is not None and spec.cut < depth:
+                depth = spec.cut
+        # an earlier x may have run the ladder deeper than this one reads
+        if failed or depth > 1 and any(
+            not M.boundary.isdisjoint(rung) for rung in store.ladders[lab][1:depth]
+        ):
+            boundary.add(lab)
     T = GradedModule(
         M.algebra, M.window, weight_of, action, boundary, M.k_value, list(M.gens)
     )
-    store = table["_store"]
     f_keys = [("fin", key) if M.kind == "fin" else ("t",) + key for key in spec.f_elt.c]
-    if all(len(store["_chains"].get(gk, ())) == 1 for gk in f_keys):
-        T.twist_tables[spec.alpha] = {"_store": store}
+    if all(len(store.chains.get(gk, ())) == 1 for gk in f_keys):
+        T.twist_tables[spec.alpha] = (store, {})
     return T
 
 
@@ -448,13 +440,13 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
 
     spec = make_twist_spec(M, alpha, Fraction(m))
     T = twist_module(M, spec)
-    store = twist_table(M, spec)["_store"]
+    bands = twist_table(M, spec)[0].bands
     conj = [0, 0]
     for lab in labs:
         if lab in T.boundary:
             continue
         try:
-            down = f_power(M, spec.f_elt, {lab: _ONE}, -m, store)
+            down = f_power(M, spec.f_elt, {lab: _ONE}, -m, bands)
         except BandError:
             continue
         if not _clean(M, down):
@@ -464,7 +456,7 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
             if not _clean(M, mid):
                 continue
             try:
-                want = f_power(M, spec.f_elt, mid, m, store)
+                want = f_power(M, spec.f_elt, mid, m, bands)
             except BandError:
                 continue
             conj[0] += 1
@@ -473,9 +465,9 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
     power = [0, 0]
     for lab in labs:
         try:
-            inner = f_power(M, spec.f_elt, {lab: _ONE}, q, store)
-            two = f_power(M, spec.f_elt, inner, p, store)
-            one = f_power(M, spec.f_elt, {lab: _ONE}, p + q, store)
+            inner = f_power(M, spec.f_elt, {lab: _ONE}, q, bands)
+            two = f_power(M, spec.f_elt, inner, p, bands)
+            one = f_power(M, spec.f_elt, {lab: _ONE}, p + q, bands)
         except BandError:
             continue
         power[0] += 1
@@ -612,9 +604,9 @@ def find_twist_parameter(M, alpha, lam, v):
         raise IncompatibleData("v must be weight homogeneous")
     if lam is not None and next(iter(ws)) != lam:
         raise IncompatibleData("v does not lie in the stated weight space")
-    store = twist_table(M, spec)["_store"]
+    bands = twist_table(M, spec)[0].bands
     ladder = [vec]
-    ref = _rung(M, spec.f_elt, ladder, 1, store)
+    ref = _rung(M, spec.f_elt, ladder, 1, bands)
 
     def ratio(wv):
         if not wv:
@@ -628,7 +620,7 @@ def find_twist_parameter(M, alpha, lam, v):
         return c
 
     chain = [
-        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, store))
+        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, bands))
         for i, u in enumerate(_lowering_chain(M, spec.f_elt, spec.e_elt))
     ]
 
@@ -752,7 +744,7 @@ def _loop_expand(data, vec, K):
     """
     out = {}
     f_elt = data.spec.f_elt
-    store = twist_table(data.factors[0], data.spec)["_store"]
+    bands = twist_table(data.factors[0], data.spec)[0].bands
     for (tlab, s), c0 in vec.items():
         sp = s + K * data.r
         if sp not in data.window:
@@ -765,7 +757,7 @@ def _loop_expand(data, vec, K):
             coef *= data.scalars[0] ** (i0 * data.r)
             for t, it in enumerate(itup):
                 coef *= data.scalars[t + 1] ** (it * data.r)
-            parts = [f_power(data.factors[0], f_elt, {tlab[0]: _ONE}, i0, store)]
+            parts = [f_power(data.factors[0], f_elt, {tlab[0]: _ONE}, i0, bands)]
             for t, it in enumerate(itup):
                 pt = f_power(data.factors[t + 1], f_elt, {tlab[t + 1]: _ONE}, it)
                 if not pt:
@@ -798,43 +790,27 @@ def loop_pair_act(data, elt, N, vec):
     return out
 
 
-def loop_loc_iso_inv(data, vec, n=0, N=None):
+def loop_loc_iso_inv(data, vec, N=None):
     """A pair (N, w) representing the honest vector vec.
 
-    N defaults to the sum of the factor nilpotency degrees plus n, enough
-    for every term of the expansion to carry nonnegative honest powers.
+    N defaults to the sum of the factor nilpotency degrees, enough for every
+    term of the expansion to carry nonnegative honest powers.
     """
     if N is None:
-        N = sum(data.nil) + n
+        N = sum(data.nil)
     return N, _loop_expand(data, _as_vec(vec), N)
 
 
 # ------------------------------------------- induction versus localization
 
 
-def _interp(points):
-    out = Poly()
-    for i, (xi, yi) in enumerate(points):
-        term = Poly([yi])
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term = term * Poly([-xj, _ONE]) * Poly([Fraction(1, xi - xj)])
-        out = out + term
-    return out
-
-
-def _charpoly(mat):
+def _charpoly_values(mat):
+    """det(t I - mat) at t = 0..n: n + 1 values fix the monic degree-n polynomial."""
     n = len(mat)
-    if n == 0:
-        return Poly([_ONE])
-    pts = []
-    for t in range(n + 1):
-        m2 = [
-            [(Fraction(t) if i == j else _Z) - mat[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        pts.append((Fraction(t), det(m2)))
-    return _interp(pts)
+    return [
+        det([[(Fraction(t) if i == j else _Z) - mat[i][j] for j in range(n)] for i in range(n)])
+        for t in range(n + 1)
+    ]
 
 
 def induction_commutes_probe(P, S, x, depth):
@@ -843,8 +819,8 @@ def induction_commutes_probe(P, S, x, depth):
     Both sides are materialized to the given monomial depth: weight
     multiplicities must match after the x alpha shift, and on sampled fully
     unmasked weight bands the characteristic polynomials of e f (twisted by
-    conjugation on one side, plain on the other) must agree.  Raises when no
-    band is clean enough to compare.
+    conjugation on one side, plain on the other) must agree at t = 0..n for
+    n x n bands.  Raises when no band is clean enough to compare.
     """
     x = Fraction(x)
     root = levi_sl2_root(P)
@@ -864,6 +840,9 @@ def induction_commutes_probe(P, S, x, depth):
         return MA.weight_of == MB.weight_of and MA.action == MB.action
 
     specA = make_twist_spec(MA, root, x)
+    # make_twist_spec gives e as one root vector: Theta(e) is a scaled generator row
+    ((ekey, ecoef),) = specA.e_elt.c.items()
+    egen = ("t",) + ekey
 
     def clean(Mod, w):
         labs = Mod.weights.get(w)
@@ -888,7 +867,7 @@ def induction_commutes_probe(P, S, x, depth):
         try:
             cols_a = []
             for l in band:
-                ta = theta_action(MA, specA, specA.e_elt, {l: _ONE})
+                ta = _scaled(theta_action(MA, specA, egen, l), ecoef)
                 va = MA.apply_elt(specA.f_elt, ta)
                 if any(t not in set(band) for t in va):
                     raise IncompatibleData("band endomorphism left its band")
@@ -902,7 +881,7 @@ def induction_commutes_probe(P, S, x, depth):
             cols_b.append(MB.apply_elt(specA.f_elt, vb))
         ea = [[cols_a[j].get(t, _Z) for j in range(len(band))] for t in band]
         eb = [[cols_b[j].get(t, _Z) for j in range(len(bandB))] for t in bandB]
-        if _charpoly(ea) != _charpoly(eb):
+        if _charpoly_values(ea) != _charpoly_values(eb):
             return False
         compared += 1
         if compared >= _PROBE_BANDS:

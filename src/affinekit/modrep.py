@@ -99,7 +99,7 @@ class GradedModule:
     labels whose tabulated action lost at least one term to the window.
     provenance holds what a later step reads back about the construction:
     {"imaginary_verma": its arguments} on a vacuum module, so localize can
-    rebuild it, and {"letters": ...} on an induced module; None otherwise.
+    rebuild it; None otherwise.
     """
 
     algebra: object
@@ -142,12 +142,6 @@ class GradedModule:
         for labs in out.values():
             labs.sort()
         return out
-
-    def labels(self):
-        return list(self.weight_of)
-
-    def weight(self, lab):
-        return self.weight_of[lab]
 
     def gen_elt(self, gk):
         """The algebra element behind the generator key gk."""
@@ -1063,8 +1057,7 @@ def induced_truncated(P, N, depth, gen_window=None):
         if cut:
             boundary.add(lab)
     return GradedModule(
-        A, P.window, weight_of, action, boundary, k, _loop_gens(A, gen_window),
-        provenance={"letters": list(push.letters)},
+        A, P.window, weight_of, action, boundary, k, _loop_gens(A, gen_window)
     )
 
 

@@ -271,15 +271,8 @@ def _line_signs(flag, fin):
     return (*_sign_line(flag.phi1, fin), *_sign_line(flag.phi2, fin))
 
 
-def assemble_parabolic(A, flag, window, require_borel=False):
+def assemble_parabolic(A, flag, window):
     P = ParabolicSet(A, flag, window)
-    if require_borel:
-        if flag.phi2 is None and any(
-            flag_value(flag.phi1, r.fin, r.n) == 0 for r in P.roots
-        ):
-            raise ValueError("phi2 is required to refine a nonempty Delta0 to a Borel")
-        if P.levi_keys():
-            raise ValueError("flag does not define a Borel-type set")
     P.tag  # classifies now, so an improper set raises ImproperParabolic here
     return P
 

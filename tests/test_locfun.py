@@ -128,10 +128,9 @@ def test_f_power_dense():
 def test_theta_x_zero_is_plain_action():
     M = _dense(F(1, 2), 3)
     spec = make_twist_spec(M, (F(2),), _Z)
-    v = {("w", 0): F(1)}
     for name in ("E12", "E21", "H1"):
-        assert theta_action(M, spec, ("fin", name), v) == M.apply_gen(
-            ("fin", name), v
+        assert theta_action(M, spec, ("fin", name), ("w", 0)) == M.apply_gen(
+            ("fin", name), {("w", 0): F(1)}
         )
 
 
@@ -145,7 +144,7 @@ def test_theta_integer_is_conjugation():
         for j in (-2, -1, 0, 1):
             v = {("w", j): F(1)}
             for name in ("E12", "E21", "H1"):
-                lhs = theta_action(M, spec, ("fin", name), v)
+                lhs = theta_action(M, spec, ("fin", name), ("w", j))
                 inner = M.apply_gen(("fin", name), f_power(M, spec.f_elt, v, -x))
                 assert lhs == f_power(M, spec.f_elt, inner, x)
                 assert T.action[(("fin", name), ("w", j))] == lhs
@@ -157,30 +156,15 @@ def test_theta_half_integer_pin():
     #   binom(5/2,2)(-2f)w_2 = (15/8)(-2) w_1, total -7 w_1
     M = _dense(F(1, 2), 3)
     spec = make_twist_spec(M, (F(2),), F(5, 2))
-    out = theta_action(M, spec, ("fin", "E12"), {("w", 0): F(1)})
+    out = theta_action(M, spec, ("fin", "E12"), ("w", 0))
     assert out == {("w", 1): F(-7)}
-
-
-def test_theta_additive_in_the_argument():
-    M = _dense(F(1, 2), 3)
-    spec = make_twist_spec(M, (F(2),), F(5, 2))
-    v = {("w", 0): F(1)}
-    e = theta_action(M, spec, ("fin", "E12"), v)
-    h = theta_action(M, spec, ("fin", "H1"), v)
-    from affinekit.finlie import LieElt
-
-    both = theta_action(M, spec, LieElt({"E12": 1, "H1": 1}), v)
-    merged = dict(e)
-    for k, c in h.items():
-        merged[k] = merged.get(k, _Z) + c
-    assert both == {k: c for k, c in merged.items() if c}
 
 
 def test_theta_band_exhaustion_raises():
     M = _dense(F(1, 2), 3)
     spec = make_twist_spec(M, (F(2),), F(1, 2))
     with pytest.raises(BandError):
-        theta_action(M, spec, ("fin", "E12"), {("w", 5): F(1)})
+        theta_action(M, spec, ("fin", "E12"), ("w", 5))
 
 
 @pytest.mark.parametrize("label, twisted, bound", [
@@ -276,43 +260,10 @@ def _loop_line():
     )
 
 
-def _rowwise_twist(M, spec):
-    """Rows and mask of the twist, each row from theta_action with a fresh cache."""
-    action, boundary = {}, set()
-    for lab in M.weight_of:
-        for gk in M.gens:
-            if gk == "K":
-                action[(gk, lab)] = M.action[(gk, lab)]
-                continue
-            touched = set()
-            try:
-                action[(gk, lab)] = theta_action(M, spec, gk, {lab: F(1)}, None, touched)
-            except BandError:
-                action[(gk, lab)] = {}
-                boundary.add(lab)
-            if touched & M.boundary:
-                boundary.add(lab)
-    return action, boundary
-
-
 _BUILDS = pytest.mark.parametrize(
     "build", [lambda: _dense(F(1, 2), 3), _loop_line, _vac_loc],
     ids=["dense", "loop", "vacuum"],
 )
-
-
-@_BUILDS
-def test_twist_module_matches_rowwise_series(build):
-    # the series and ladders twist_module shares across rows change no row:
-    # one x per class (integer >= 0, integer < 0, half > 0, half < 0)
-    M = build()
-    for x in (F(2), F(-1), F(3, 2), F(-1, 2)):
-        spec = make_twist_spec(M, (F(2),), x)
-        T = twist_module(M, spec)
-        action, boundary = _rowwise_twist(M, spec)
-        assert T.action == action
-        assert T.boundary == boundary
-        assert boundary - M.boundary  # the window edge really truncates
 
 
 def test_twist_untabulated_generator_raises():
@@ -339,11 +290,11 @@ def test_twist_keeps_a_failed_rung(monkeypatch):
             raised.append(vec)
             raise
 
-    def counting_theta(M, spec, X, v, cache=None, touched=None):
+    def counting_theta(M, spec, X, v, cache=None):
         try:
-            return theta(M, spec, X, v, cache, touched)
+            return theta(M, spec, X, v, cache)
         except BandError:
-            raising_labels.update(locfun._as_vec(v))
+            raising_labels.add(v)
             raise
 
     monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
@@ -424,7 +375,7 @@ def test_twist_table_refuses_another_f():
     with pytest.raises(IncompatibleData):
         twist_module(M, other)
     with pytest.raises(IncompatibleData):
-        theta_action(M, other, ("fin", "E12"), {("w", 0): F(1)})
+        theta_action(M, other, ("fin", "E12"), ("w", 0))
     # a spec replaced with a new x keeps no binomials of the old one
     assert spec.binom(3) == gen_binom(F(1, 2), 3)
     again = dataclasses.replace(spec, x=F(1, 2))
@@ -448,16 +399,16 @@ def test_twist_of_a_twist_shares_the_store(build, x, y, monkeypatch):
     solve = locfun._f_inverse
 
     def counting_solve(M, f_elt, vec, cache):
-        before = sum(not isinstance(k, str) for k in cache)
+        before = len(cache)
         try:
             return solve(M, f_elt, vec, cache)
         finally:
-            added.append(sum(not isinstance(k, str) for k in cache) - before)
+            added.append(len(cache) - before)
 
     monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
     T = twist_module(Tx, make_twist_spec(Tx, (F(2),), y))
     assert sum(added) == 0
-    assert Tx.twist_tables[spec.alpha]["_store"] is M.twist_tables[spec.alpha]["_store"]
+    assert Tx.twist_tables[spec.alpha][0] is M.twist_tables[spec.alpha][0]
     fresh = dataclasses.replace(Tx)
     assert not fresh.twist_tables
     U = twist_module(fresh, make_twist_spec(fresh, (F(2),), y))
@@ -467,33 +418,6 @@ def test_twist_of_a_twist_shares_the_store(build, x, y, monkeypatch):
     assert list(T.action) == list(U.action)
     for key, row in T.action.items():
         assert list(row.items()) == list(U.action[key].items()), key
-
-
-def test_theta_action_of_a_label_is_its_unit_vector():
-    # a bare label and its unit vector read one ladder and one term list
-    M = _loop_line()
-    spec = make_twist_spec(M, (F(2),), F(-3, 2))
-    table = locfun.twist_table(M, spec)
-    ladders = table["_store"]["_ladders"]
-    compared = 0
-    for lab in sorted(M.weight_of)[::7]:
-        for gk in (("t", "E12", 0), ("t", "H1", 1), "D"):
-            try:
-                by_label = theta_action(M, spec, gk, lab)
-            except BandError:
-                with pytest.raises(BandError):
-                    theta_action(M, spec, gk, {lab: F(1)})
-                continue
-            ladder, n = ladders[lab], len(ladders)
-            assert theta_action(M, spec, gk, {lab: F(1)}) == by_label
-            assert ladders[lab] is ladder and len(ladders) == n
-            assert (gk, lab) in table
-            compared += 1
-    assert compared > 10
-    # any other vector gets a ladder of its own
-    lab = sorted(M.weight_of)[40]
-    theta_action(M, spec, ("t", "H1", 0), {lab: F(2)})
-    assert frozenset({lab: F(2)}.items()) in ladders
 
 
 def _oracle_twist(M, spec):
@@ -562,7 +486,9 @@ _ORACLE_BUILDS = {
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_BUILDS))
-@pytest.mark.parametrize("x, y", [(F(2), F(-1, 2)), (F(-3, 2), F(1)), (_Z, F(5, 2))])
+@pytest.mark.parametrize(
+    "x, y", [(F(2), F(-1, 2)), (F(-3, 2), F(1)), (_Z, F(5, 2)), (F(-1), F(3, 2))]
+)
 def test_twist_rows_match_the_term_by_term_oracle(name, x, y):
     # every row, weight and masked label of twist_module, from a cold table,
     # from a warm one and on a twist of a twist, against the plain series
@@ -571,6 +497,7 @@ def test_twist_rows_match_the_term_by_term_oracle(name, x, y):
     spec_x, spec_y = make_twist_spec(M, alpha, x), make_twist_spec(M, alpha, y)
     Tx = twist_module(M, spec_x)  # cold table
     _assert_twist_is_the_oracle(Tx, M, spec_x)
+    assert Tx.boundary - M.boundary or not x  # the window edge really truncates
     _assert_twist_is_the_oracle(twist_module(M, spec_y), M, spec_y)  # warm
     _assert_twist_is_the_oracle(twist_module(M, spec_x), M, spec_x)
     spec_xy = make_twist_spec(Tx, alpha, y)
@@ -694,7 +621,7 @@ def test_find_twist_parameter_dense():
     assert roots.discriminant == 16
     for x0 in roots:
         spec = make_twist_spec(M, (F(2),), -x0)
-        assert theta_action(M, spec, ("fin", "E12"), {("w", 0): F(1)}) == {}
+        assert theta_action(M, spec, ("fin", "E12"), ("w", 0)) == {}
 
 
 def test_find_twist_parameter_irrational():
@@ -844,11 +771,11 @@ def test_loop_iso_reuses_the_dense_factor_table(monkeypatch):
     solve = locfun._f_inverse
 
     def counting_solve(M, f_elt, vec, cache):
-        before = sum(not isinstance(k, str) for k in cache)
+        before = len(cache)
         try:
             return solve(M, f_elt, vec, cache)
         finally:
-            added.append(sum(not isinstance(k, str) for k in cache) - before)
+            added.append(len(cache) - before)
 
     monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
     first = loop_loc_iso(data, 1, v)
@@ -895,6 +822,22 @@ def test_induction_commutes_half():
     assert induction_commutes_probe(P, S, F(1, 2), 3) is True
 
 
+@pytest.mark.parametrize("scale", [F(2), F(-1)])
+def test_induction_probe_sees_a_wrong_theta_row(scale, monkeypatch):
+    # a negative control: with every Theta row scaled (the Levi twist's and
+    # the probe's own series alike) the two sides no longer agree, so the
+    # probe that passes above must fail
+    theta = locfun.theta_action
+
+    def scaled_theta(*args):
+        return {lab: scale * c for lab, c in theta(*args).items()}
+
+    monkeypatch.setattr(locfun, "theta_action", scaled_theta)
+    P, S = _probe_setup()
+    assert induction_commutes_probe(P, S, F(1), 3) is False
+    assert induction_commutes_probe(P, S, F(1, 2), 3) is False
+
+
 def test_induction_probe_needs_depth():
     P, S = _probe_setup(-1, 1)
     with pytest.raises(IncompatibleData):
@@ -932,11 +875,11 @@ def test_twist_laws_powers_reuse_the_twist_table(monkeypatch):
     in_power = []
 
     def counting_inverse(M, f_elt, vec, cache):
-        before = sum(not isinstance(k, str) for k in cache)
+        before = len(cache)
         try:
             return real_inverse(M, f_elt, vec, cache)
         finally:
-            new = sum(not isinstance(k, str) for k in cache) - before
+            new = len(cache) - before
             solves["all"] += new
             if in_power:
                 solves["f_power"] += new

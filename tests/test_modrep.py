@@ -28,6 +28,7 @@ from affinekit.modrep import (
     UntabulatedGenerator,
     _acc,
     _cartan_value,
+    _induction_push,
     _loop_gens,
     _scaled,
     adjoint_rep,
@@ -62,7 +63,7 @@ JW = DegreeWindow(-4, 4)
 
 
 def fin_weight_of(M, label):
-    return M.weight(label).fin
+    return M.weight_of[label].fin
 
 
 # ------------------------------------------------------------ dense sl2
@@ -137,7 +138,7 @@ def test_dense_injectivity_window():
 
 def test_finite_dim_sl2():
     M = finite_dim_sl2(2)
-    assert len(M.labels()) == 3
+    assert len(M.weight_of) == 3
     assert sorted(w.fin[0] for w in M.weights) == [-2, 0, 2]
     assert M.boundary == set()
     with pytest.raises(ValueError):
@@ -145,9 +146,9 @@ def test_finite_dim_sl2():
 
 
 def test_natural_and_adjoint():
-    assert len(natural_rep(A2).labels()) == 3
-    assert len(adjoint_rep(A2).labels()) == 8
-    assert len(natural_rep(build_simple("C2")).labels()) == 4
+    assert len(natural_rep(A2).weight_of) == 3
+    assert len(adjoint_rep(A2).weight_of) == 8
+    assert len(natural_rep(build_simple("C2")).weight_of) == 4
 
 
 def _tensor(M1, M2):
@@ -158,10 +159,10 @@ def _tensor(M1, M2):
 def test_tensor_dims():
     M1, M2 = finite_dim_sl2(1), finite_dim_sl2(2)
     M = _tensor(M1, M2)
-    assert len(M.labels()) == 6
+    assert len(M.weight_of) == 6
     # X t^0 acts by the Leibniz rule X v1 x v2 + v1 x X v2
     for name in A1.basis:
-        for lab in M.labels():
+        for lab in M.weight_of:
             (l1, l2), s = lab
             want = {((t1, l2), s): c for t1, c in M1.action[(("fin", name), l1)].items()}
             for t2, c in M2.action[(("fin", name), l2)].items():
@@ -211,7 +212,7 @@ def _loop_small():
 
 def test_loop_d_and_k_action():
     M = _loop_small()
-    lab = next(l for l in M.labels() if l[1] == 3)
+    lab = next(l for l in M.weight_of if l[1] == 3)
     assert M.apply_gen("D", {lab: F(1)}) == {lab: F(3)}
     assert M.apply_gen("K", {lab: F(1)}) == {}
     assert check_level(M) == []
@@ -424,7 +425,7 @@ def test_imverma_weight_of_monomial():
     lam = F(5, 2)
     M = imaginary_verma(lam, depth=3, length_cap=3)
     lab = ("m", 0, ((-1, 2), (2, 1)))  # f_{-1}^2 f_2 . v
-    w = M.weight(lab)
+    w = M.weight_of[lab]
     assert w.fin == (lam - 6,)
     assert w.d == 0
 
@@ -543,10 +544,10 @@ def _levi_N():
 def test_levi_dense_module_consistency():
     N = _levi_N()
     # H1 reads off b+2j, H2 drops by 1 per e-step up.
-    labs = sorted(N.labels())
+    labs = sorted(N.weight_of)
     for lab in labs:
         j = lab[1]
-        assert N.weight(lab).fin == (F(1, 2) + 2 * j, F(4) - j)
+        assert N.weight_of[lab].fin == (F(1, 2) + 2 * j, F(4) - j)
     assert check_bracket_compat(N) == []
     assert check_weight_additivity(N) == []
 
@@ -592,8 +593,8 @@ def test_induced_layers_and_top():
     N = _levi_N()
     M = induced_truncated(P, N, depth=2)
     # depth-0 layer is N
-    layer0 = [l for l in M.labels() if l[0] == ()]
-    assert len(layer0) == len(N.labels())
+    layer0 = [l for l in M.weight_of if l[0] == ()]
+    assert len(layer0) == len(N.weight_of)
     # positive radical generators kill the top layer
     # radical keys: k in P with -k outside P
     rad = [
@@ -614,14 +615,14 @@ def test_induced_layer_dims_match_pbw():
     P = _standard_P()
     N = _levi_N()
     M = induced_truncated(P, N, depth=2)
-    letters = M.provenance["letters"]
+    letters = _induction_push(P, 2, max(abs(P.window.nmin), abs(P.window.nmax))).letters
     for r in (0, 1, 2):
         # independent count: monomials of length r over the letters, times N
         expect = 0
         for _ in itertools.combinations_with_replacement(letters, r):
             expect += 1
-        got = len([l for l in M.labels() if len(l[0]) == r])
-        assert got == expect * len(N.labels())
+        got = len([l for l in M.weight_of if len(l[0]) == r])
+        assert got == expect * len(N.weight_of)
 
 
 def test_induced_bracket_compat():
@@ -813,10 +814,7 @@ def _induced_per_label(P, N, depth, gen_window=None):
             action[(gk, lab)] = dict(vec)
             if taint:
                 boundary.add(lab)
-    return GradedModule(
-        A, P.window, weight_of, action, boundary, N.k_value, gens,
-        provenance={"letters": letters},
-    )
+    return GradedModule(A, P.window, weight_of, action, boundary, N.k_value, gens)
 
 
 _PUSH_FLAGS = {"A2": (A2aff, (1, 2, 5)), "C2": (build_affine(build_simple("C2")), (1, F(1, 2), -2))}
@@ -926,8 +924,6 @@ def test_induced_guard_masks_only_where_its_terms_are_nonzero():
     # no table built from a real flag has shown a guard yet, so one is
     # planted: the first row on the empty monomial loses a term wherever the
     # e row of N is nonzero, which with c = 0 excludes the interior j = 0
-    from affinekit.modrep import _induction_push
-
     P = _standard_P()
     N = levi_dense_module(
         P, DenseSL2Params(F(1, 2), F(0)), DegreeWindow(-2, 2), base_fin=(F(1, 2), F(4))

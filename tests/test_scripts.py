@@ -110,3 +110,27 @@ def test_benchmark_names_resolve_in_affinekit():
     assert {f"modrep.{b}" for b in tracer.MODULE_CONSTRUCTORS} <= metrics
     for w in workloads.WORKLOADS.values():
         assert set(w.must_reach) <= metrics, (w.name, set(w.must_reach) - metrics)
+
+
+def test_tracer_counts_the_band_solves_of_a_twist():
+    # The benchmark counts band solves by the length of the cache _f_inverse
+    # fills, so a store layout it would miscount fails here, not only in the
+    # slow perfbench suite.
+    from fractions import Fraction
+
+    from affinekit import locfun
+    from affinekit.affine import DegreeWindow
+    from affinekit.modrep import DenseSL2Params, dense_sl2
+
+    M = dense_sl2(DenseSL2Params(Fraction(1, 2), Fraction(3)), DegreeWindow(-6, 6))
+    spec = locfun.make_twist_spec(M, (Fraction(2),), Fraction(1, 2))
+    tracer = _perfbench_source("tracer").Tracer()
+    tracer.install()
+    try:
+        with tracer.root("bench.item"):
+            locfun.twist_module(M, spec)
+    finally:
+        tracer.uninstall()
+    counters = tracer.counters
+    assert counters.band_solves == len(M.twist_tables[spec.alpha][0].bands) > 0
+    assert counters.theta_calls > 0
