@@ -1,40 +1,17 @@
 #!/usr/bin/env python3
 """Scan twist values against the closed-form lowering products.
 
-For each rational x on a grid the script builds the localized module for
-a chosen highest weight, twists it by -x, walks the degree-zero raising
-generator k times from the vacuum, and compares the single surviving
-coefficient with the closed-form product.  Zeros of the product show up
-as the walk dying; x values passing the admissibility predicate keep
-every product in the scan nonzero.
+For each rational x on a grid the script walks the degree-zero raising
+generator k times from the vacuum of the localized module twisted by -x
+(efloc_walk), and compares each step with the closed-form product.  Zeros
+of the product show up as the walk dying; x values passing the
+admissibility predicate keep every product in the scan nonzero.
 """
 
 import argparse
 from fractions import Fraction
 
-from affinekit.affine import AffRoot
-from affinekit.locfun import (
-    efloc_admissible,
-    efloc_product,
-    localize,
-    make_twist_spec,
-    twist_module,
-)
-from affinekit.modrep import imaginary_verma
-
-ALPHA = AffRoot("real", (Fraction(2),), 0)
-
-
-def walk(lam, x, kmax, n0_ext):
-    M = imaginary_verma(lam, depth=2, length_cap=2, gen_window=1)
-    L = localize(M, ALPHA, n0_ext=n0_ext)
-    T = twist_module(L, make_twist_spec(L, ALPHA, -x))
-    vec = {("m", 0, ()): Fraction(1)}
-    out = []
-    for k in range(1, kmax + 1):
-        vec = T.apply_gen(("t", "E12", 0), vec)
-        out.append(vec.get(("m", -k, ()), Fraction(0)))
-    return out
+from affinekit.locfun import efloc_admissible, efloc_product, efloc_walk
 
 
 def main():
@@ -51,7 +28,7 @@ def main():
     print(header)
     for num in range(-args.span * args.den, args.span * args.den + 1):
         x = Fraction(num, args.den)
-        got = walk(lam, x, kmax, n0_ext=2 * kmax + 4)
+        got = efloc_walk(lam, x, kmax)
         want = [efloc_product(lam, x, k) for k in range(1, kmax + 1)]
         if got != want:
             raise SystemExit(f"walk disagrees with closed form at x={x}: {got} vs {want}")

@@ -640,22 +640,10 @@ def find_twist_parameter(M, alpha, lam, v):
 # ------------------------------------------------- e against inverse powers
 
 
-_EF_CACHE = {}
-
-
 def efloc_quadratic(lam):
-    """p(x) with e_0 (f_0^x vac) = p(x) f_0^{x-1} vac on the vacuum module."""
-    lam = Fraction(lam)
-    if lam not in _EF_CACHE:
-        L = imverma_localized(
-            lam, depth=1, length_cap=1, mode_cap=1, gen_window=1, n0_ext=3
-        )
-        roots = find_twist_parameter(
-            L, AffRoot("real", (Fraction(2),), 0),
-            AffWeight((lam,), _Z, _Z), ("m", 0, ()),
-        )
-        _EF_CACHE[lam] = roots.quadratic
-    return _EF_CACHE[lam]
+    """p(x) = x(lam + 1 - x), with e_0 (f_0^x vac) = p(x) f_0^{x-1} vac on the
+    vacuum module: the sl2 string e f^n v = n(lam + 1 - n) f^{n-1} v."""
+    return Poly([_Z, Fraction(lam) + 1, -_ONE])
 
 
 def efloc_product(lam, x, k):
@@ -669,13 +657,28 @@ def efloc_product(lam, x, k):
 
 
 def efloc_admissible(lam, x):
-    """True when no factor of any efloc_product(lam, x, k) vanishes."""
-    q = efloc_quadratic(lam)
-    if q.is_zero():
-        return False
-    roots, _ = _poly_roots(q)
+    """True when x avoids the cosets 0 + Z and lam + 1 + Z of the roots of p.
+
+    These are exactly the x for which no efloc_product(lam, x + l, k)
+    vanishes, for any integer shift l and any k >= 0.
+    """
     x = Fraction(x)
-    return all((x - r).denominator != 1 for r in roots)
+    return x.denominator != 1 and (x - Fraction(lam)).denominator != 1
+
+
+def efloc_walk(lam, x, k):
+    """Coefficients of e_0^j (f_0^x vac) for j = 1..k on the twisted localized
+    vacuum module; None for a step that leaves the line ("m", -j, ())."""
+    M = imaginary_verma(lam, depth=2, length_cap=2, gen_window=1)
+    L = localize(M, _ZERO_MODE, n0_ext=2 * k)
+    T = twist_module(L, make_twist_spec(L, _ZERO_MODE, -Fraction(x)))
+    vec = {("m", 0, ()): _ONE}
+    out = []
+    for j in range(1, k + 1):
+        vec = T.apply_gen(("t", "E12", 0), vec)
+        lab = ("m", -j, ())
+        out.append(vec.get(lab, _Z) if vec.keys() <= {lab} else None)
+    return out
 
 
 # ------------------------------------------------ loop modules, inverted

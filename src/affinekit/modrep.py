@@ -654,16 +654,14 @@ def imaginary_verma(
     bumped = {}  # (mon, k, delta) -> bump(mon, k, delta), for this call only
 
     def bump(mon, k, delta):
-        """mon with the multiplicity of mode k changed by delta, or None."""
+        """mon with the multiplicity of mode k changed by delta; callers only
+        lower a mode that mon holds."""
         key = (mon, k, delta)
         if key in bumped:
             return bumped[key]
         d = dict(mon)
         d[k] = d.get(k, 0) + delta
-        if d[k] < 0:
-            res = None
-        else:
-            res = tuple(sorted((m, n) for m, n in d.items() if n))
+        res = tuple(sorted((m, n) for m, n in d.items() if n))
         bumped[key] = res
         return res
 
@@ -684,8 +682,6 @@ def imaginary_verma(
         drops = []
 
         def put(vec, np, nm, coeff):
-            if nm is None:
-                return
             tg = ("m", np, nm)
             if tg in weight_of:
                 old = vec.get(tg)
@@ -703,8 +699,6 @@ def imaginary_verma(
 
         def put_mode(vec, np, base, k, coeff):
             # insert a factor f t^k, folding mode zero into the n0 exponent
-            if base is None:
-                return
             if k == 0:
                 put(vec, np + 1, base, coeff)
             else:

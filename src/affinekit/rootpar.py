@@ -382,9 +382,8 @@ def classification_certificate(P):
     return cert
 
 
-def verify_classification(P, cert=None):
-    if cert is None:
-        cert = classification_certificate(P)
+def verify_classification(P):
+    cert = classification_certificate(P)
     zero = tuple([Fraction(0)] * P.algebra.fin_rank)
     tag = cert["tag"]
     if tag in ("standard", "imaginary"):

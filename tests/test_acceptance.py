@@ -12,7 +12,6 @@ from affinekit.exact import det, multinom_convolution_check
 from affinekit.finlie import LieElt, build_simple, sigma_aut
 from affinekit.affine import (
     AffElt,
-    AffRoot,
     AffWeight,
     DegreeWindow,
     aff_bracket,
@@ -37,7 +36,6 @@ from affinekit.modrep import (
     boundedness_probe,
     dense_sl2,
     finite_dim_sl2,
-    imaginary_verma,
     levi_dense_module,
     loop_module,
     prop42_matrix,
@@ -45,20 +43,17 @@ from affinekit.modrep import (
 from affinekit.locfun import (
     efloc_admissible,
     efloc_product,
+    efloc_walk,
     induction_commutes_probe,
-    localize,
     loop_loc_iso,
     loop_loc_iso_inv,
     loop_pair_act,
     make_loop_data,
-    make_twist_spec,
     twist_laws,
-    twist_module,
 )
 
 _Z = F(0)
 _ONE = F(1)
-ALPHA = AffRoot("real", (F(2),), 0)
 
 
 def _line(name, failures):
@@ -400,15 +395,9 @@ def test_lowering_product_law():
     for i in range(20):
         lam = F(rng.randint(-6, 6), rng.choice((1, 2)))
         x = F(rng.randint(-9, 9), rng.choice((1, 2)))
-        M = imaginary_verma(lam, depth=2, length_cap=2, gen_window=1)
-        L = localize(M, ALPHA, n0_ext=12)
-        T = twist_module(L, make_twist_spec(L, ALPHA, -x))
-        vec = {("m", 0, ()): _ONE}
-        for k in range(1, 7):
-            vec = T.apply_gen(("t", "E12", 0), vec)
-            prod = efloc_product(lam, x, k)
-            want = {("m", -k, ()): prod} if prod else {}
-            if vec != want:
+        walk = efloc_walk(lam, x, 6)
+        for k, got in enumerate(walk, 1):
+            if got != efloc_product(lam, x, k):
                 bad.append((i, lam, x, k))
                 break
         # pick an admissible twist for the same lam and check the product

@@ -72,6 +72,23 @@ def test_prop42_example_case_split(tmp_path):
             assert F(cell) == want, (k, l)
 
 
+def test_prop42_case_split_catches_a_wrong_entry(tmp_path, monkeypatch):
+    from affinekit import cli
+
+    real = cli.prop42_matrix
+
+    def tampered(n, lam):
+        mat = [list(row) for row in real(n, lam)]
+        mat[0][0] += 1
+        return mat
+
+    monkeypatch.setattr(cli, "prop42_matrix", tampered)
+    code, text = run_cli(tmp_path, "prop42", "--n", "5", "--format", "json")
+    assert code == 2
+    recs = {r["name"]: r for r in load(text)["records"]}
+    assert (recs["case_split"]["status"], recs["case_split"]["actual"]) == ("fail", 1)
+
+
 def test_prop42_json_records(tmp_path):
     code, text = run_cli(tmp_path, "prop42", "--n", "5", "--format", "json")
     assert code == 0
@@ -138,6 +155,18 @@ def test_identities_efloc(tmp_path):
     assert code == 0
     recs = {r["name"]: r for r in load(text)["records"]}
     assert recs["lowering_product_walk"]["status"] == "pass"
+
+
+def test_identities_efloc_catches_a_wrong_product(tmp_path, monkeypatch):
+    from affinekit import cli
+
+    real = cli.efloc_product
+    monkeypatch.setattr(cli, "efloc_product", lambda lam, x, k: real(lam, x + 1, k))
+    code, text = run_cli(tmp_path, "identities", "--suite", "efloc",
+                         "--samples", "4", "--seed", "2")
+    assert code == 2
+    recs = {r["name"]: r for r in load(text)["records"]}
+    assert recs["lowering_product_walk"]["status"] == "fail"
 
 
 # ------------------------------------------------------------ exit codes

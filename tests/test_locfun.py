@@ -47,6 +47,7 @@ from affinekit.locfun import (
     efloc_admissible,
     efloc_product,
     efloc_quadratic,
+    efloc_walk,
     f_power,
     find_twist_parameter,
     induction_commutes_probe,
@@ -70,8 +71,8 @@ def _dense(b, c, lo=-6, hi=6):
     return dense_sl2(DenseSL2Params(F(b), F(c)), DegreeWindow(lo, hi))
 
 
-def _vac_loc(n0_ext=3, depth=2):
-    M = imaginary_verma(F(3), depth=depth, length_cap=2, gen_window=1)
+def _vac_loc(n0_ext=3, depth=2, lam=F(3)):
+    M = imaginary_verma(lam, depth=depth, length_cap=2, gen_window=1)
     return localize(M, ALPHA, n0_ext=n0_ext)
 
 
@@ -633,14 +634,19 @@ def test_find_twist_parameter_irrational():
     assert roots.quadratic.degree() == 2
 
 
-def test_find_twist_parameter_vacuum():
-    # e_0 vac = 0, so x = 0 must be a root; the other is lam + 1
-    L = _vac_loc()
-    lam = AffWeight((F(3),), _Z, _Z)
-    roots = find_twist_parameter(L, ALPHA, lam, ("m", 0, ()))
-    assert list(roots) == [F(0), F(4)]
-    assert roots.quadratic == Poly([F(0), F(4), F(-1)])
-    assert roots.discriminant == 16
+_VAC_LAMS = [F(3), F(0), F(-1), F(-2), F(1, 2), F(-7, 3), F(5)]
+
+
+@pytest.mark.parametrize("lam", _VAC_LAMS, ids=str)
+def test_find_twist_parameter_vacuum(lam):
+    # the twist code derives the vacuum's quadratic from the module; it must
+    # be the closed form x(lam + 1 - x): e_0 vac = 0 makes x = 0 a root, the
+    # other is lam + 1 (a double root at lam = -1)
+    L = _vac_loc(lam=lam)
+    roots = find_twist_parameter(L, ALPHA, AffWeight((lam,), _Z, _Z), ("m", 0, ()))
+    assert roots.quadratic == efloc_quadratic(lam)
+    assert list(roots) == sorted({F(0), lam + 1})
+    assert roots.discriminant == (lam + 1) ** 2
 
 
 # ------------------------------------------------------------ e-f products
@@ -663,20 +669,48 @@ def test_efloc_product_values():
 def test_efloc_admissible():
     assert efloc_admissible(F(3), F(5, 2)) is True
     assert efloc_admissible(F(3), F(1, 2)) is True
-    assert efloc_admissible(F(3), F(4)) is False   # 4 = (lam + 1) + 0
-    assert efloc_admissible(F(3), F(-2)) is False  # -2 = 0 - 2
+    assert efloc_admissible(F(3), F(4)) is False   # 4 in (lam + 1) + Z
+    assert efloc_admissible(F(3), F(-2)) is False  # -2 in 0 + Z
+
+
+@pytest.mark.parametrize("lam", _VAC_LAMS, ids=str)
+def test_efloc_admissible_is_nonvanishing_along_shifts(lam):
+    # admissible x: no product vanishes for any shift x + l; inadmissible x:
+    # some shift and length in the same range hit a root of p
+    for den in (1, 2, 3):
+        for num in range(-3 * den, 3 * den + 1):
+            x = F(num, den)
+            zero = any(
+                efloc_product(lam, x + l, k) == 0
+                for l in range(-5, 6)
+                for k in range(1, 7)
+            )
+            assert zero is not efloc_admissible(lam, x), x
 
 
 def test_efloc_two_paths_agree():
     # walk e_0 through the twisted localized module and compare each step
     # against the closed product of quadratic values
     x = F(5, 2)
-    L = _vac_loc(n0_ext=8)
-    T = twist_module(L, make_twist_spec(L, ALPHA, -x))
-    vec = {("m", 0, ()): F(1)}
-    for k in range(1, 5):
-        vec = T.apply_gen(("t", "E12", 0), vec)
-        assert vec == {("m", -k, ()): efloc_product(F(3), x, k)}
+    assert efloc_walk(F(3), x, 4) == [efloc_product(F(3), x, k) for k in range(1, 5)]
+
+
+def test_efloc_walk_reports_a_step_off_the_line(monkeypatch):
+    # a twisted module whose e_0 row leaves the line ("m", -j, ()) gives None
+    # at that step, not the coefficient it happens to carry there
+    real = locfun.twist_module
+
+    def noisy(L, spec):
+        T = real(L, spec)
+        key = (("t", "E12", 0), ("m", -1, ()))
+        stray = ("m", -1, ((1, 1),))
+        return dataclasses.replace(T, action={**T.action, key: {**T.action[key], stray: F(1)}})
+
+    monkeypatch.setattr(locfun, "twist_module", noisy)
+    x = F(5, 2)
+    got = efloc_walk(F(3), x, 2)
+    assert got[0] == efloc_product(F(3), x, 1)
+    assert got[1] is None
 
 
 # --------------------------------------------------- loop module inversion

@@ -20,6 +20,7 @@ from affinekit.affine import (
 )
 from affinekit.rootpar import assemble_parabolic, make_flag
 from affinekit.modrep import (
+    _MAX_REPORT,
     _ONE,
     _Z,
     DenseSL2Params,
@@ -254,6 +255,35 @@ def test_weight_additivity_catches_a_bad_row(make, gen, lab, wrong):
     action[(gen, lab)] = {wrong: F(1)}
     bad = dataclasses.replace(M, action=action)
     assert check_weight_additivity(bad) == [(gen, lab, wrong)]
+
+
+def test_check_level_catches_a_wrong_central_row():
+    M = _loop_small()
+    lab = next(iter(M.weight_of))
+    bad = dataclasses.replace(M, action={**M.action, ("K", lab): {lab: F(1)}})
+    assert check_level(bad) == [lab]
+    # a module over a finite-dimensional algebra has no central row to check
+    assert check_level(finite_dim_sl2(2)) == []
+
+
+def test_checkers_stop_at_the_report_cap():
+    # K reads the degree on every label: a level fault wherever the degree is
+    # nonzero, and a bracket fault, K f t - f t K = f t against [K, f t] = 0,
+    # wherever f t acts; D rows aimed at one fixed label break additivity on
+    # every label of another weight
+    M = _loop_small()
+    top = next(iter(M.weight_of))
+    k_rows = {("K", lab): dict(M.action[("D", lab)]) for lab in M.weight_of}
+    d_rows = {("D", lab): {top: F(1)} for lab in M.weight_of}
+    off_weight = [lab for lab in M.weight_of if M.weight_of[lab] != M.weight_of[top]]
+    assert len(off_weight) > _MAX_REPORT
+    graded = [lab for lab in M.weight_of if M.weight_of[lab].d]
+    assert len(graded) > _MAX_REPORT
+    K_bad = dataclasses.replace(M, action={**M.action, **k_rows})
+    D_bad = dataclasses.replace(M, action={**M.action, **d_rows})
+    assert check_level(K_bad) == graded[:_MAX_REPORT]
+    assert len(check_bracket_compat(K_bad)) == _MAX_REPORT
+    assert check_weight_additivity(D_bad) == [("D", lab, top) for lab in off_weight][:_MAX_REPORT]
 
 
 def test_loop_rejects_zero_scalar():

@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("parabolic_survey.py", ["--samples", "10", "--radius", "2"]),
         ("root_census.py", ["--radius", "2"]),
         ("twist_scan.py", ["--kmax", "2", "--span", "1"]),
+        ("twist_scan.py", ["--lam", "1/2", "--kmax", "2", "--span", "1"]),
     ],
 )
 def test_script_runs(script, args):
