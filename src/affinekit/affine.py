@@ -151,7 +151,6 @@ class AffineAlgebra:
         self.s = 1 if twist is None else twist.order
         if self.s not in (1, 2):
             raise ValueError("only twists of order 1 or 2 are supported")
-        self.zeta = 1 if self.s == 1 else -1
         self._consts = {}
         self._brackets = {}
         self._build_classes()

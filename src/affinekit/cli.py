@@ -46,6 +46,7 @@ from .locfun import (
 from .modrep import (
     DenseSL2Params,
     IncompatibleData,
+    NothingCompared,
     UntabulatedGenerator,
     adjoint_rep,
     boundedness_probe,
@@ -874,7 +875,7 @@ def run(cfg):
         raise UsageError(f"{cfg.command} has no tabular payload; use --format json")
     try:
         records, tables = command.handler(cfg)
-    except (BandError, IncompatibleData, UntabulatedGenerator) as exc:
+    except (BandError, IncompatibleData, NothingCompared, UntabulatedGenerator) as exc:
         raise UsageError(f"{cfg.command}: {exc} (parameters: {_echo(cfg)})")
     _write_report(cfg, records, tables)
     return 2 if any(r["status"] == "fail" for r in records) else 0

@@ -27,6 +27,7 @@ from .affine import AffElt, AffRoot, AffWeight, sl2_triple
 from .modrep import (
     GradedModule,
     IncompatibleData,
+    NothingCompared,
     UntabulatedGenerator,
     _acc,
     _band_matrix,
@@ -423,7 +424,8 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
         at labs against f^m u f^{-m}, computed with honest powers;
       inverse_power_law: f^p f^q against f^{p+q} at labs;
       twist_respects_brackets: bracket compatibility of the twist by x,
-        one pair for the whole module.
+        one pair for the whole module, none if the check had no clean
+        label pair to compare.
     A pair whose route meets a masked label or a failed band solve is not
     compared.  Any other error propagates.
     """
@@ -473,30 +475,31 @@ def twist_laws(M, alpha, x, y, m, p, q, labs):
         power[0] += 1
         power[1] += two != one
 
-    brackets = (1, int(check_bracket_compat(Tx) != []))
+    try:
+        brackets = (1, int(check_bracket_compat(Tx) != []))
+    except NothingCompared:
+        brackets = (0, 0)
     return dict(zip(TWIST_LAWS, (tuple(comp), tuple(conj), tuple(power), brackets)))
 
 
 # ------------------------------------------------------------ localization
 
 
-def localize(M, alpha, n0_ext=None):
-    """Invert f_alpha on M.
+def _weight_text(w):
+    return "(" + ", ".join(map(str, w.fin)) + f"; d={w.d}, k={w.k})"
 
-    Bandwise bijective f_alpha means M is its own localization, and a
-    vacuum module already built with negative zero-mode powers is returned
-    as it is.  Any other vacuum module (provenance "imaginary_verma") is
-    rebuilt with the zero-mode letter running over negative powers, down to
-    -n0_ext.  Non-injective f_alpha or a module without a rebuild recipe is
-    an error.  M itself is never modified.
+
+def localize(M, alpha):
+    """Invert f_alpha on M: M is returned when f_alpha is bandwise bijective.
+
+    Every unmasked source band must map injectively, and every target band
+    with an unmasked label must have a preimage band of its own size.
+    Otherwise IncompatibleData names the band's weight and why: f_alpha
+    kills the band, has a kernel on it, the band has no preimage band, or
+    the pair is not square.  M itself is never modified.
     """
     spec = make_twist_spec(M, alpha, _Z)
-    recipe = (M.provenance or {}).get("imaginary_verma")
-    if recipe is not None and recipe["n0_ext"] and spec.alpha == _ZERO_MODE:
-        return M
     disp = _elt_disp(M, spec.f_elt)
-    injective = True
-    bijective = True
     for w_src, src in M.weights.items():
         if any(l in M.boundary for l in src):
             continue
@@ -504,49 +507,37 @@ def localize(M, alpha, n0_ext=None):
         if not tgt:
             if any(M.apply_elt(spec.f_elt, {s: _ONE}) for s in src):
                 raise IncompatibleData("action escaped its weight band")
-            injective = False
-            continue
+            raise IncompatibleData(f"f_alpha kills the band at weight {_weight_text(w_src)}")
         if kernel(_band_matrix(M, spec.f_elt, src, tgt)):
-            injective = False
-    if not injective:
-        raise IncompatibleData("f_alpha is not injective on the stored window")
+            raise IncompatibleData(
+                f"f_alpha has a kernel on the band at weight {_weight_text(w_src)}"
+            )
     for w, tgt in M.weights.items():
         if all(l in M.boundary for l in tgt):
             continue
         src = M.weights.get(_wshift(w, disp, -1))
         if not src:
-            bijective = False
-            continue
+            raise IncompatibleData(f"the band at weight {_weight_text(w)} has no preimage band")
         if any(l in M.boundary for l in src):
             continue
         # the injectivity pass found this pair's kernel trivial: square means invertible
         if len(src) != len(tgt):
-            bijective = False
-    if bijective:
-        return M
-    if recipe is None:
-        raise IncompatibleData("no localisation rule for this module family")
-    if spec.alpha != _ZERO_MODE:
-        raise IncompatibleData(
-            "localisation of the vacuum module needs the zero-mode real root"
-        )
-    if n0_ext is None:
-        n0_ext = recipe["length_cap"] + 1
-    return imverma_localized(**dict(recipe, n0_ext=n0_ext))
+            raise IncompatibleData(
+                f"the band at weight {_weight_text(w)} is not square: {len(src)} source "
+                f"labels, {len(tgt)} target labels"
+            )
+    return M
 
 
-def imverma_localized(
-    lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=2, algebra=None
-):
+def imverma_localized(lam, depth, length_cap, gen_window=2, n0_ext=2):
     """Vacuum module with the zero-mode lowering letter raised to any power.
 
     This is imaginary_verma with the zero-mode exponent n0 running down to
-    -n0_ext; see there for the basis ("m", n0, mon) and the caps.
+    -n0_ext; see there for the basis ("m", n0, mon) and the caps.  The
+    result has passed localize's bijectivity check along the zero-mode root.
     """
-    return imaginary_verma(
-        lam, depth, length_cap, mode_cap=mode_cap, gen_window=gen_window,
-        algebra=algebra, n0_ext=n0_ext,
-    )
+    L = imaginary_verma(lam, depth, length_cap, gen_window=gen_window, n0_ext=n0_ext)
+    return localize(L, _ZERO_MODE)
 
 
 # -------------------------------------------------------- twist parameters
@@ -669,8 +660,9 @@ def efloc_admissible(lam, x):
 def efloc_walk(lam, x, k):
     """Coefficients of e_0^j (f_0^x vac) for j = 1..k on the twisted localized
     vacuum module; None for a step that leaves the line ("m", -j, ())."""
-    M = imaginary_verma(lam, depth=2, length_cap=2, gen_window=1)
-    L = localize(M, _ZERO_MODE, n0_ext=2 * k)
+    if not k:
+        return []
+    L = imverma_localized(lam, 2, 2, gen_window=1, n0_ext=2 * k)
     T = twist_module(L, make_twist_spec(L, _ZERO_MODE, -Fraction(x)))
     vec = {("m", 0, ()): _ONE}
     out = []

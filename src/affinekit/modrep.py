@@ -53,6 +53,10 @@ class UntabulatedGenerator(ValueError):
     """A generator was applied at a label where no action row is stored."""
 
 
+class NothingCompared(ValueError):
+    """A law check found no unmasked data to compare, so it cannot pass."""
+
+
 # ----------------------------------------------------------- sparse vectors
 
 
@@ -97,9 +101,6 @@ class GradedModule:
     ("t", label, m), "D", "K" for kind "aff".  action maps (gen, label) to a
     sparse vector over labels.  boundary is the truncation mask: the set of
     labels whose tabulated action lost at least one term to the window.
-    provenance holds what a later step reads back about the construction:
-    {"imaginary_verma": its arguments} on a vacuum module, so localize can
-    rebuild it; None otherwise.
     """
 
     algebra: object
@@ -109,7 +110,6 @@ class GradedModule:
     boundary: set
     k_value: Fraction
     gens: list
-    provenance: dict | None = None
 
     @cached_property
     def kind(self):
@@ -214,18 +214,22 @@ def check_bracket_compat(M):
 
     Affine generator pairs whose bracket involves an untabulated generator
     are skipped; everything else is compared exactly.  Returns a list of
-    violations, empty when the identity holds.
+    violations, empty when the identity holds.  Raises NothingCompared when
+    no generator pair has a clean label in common.
     """
     gens = M.gens
     clean = {g: _clean_labels(M, g) for g in gens}
     tgens = {g[1:] for g in gens if isinstance(g, tuple) and g[0] == "t"}
     bad = []
+    compared = False
     for i, X in enumerate(gens):
         for Y in gens[i + 1 :]:
             br = M.bracket(M.gen_elt(X), M.gen_elt(Y))
             if M.kind == "aff" and any(key not in tgens for key in br.c):
                 continue
-            for lab in clean[X] & clean[Y]:
+            labs = clean[X] & clean[Y]
+            compared = compared or bool(labs)
+            for lab in labs:
                 lhs = M.apply_elt(br, {lab: _ONE})
                 rhs = _acc(
                     M.apply_gen(X, M.action[(Y, lab)]),
@@ -236,6 +240,11 @@ def check_bracket_compat(M):
                     bad.append((X, Y, lab))
                     if len(bad) >= _MAX_REPORT:
                         return bad
+    if not compared:
+        raise NothingCompared(
+            f"no generator pair has a clean label to compare "
+            f"({len(M.weight_of)} labels, {len(M.boundary)} masked)"
+        )
     return bad
 
 
@@ -753,13 +762,8 @@ def imaginary_verma(
             boundary.add(lab)
 
     gens = _loop_gens(A, gen_window)
-    recipe = dict(
-        lam=lam, depth=depth, length_cap=length_cap, mode_cap=mode_cap,
-        gen_window=gen_window, algebra=A, n0_ext=n0_ext,
-    )
     return GradedModule(
-        A, DegreeWindow(-depth, depth), weight_of, action, boundary, _Z, gens,
-        provenance={"imaginary_verma": recipe},
+        A, DegreeWindow(-depth, depth), weight_of, action, boundary, _Z, gens
     )
 
 
@@ -1133,14 +1137,10 @@ def shadow_detect(M, fin, n):
     supp = M.weights
     interior, edge = None, None
     for w0 in M.support_sorted():
-        k = 1
-        w = w0 + disp
+        k, prev, w = 1, w0, w0 + disp
         while w in supp and k <= len(supp) + 1:
             k += 1
-            w = w + disp
-        prev = w0
-        for _ in range(k - 1):
-            prev = prev + disp
+            prev, w = w, w + disp
         labs = supp[prev]
         if all(l in M.boundary for l in labs):
             if edge is None:

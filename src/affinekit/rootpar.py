@@ -368,7 +368,6 @@ def classification_certificate(P):
     if tag in ("standard", "imaginary"):
         psi = principal_witness(P)
         cert["psi"] = psi
-        cert["psi_delta"] = psi[-1]
     if tag == "mixed":
         cert["real_line"] = next(
             (

@@ -191,6 +191,14 @@ def test_malformed_values_are_input_errors(tmp_path):
         assert main(["shadow", f"--fin={fin}", "--out", str(tmp_path / "s")]) == 1
 
 
+def test_a_bracket_check_that_compares_nothing_is_an_input_error(tmp_path, capsys):
+    # imverma-mult at depth 1 masks every label: no pass on nothing
+    out = tmp_path / "x"
+    assert main(["imverma-mult", "--lambda=3", "--depth=1", "--out", str(out)]) == 1
+    assert "(4 labels, 4 masked)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

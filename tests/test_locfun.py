@@ -50,6 +50,7 @@ from affinekit.locfun import (
     efloc_walk,
     f_power,
     find_twist_parameter,
+    imverma_localized,
     induction_commutes_probe,
     localize,
     loop_loc_iso,
@@ -72,8 +73,7 @@ def _dense(b, c, lo=-6, hi=6):
 
 
 def _vac_loc(n0_ext=3, depth=2, lam=F(3)):
-    M = imaginary_verma(lam, depth=depth, length_cap=2, gen_window=1)
-    return localize(M, ALPHA, n0_ext=n0_ext)
+    return imverma_localized(lam, depth, 2, gen_window=1, n0_ext=n0_ext)
 
 
 # ------------------------------------------------------------ twist specs
@@ -553,8 +553,7 @@ def test_localize_imverma_basis_oracle():
     # basis (n0, mon): mon over nonzero modes |k| <= 2, sum of powers <= 2,
     # |degree| <= 2, n0 >= -3, n0 + length <= 2; weights read lam - 2(n0 + L)
     M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1)
-    L = localize(M, ALPHA, n0_ext=3)
-    assert L is not M
+    L = _vac_loc()
     assert L.window.nmin == -2 and L.window.nmax == 2
 
     mons = [()]
@@ -588,8 +587,20 @@ def test_localize_imverma_basis_oracle():
 
 
 def test_localize_idempotent():
-    L = _vac_loc()
-    assert localize(L, ALPHA, n0_ext=3) is L
+    # imverma_localized hands out only modules the bijectivity check accepts
+    for n0_ext in (2, 3, 6):
+        L = _vac_loc(n0_ext)
+        assert localize(L, ALPHA) is L
+
+
+def test_localize_refuses_a_short_extent():
+    # at n0_ext = 1 a band with one preimage label still has three labels
+    reason = r"band at weight \(1; d=0, k=0\) is not square: 1 source labels, 3 target"
+    M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1, n0_ext=1)
+    with pytest.raises(IncompatibleData, match=reason):
+        localize(M, ALPHA)
+    with pytest.raises(IncompatibleData, match=reason):
+        _vac_loc(1)
 
 
 def test_localized_commutation_line():
@@ -602,10 +613,11 @@ def test_localized_commutation_line():
 
 
 def test_localize_needs_a_rule():
-    # non-bijective lowering with no rebuild recipe must fail loudly
+    # non-bijective lowering is an error, never a rebuilt module: the
+    # vacuum's band has no preimage band without negative zero-mode powers
     M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1)
-    with pytest.raises(IncompatibleData):
-        localize(dataclasses.replace(M, provenance=None), ALPHA)
+    with pytest.raises(IncompatibleData, match=r"band at weight \(3; d=0, k=0\) has no preimage"):
+        localize(M, ALPHA)
 
 
 # ------------------------------------------------------- twist parameters
@@ -693,6 +705,24 @@ def test_efloc_two_paths_agree():
     # against the closed product of quadratic values
     x = F(5, 2)
     assert efloc_walk(F(3), x, 4) == [efloc_product(F(3), x, k) for k in range(1, 5)]
+
+
+def test_efloc_walk_builds_the_vacuum_once(monkeypatch):
+    calls = []
+    real = locfun.imaginary_verma
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("n0_ext"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(locfun, "imaginary_verma", counting)
+    x = F(5, 2)
+    assert efloc_walk(F(3), x, 3) == [efloc_product(F(3), x, k) for k in range(1, 4)]
+    assert calls == [6]
+
+
+def test_efloc_walk_of_length_zero_is_empty():
+    assert efloc_walk(F(3), F(5, 2), 0) == []
 
 
 def test_efloc_walk_reports_a_step_off_the_line(monkeypatch):
@@ -885,7 +915,7 @@ def test_twisted_localized_support():
     # Supp of the twisted localization sits in (Supp M + Z_{>=0} alpha) + x alpha
     x = F(1, 3)
     M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1)
-    L = localize(M, ALPHA, n0_ext=3)
+    L = _vac_loc()
     T = twist_module(L, make_twist_spec(L, ALPHA, x))
     allowed = set()
     for w in M.weights:
@@ -897,6 +927,14 @@ def test_twisted_localized_support():
 
 
 # ------------------------------------------------------------- twist laws
+
+
+def test_twist_laws_compare_no_brackets_on_an_all_masked_twist():
+    # a one-label dense line is all mask: its twist has no clean label pair
+    M = _dense(F(1, 2), F(3), 0, 0)
+    assert set(M.weight_of) == M.boundary
+    laws = locfun.twist_laws(M, (F(2),), F(1, 2), F(3, 2), 2, -2, -1, list(M.weight_of))
+    assert laws["twist_respects_brackets"] == (0, 0)
 
 
 def test_twist_laws_powers_reuse_the_twist_table(monkeypatch):

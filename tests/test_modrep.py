@@ -26,6 +26,7 @@ from affinekit.modrep import (
     DenseSL2Params,
     GradedModule,
     IncompatibleData,
+    NothingCompared,
     UntabulatedGenerator,
     _acc,
     _cartan_value,
@@ -515,6 +516,14 @@ def test_imverma_bracket_compat():
     assert check_level(M) == []
 
 
+def test_bracket_compat_refuses_to_pass_on_nothing():
+    # depth 1 masks all 4 labels, so no generator pair has a clean label
+    M = imaginary_verma(F(3), depth=1, length_cap=1)
+    assert len(M.weight_of) == len(M.boundary) == 4
+    with pytest.raises(NothingCompared, match=r"\(4 labels, 4 masked\)"):
+        check_bracket_compat(M)
+
+
 # ------------------------------------------------------------ Prop-4.2 pairing
 
 
@@ -908,7 +917,7 @@ def test_induced_push_matches_the_per_label_push(algebra, depth, gen_window, b, 
     assert got.weight_of == want.weight_of
     assert got.action == want.action
     assert got.boundary == want.boundary
-    assert got.gens == want.gens and got.provenance == want.provenance
+    assert got.gens == want.gens
 
 
 def test_induction_push_is_built_once_per_parabolic(monkeypatch):
@@ -1254,10 +1263,9 @@ def _dense_twist(x):
 
 
 def _localized_vacuum():
-    from affinekit.locfun import localize
+    from affinekit.locfun import imverma_localized
 
-    M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1)
-    return localize(M, AffRoot("real", (F(2),), 0), n0_ext=2)
+    return imverma_localized(F(3), 2, 2, gen_window=1, n0_ext=2)
 
 
 _EVERY_BUILDER = {

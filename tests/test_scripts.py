@@ -135,3 +135,29 @@ def test_tracer_counts_the_band_solves_of_a_twist():
     counters = tracer.counters
     assert counters.band_solves == len(M.twist_tables[spec.alpha][0].bands) > 0
     assert counters.theta_calls > 0
+
+
+def test_traced_cli_round_reaches_every_must_reach_name():
+    # One round of the cli workload (seed 0, one item per command) under the
+    # tracer.  A refactor that stops a command from reaching a function the
+    # workload must exercise (efloc_walk reaching localize, say) fails here,
+    # not only in perfbench/run.py --trace 1.
+    tracer_mod, workloads = _perfbench_source("tracer"), _perfbench_source("workloads")
+    wl = workloads.WORKLOADS["cli"]
+    ak = types.SimpleNamespace(
+        **{layer: importlib.import_module(f"affinekit.{layer}") for layer in tracer_mod.LAYERS}
+    )
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        state = wl.setup(ak)
+        items = wl.items(0, state)
+        for _ in wl.pattern:
+            it = next(items)
+            with tracer.root(tracer_mod.ROOT_ITEM):
+                ok = wl.run(state, it)[0]
+            assert ok, it
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary(tracer_mod.ROOT_ITEM)
+    assert [name for name in wl.must_reach if not calls.get(name, (0, 0))[0]] == []
