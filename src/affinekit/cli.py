@@ -58,6 +58,7 @@ from .modrep import (
     finite_dim_sl2,
     imaginary_verma,
     loop_module,
+    loop_support,
     natural_rep,
     prop42_matrix,
     shadow_detect,
@@ -384,9 +385,11 @@ def _loop_factors(A, factors_text, jwindow):
     return out
 
 
-def _loop_module(A, factors, scalars, window):
+def _loop(build, A, factors, scalars, window):
+    """build(A, factors, scalars, window) for loop_module or loop_support,
+    with the loop data it rejects as a UsageError."""
     try:
-        return loop_module(A, factors, scalars, window)
+        return build(A, factors, scalars, window)
     except ValueError as exc:
         raise UsageError(f"loop module: {exc}")
 
@@ -397,7 +400,7 @@ def cmd_loop_mult(cfg):
     jwindow = _window(cfg.params["jwindow"], "jwindow")
     factors = _loop_factors(A, cfg.params["factors"], jwindow)
     scalars = _frac_list(cfg.params["scalars"], "scalars")
-    M = _loop_module(A, factors, scalars, W)
+    M = _loop(loop_module, A, factors, scalars, W)
     records = [
         _info("labels", len(M.weight_of)),
         _info("masked", len(M.boundary)),
@@ -495,18 +498,20 @@ def cmd_localize_demo(cfg):
 
 
 def _support_module(cfg):
+    """(A, M) for shadow and pm-build, which read only M's weights and mask:
+    a loop module comes as its loop_support, with no rows built."""
     kind = cfg.params["module"]
     A = build_affine(build_simple("A1"))
     if kind == "loop-fin":
         W = _window(cfg.window)
-        M = loop_module(A, [finite_dim_sl2(1), finite_dim_sl2(2)], [_ONE, Fraction(2)], W)
+        M = loop_support(A, [finite_dim_sl2(1), finite_dim_sl2(2)], [_ONE, Fraction(2)], W)
     elif kind == "loop-dense":
         W = _window(cfg.window)
         dense = dense_sl2(
             DenseSL2Params(Fraction(1, 2), Fraction(3)),
             DegreeWindow(W.nmin - 2, W.nmax + 2),
         )
-        M = loop_module(A, [dense, finite_dim_sl2(1)], [_ONE, Fraction(2)], W)
+        M = loop_support(A, [dense, finite_dim_sl2(1)], [_ONE, Fraction(2)], W)
     elif kind == "imverma":
         lam = _frac(cfg.params["lam"], "lambda")
         depth = _count(cfg.params["depth"], "depth")
@@ -654,7 +659,7 @@ def cmd_probe_bounded(cfg):
 
     def make_module(N):
         W = DegreeWindow(-N, N)
-        return _loop_module(A, _loop_factors(A, factors_text, W), scalars, W)
+        return _loop(loop_support, A, _loop_factors(A, factors_text, W), scalars, W)
 
     result = boundedness_probe(make_module, sizes)
     maxima = [m for _, m in result["max_mult"]]

@@ -251,8 +251,19 @@ class SimpleLieAlgebra:
         return longest_string(self.weight_of.values())
 
 
+# one SimpleLieAlgebra per supported label: nothing mutates one once built
+_SIMPLE = {}
+
+
 def build_simple(label):
-    """Construct one of the supported simple Lie algebras by type label."""
+    """The supported simple Lie algebra of a type label, built once."""
+    g = _SIMPLE.get(label)
+    if g is None:
+        g = _SIMPLE[label] = _construct_simple(label)
+    return g
+
+
+def _construct_simple(label):
     if label in ("A1", "A2", "A3"):
         n = int(label[1]) + 1
         names, mats, chev = [], {}, {}

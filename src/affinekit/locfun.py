@@ -659,15 +659,31 @@ def efloc_admissible(lam, x):
 
 def efloc_walk(lam, x, k):
     """Coefficients of e_0^j (f_0^x vac) for j = 1..k on the twisted localized
-    vacuum module; None for a step that leaves the line ("m", -j, ())."""
+    vacuum module; None for a step that leaves the line ("m", -j, ()).
+
+    Each step reads only the e_0 rows of the labels it stands on, each the
+    row twist_module would store: theta_action's, or {} where a band solve
+    fails.  Rows are read at masked labels too: at k = 1 every label of the
+    twist is masked, and at k = 2 the step from ("m", -1, ()) reads a masked
+    row.  The label masks are coarse, so those rows still hold the values of
+    efloc_product; a walk of length 3 reads no masked label.
+    """
     if not k:
         return []
     L = imverma_localized(lam, 2, 2, gen_window=1, n0_ext=2 * k)
-    T = twist_module(L, make_twist_spec(L, _ZERO_MODE, -Fraction(x)))
+    spec = make_twist_spec(L, _ZERO_MODE, -Fraction(x))
+    table = twist_table(L, spec)
+    e0 = ("t", "E12", 0)
     vec = {("m", 0, ()): _ONE}
     out = []
     for j in range(1, k + 1):
-        vec = T.apply_gen(("t", "E12", 0), vec)
+        step = {}
+        for lab, c in vec.items():
+            try:
+                _acc(step, theta_action(L, spec, e0, lab, table), c)
+            except BandError:
+                pass  # twist_module stores this row as {}
+        vec = step
         lab = ("m", -j, ())
         out.append(vec.get(lab, _Z) if vec.keys() <= {lab} else None)
     return out

@@ -92,8 +92,35 @@ def _scaled(vec, c):
 # ----------------------------------------------------------- graded modules
 
 
+class _WeightView:
+    """Weight bands read off weight_of, for a Support and a GradedModule."""
+
+    @cached_property
+    def weights(self):
+        out = {}
+        for lab, w in self.weight_of.items():
+            out.setdefault(w, []).append(lab)
+        for labs in out.values():
+            labs.sort()
+        return out
+
+    def multiplicity_table(self):
+        return {w: len(labs) for w, labs in self.weights.items()}
+
+    def support_sorted(self):
+        return sorted(self.weights, key=lambda w: (w.fin, w.d, w.k))
+
+
 @dataclass
-class GradedModule:
+class Support(_WeightView):
+    """The labels, weights and truncation mask of a module, without its rows."""
+
+    weight_of: dict
+    boundary: set
+
+
+@dataclass
+class GradedModule(_WeightView):
     """Finite-basis weight module with tabulated generator actions.
 
     The algebra fixes kind: "aff" over an AffineAlgebra, "fin" over a
@@ -134,15 +161,6 @@ class GradedModule:
         its one owner."""
         return {}
 
-    @cached_property
-    def weights(self):
-        out = {}
-        for lab, w in self.weight_of.items():
-            out.setdefault(w, []).append(lab)
-        for labs in out.values():
-            labs.sort()
-        return out
-
     def gen_elt(self, gk):
         """The algebra element behind the generator key gk."""
         if gk == "D":
@@ -182,12 +200,6 @@ class GradedModule:
         if elt.k:
             _acc(out, _scaled(vec, self.k_value), elt.k)
         return out
-
-    def multiplicity_table(self):
-        return {w: len(labs) for w, labs in self.weights.items()}
-
-    def support_sorted(self):
-        return sorted(self.weights, key=lambda w: (w.fin, w.d, w.k))
 
 
 def _band_matrix(M, elt, src, tgt):
@@ -393,6 +405,39 @@ def _coroot_weight(A, Fm, lab):
     return out
 
 
+def loop_support(A, factors, scalars, window, gen_window=2):
+    """The Support of loop_module(A, factors, scalars, window, gen_window).
+
+    Labels are (tlab, s): a factor label tuple tlab and a loop degree s in
+    window.  A label is masked when a factor label in tlab is masked, or
+    when some generator degree m has s + m outside the window.  The input
+    checks are loop_module's: matching nonempty factors and scalars,
+    nonzero scalars and finite-algebra factors.
+    """
+    if len(factors) != len(scalars) or not factors:
+        raise ValueError("need matching nonempty factors and scalars")
+    if 0 in [Fraction(a) for a in scalars]:
+        raise ValueError("evaluation points must be nonzero")
+    for Fm in factors:
+        if Fm.kind != "fin":
+            raise ValueError("loop factors must be finite-algebra modules")
+
+    fweights = [{lab: _coroot_weight(A, Fm, lab) for lab in Fm.weight_of} for Fm in factors]
+    degrees = {gk[2] for gk in _loop_gens(A, gen_window) if gk not in ("D", "K")}
+    edge = {s for s in window if any(s + m not in window for m in degrees)}
+    weight_of, boundary = {}, set()
+    for tlab in itertools.product(*[list(Fm.weight_of) for Fm in factors]):
+        fins = [fweights[i][tlab[i]] for i in range(len(factors))]
+        fin = tuple(sum(col) for col in zip(*fins))
+        taint0 = any(tlab[i] in factors[i].boundary for i in range(len(factors)))
+        for s in window:
+            lab = (tlab, s)
+            weight_of[lab] = AffWeight(fin, Fraction(s), _Z)
+            if taint0 or s in edge:
+                boundary.add(lab)
+    return Support(weight_of, boundary)
+
+
 def loop_module(A, factors, scalars, window, gen_window=2):
     """Loop module on a tensor product of evaluation factors.
 
@@ -402,29 +447,11 @@ def loop_module(A, factors, scalars, window, gen_window=2):
     weights are read on A.tw_coroots, so over a twisted algebra this is the
     restriction of the untwisted loop module to the twisted subalgebra.
     twisted_loop_fixed_points cuts a smaller twisted module out of it.
+    Labels, weights and mask are loop_support's; a row that would leave the
+    window is empty.
     """
-    if len(factors) != len(scalars) or not factors:
-        raise ValueError("need matching nonempty factors and scalars")
+    support = loop_support(A, factors, scalars, window, gen_window)
     scalars = [Fraction(a) for a in scalars]
-    if any(a == 0 for a in scalars):
-        raise ValueError("evaluation points must be nonzero")
-    for Fm in factors:
-        if Fm.kind != "fin":
-            raise ValueError("loop factors must be finite-algebra modules")
-
-    fweights = [{lab: _coroot_weight(A, Fm, lab) for lab in Fm.weight_of} for Fm in factors]
-    tlabels = list(itertools.product(*[list(Fm.weight_of) for Fm in factors]))
-    weight_of, action, boundary = {}, {}, set()
-    for tlab in tlabels:
-        fins = [fweights[i][tlab[i]] for i in range(len(factors))]
-        fin = tuple(sum(col) for col in zip(*fins))
-        taint0 = any(tlab[i] in factors[i].boundary for i in range(len(factors)))
-        for s in window:
-            lab = (tlab, s)
-            weight_of[lab] = AffWeight(fin, Fraction(s), _Z)
-            if taint0:
-                boundary.add(lab)
-
     gens = _loop_gens(A, gen_window)
     # each class-basis element acting on each factor label, once per degree class
     factor_rows = {}
@@ -438,15 +465,15 @@ def loop_module(A, factors, scalars, window, gen_window=2):
     # a_i^m once per degree m for this call
     powers = {m: [a ** m for a in scalars] for m in range(-gen_window, gen_window + 1)}
 
-    for (tlab, s) in weight_of:
-        lab = (tlab, s)
+    action = {}
+    for lab in support.weight_of:
+        tlab, s = lab
         action[("D", lab)] = {lab: Fraction(s)} if s else {}
         action[("K", lab)] = {}
         for gk, rows in tgens:
             m = gk[2]
             if s + m not in window:
                 action[(gk, lab)] = {}
-                boundary.add(lab)
                 continue
             vec = {}
             for i, (frows, an) in enumerate(zip(rows, powers[m])):
@@ -465,7 +492,7 @@ def loop_module(A, factors, scalars, window, gen_window=2):
                         else:
                             del vec[nl]
             action[(gk, lab)] = vec
-    return GradedModule(A, window, weight_of, action, boundary, _Z, gens)
+    return GradedModule(A, window, support.weight_of, action, support.boundary, _Z, gens)
 
 
 # ------------------------------------------------- twisted loop fixed points
@@ -1131,7 +1158,8 @@ def shadow_detect(M, fin, n):
     Walks every ray weight + k (fin, n) through the support.  A ray that
     dies at an unmasked weight is conclusive f-type evidence (the generator
     truly vanished there); rays that only ever die at masked weights are
-    consistent with injectivity, giving i-type.
+    consistent with injectivity, giving i-type.  Only the weights and the
+    mask are read, so M may be a Support.
     """
     disp = AffWeight(tuple(Fraction(c) for c in fin), Fraction(n), _Z)
     supp = M.weights
@@ -1239,7 +1267,11 @@ def build_PM(A, table, window):
 
 
 def boundedness_probe(make_module, sizes=(3, 6, 9)):
-    """Track the largest weight multiplicity across a family of windows."""
+    """Track the largest weight multiplicity across a family of windows.
+
+    make_module(N) returns the family's module at window size N, or only
+    its Support (such as loop_support's): the probe reads weights alone.
+    """
     maxima = []
     for N in sizes:
         M = make_module(N)

@@ -191,6 +191,33 @@ def test_malformed_values_are_input_errors(tmp_path):
         assert main(["shadow", f"--fin={fin}", "--out", str(tmp_path / "s")]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--factors=fin:1"], "need matching nonempty factors and scalars"),
+        (["--scalars=1,2,3"], "need matching nonempty factors and scalars"),
+        (["--scalars=1,0"], "evaluation points must be nonzero"),
+    ],
+)
+def test_probe_bounded_rejects_the_loop_data_loop_module_rejects(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    # the probe reads only the support, yet keeps every input check of the
+    # loop module: the same exit code and message as the row-building path
+    from affinekit import cli
+    from affinekit.modrep import loop_module
+
+    out = tmp_path / "x"
+    assert main(["probe-bounded", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: loop module: {message}\n"
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "loop_support", loop_module)
+        assert main(["probe-bounded", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 def test_a_bracket_check_that_compares_nothing_is_an_input_error(tmp_path, capsys):
     # imverma-mult at depth 1 masks every label: no pass on nothing
     out = tmp_path / "x"
@@ -295,6 +322,48 @@ def test_rerun_byte_identical_modulo_stamp(tmp_path):
     _, b = run_cli(tmp_path, "cone-certificate", "--seed", "3", name="b.json")
     strip = lambda t: [l for l in t.split("\n") if '"generated"' not in l]
     assert strip(a) == strip(b)
+
+
+_SUPPORT_ONLY_RUNS = [
+    ["probe-bounded", f"--factors={factors}", "--sizes=1,2,3", "--format=csv"]
+    for factors in ("fin:1,fin:2", "dense:1/2:3,fin:1", "dense:1/2:3,dense:1/3:2", "natural,adjoint")
+] + [
+    ["probe-bounded", "--factors=dense:1/2:3,fin:1", "--expect=increasing"],
+] + [
+    ["shadow", f"--module={module}", f"--window={w}", f"--fin={fin}", f"--n={n}"]
+    for module in ("loop-fin", "loop-dense")
+    for w in ("-1:1", "-3:3")
+    for fin in ("2", "-2")
+    for n in (-1, 0, 1)
+] + [
+    ["pm-build", f"--module={module}", f"--window={w}"]
+    for module in ("loop-fin", "loop-dense")
+    for w in ("-1:1", "-2:2")
+]
+
+
+def test_support_only_commands_match_the_row_building_path(tmp_path, capsys, monkeypatch):
+    # probe-bounded, shadow and pm-build read only a loop module's support;
+    # with loop_module itself behind them every report is byte-identical
+    from affinekit import cli
+    from affinekit.modrep import loop_module
+
+    def run(argv, name):
+        out = tmp_path / name
+        code = main(argv + ["--out", str(out)])
+        text = out.read_text() if out.exists() else ""
+        body = [line for line in text.split("\n") if "generated" not in line]
+        return code, body, capsys.readouterr().err
+
+    codes = set()
+    for argv in _SUPPORT_ONLY_RUNS:
+        got = run(argv, "support")
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "loop_support", loop_module)
+            want = run(argv, "rows")
+        assert got == want, argv
+        codes.add(got[0])
+    assert codes == {0, 2}
 
 
 def test_rerun_csv_byte_identical_modulo_stamp(tmp_path):

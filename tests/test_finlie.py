@@ -52,8 +52,15 @@ def test_dimensions(algebras):
 
 
 def test_unsupported_label():
-    with pytest.raises(ValueError):
-        build_simple("B2")
+    # raised on every call: a failed label is never stored
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unsupported type label: B2"):
+            build_simple("B2")
+
+
+def test_one_algebra_per_label():
+    assert build_simple("A2") is build_simple("A2")
+    assert build_simple("A2") is not build_simple("A3")
 
 
 def test_antisymmetry_exhaustive(algebras):

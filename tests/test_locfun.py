@@ -707,6 +707,46 @@ def test_efloc_two_paths_agree():
     assert efloc_walk(F(3), x, 4) == [efloc_product(F(3), x, k) for k in range(1, 5)]
 
 
+def _whole_module_walk(L, x, k):
+    """efloc_walk's reference: twist every label of the localized vacuum L by
+    -x, then walk e_0 k times through the twisted module's stored rows."""
+    T = twist_module(L, make_twist_spec(L, locfun._ZERO_MODE, -x))
+    vec, out = {("m", 0, ()): F(1)}, []
+    for j in range(1, k + 1):
+        vec = T.apply_gen(("t", "E12", 0), vec)
+        lab = ("m", -j, ())
+        out.append(vec.get(lab, F(0)) if vec.keys() <= {lab} else None)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_efloc_walk_reads_the_rows_of_the_whole_twisted_module(k):
+    # the walk reads only the rows it stands on, and must give the same
+    # coefficients and the same None as the walk through the whole module
+    xs = [F(s * n, 2) for n in (1, 3, 5) for s in (1, -1)]
+    for lam in range(-3, 5):
+        L = imverma_localized(F(lam), 2, 2, gen_window=1, n0_ext=2 * k)
+        for x in xs:
+            assert efloc_walk(F(lam), x, k) == _whole_module_walk(L, x, k), (lam, x)
+
+
+def test_efloc_walk_reads_a_failed_band_solve_as_an_empty_row(monkeypatch):
+    # twist_module stores {} for a row whose band solve fails; the walk
+    # reads such a row the same way
+    real = locfun.theta_action
+
+    def failing(M, spec, X, v, cache=None):
+        if (X, v) == (("t", "E12", 0), ("m", -1, ())):
+            raise BandError("planted")
+        return real(M, spec, X, v, cache)
+
+    monkeypatch.setattr(locfun, "theta_action", failing)
+    x = F(5, 2)
+    L = imverma_localized(F(3), 2, 2, gen_window=1, n0_ext=4)
+    got = efloc_walk(F(3), x, 2)
+    assert got == _whole_module_walk(L, x, 2) == [efloc_product(F(3), x, 1), 0]
+
+
 def test_efloc_walk_builds_the_vacuum_once(monkeypatch):
     calls = []
     real = locfun.imaginary_verma
@@ -726,17 +766,17 @@ def test_efloc_walk_of_length_zero_is_empty():
 
 
 def test_efloc_walk_reports_a_step_off_the_line(monkeypatch):
-    # a twisted module whose e_0 row leaves the line ("m", -j, ()) gives None
-    # at that step, not the coefficient it happens to carry there
-    real = locfun.twist_module
+    # a twisted e_0 row that leaves the line ("m", -j, ()) gives None at that
+    # step, not the coefficient it happens to carry there
+    real = locfun.theta_action
 
-    def noisy(L, spec):
-        T = real(L, spec)
-        key = (("t", "E12", 0), ("m", -1, ()))
-        stray = ("m", -1, ((1, 1),))
-        return dataclasses.replace(T, action={**T.action, key: {**T.action[key], stray: F(1)}})
+    def noisy(M, spec, X, v, cache=None):
+        row = real(M, spec, X, v, cache)
+        if (X, v) == (("t", "E12", 0), ("m", -1, ())):
+            row = {**row, ("m", -1, ((1, 1),)): F(1)}
+        return row
 
-    monkeypatch.setattr(locfun, "twist_module", noisy)
+    monkeypatch.setattr(locfun, "theta_action", noisy)
     x = F(5, 2)
     got = efloc_walk(F(3), x, 2)
     assert got[0] == efloc_product(F(3), x, 1)

@@ -46,6 +46,7 @@ from affinekit.modrep import (
     levi_dense_module,
     levi_sl2_root,
     loop_module,
+    loop_support,
     natural_rep,
     prop42_matrix,
     shadow_detect,
@@ -60,6 +61,8 @@ A2 = build_simple("A2")
 A1aff = build_affine(A1)
 A2aff = build_affine(A2)
 A2tw = build_affine(A2, sigma_aut(A2))
+C2 = build_simple("C2")
+C2aff = build_affine(C2)
 
 JW = DegreeWindow(-4, 4)
 
@@ -332,6 +335,64 @@ def test_loop_module_matches_the_evaluation_formula(factors, scalars):
                     assert row == {k: v for k, v in want.items() if v}
     assert len(M.action) == len(M.weight_of) * (3 * (2 * gw + 1) + 2)
     assert M.boundary == mask
+
+
+_SUPPORT_CASES = {
+    "A1 fin": (A1aff, [finite_dim_sl2(1), finite_dim_sl2(2)]),
+    "A1 dense": (A1aff, [dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-2, 2)),
+                         finite_dim_sl2(1)]),
+    "A1 natural": (A1aff, [natural_rep(A1)]),
+    "A2 fin": (A2aff, [adjoint_rep(A2)]),
+    "A2 natural": (A2aff, [natural_rep(A2), natural_rep(A2)]),
+    "C2 fin": (C2aff, [adjoint_rep(C2)]),
+    "C2 natural": (C2aff, [natural_rep(C2)]),
+    "twisted A2 fin": (A2tw, [adjoint_rep(A2)]),
+    "twisted A2 natural": (A2tw, [natural_rep(A2), adjoint_rep(A2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
+def test_loop_support_is_the_support_of_loop_module(case):
+    # loop_module is the oracle: the same labels in the same order, the same
+    # weights, and a mask that is exactly the tainted labels plus those with
+    # a generator row cut at the window's edge
+    A, factors = _SUPPORT_CASES[case]
+    scalars = [F(3, 2), F(-2)][: len(factors)]
+    for n in range(1, 5):
+        W = DegreeWindow(-n, n)
+        for gw in (1, 2):
+            S = loop_support(A, factors, scalars, W, gen_window=gw)
+            M = loop_module(A, factors, scalars, W, gen_window=gw)
+            assert list(S.weight_of.items()) == list(M.weight_of.items())
+            assert S.boundary == M.boundary
+            assert S.weights == M.weights
+            cut = {lab for (gk, lab) in M.action if gk[0] == "t" and lab[1] + gk[2] not in W}
+            tainted = {
+                lab for lab in M.weight_of
+                if any(t in Fm.boundary for t, Fm in zip(lab[0], factors))
+            }
+            assert S.boundary == cut | tainted
+            assert all(M.action[(gk, lab)] == {} for (gk, lab) in M.action
+                       if gk[0] == "t" and lab[1] + gk[2] not in W)
+
+
+@pytest.mark.parametrize(
+    "factors,scalars",
+    [
+        ([finite_dim_sl2(1)], [F(1), F(2)]),
+        ([finite_dim_sl2(1), finite_dim_sl2(2)], [F(1)]),
+        ([], []),
+        ([finite_dim_sl2(1)], [F(0)]),
+        ([loop_module(A1aff, [finite_dim_sl2(1)], [F(1)], DegreeWindow(0, 0))], [F(1)]),
+    ],
+)
+def test_loop_support_makes_the_input_checks_of_loop_module(factors, scalars):
+    W = DegreeWindow(-1, 1)
+    with pytest.raises(ValueError) as want:
+        loop_module(A1aff, factors, scalars, W)
+    with pytest.raises(ValueError) as got:
+        loop_support(A1aff, factors, scalars, W)
+    assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------ twisted loops
@@ -1178,8 +1239,9 @@ def test_exp_poly_matches_loop_eigenvalues():
 
 
 def test_boundedness_probe():
+    # the probe reads weights alone, so each family comes as its support
     def finite_family(N):
-        return loop_module(
+        return loop_support(
             A1aff,
             [finite_dim_sl2(1), finite_dim_sl2(2)],
             [F(1), F(2)],
@@ -1187,7 +1249,7 @@ def test_boundedness_probe():
         )
 
     def one_dense(N):
-        return loop_module(
+        return loop_support(
             A1aff,
             [dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-N, N)), finite_dim_sl2(1)],
             [F(1), F(2)],
@@ -1195,7 +1257,7 @@ def test_boundedness_probe():
         )
 
     def two_dense(N):
-        return loop_module(
+        return loop_support(
             A1aff,
             [
                 dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-N, N)),
