@@ -501,24 +501,24 @@ def _support_module(cfg):
     """(A, M) for shadow and pm-build, which read only M's weights and mask:
     a loop module comes as its loop_support, with no rows built."""
     kind = cfg.params["module"]
+    if kind == "imverma":
+        lam = _frac(cfg.params["lam"], "lambda")
+        depth = _count(cfg.params["depth"], "depth")
+        M = imaginary_verma(lam, depth, depth)
+        return M.algebra, M
+    if kind not in ("loop-fin", "loop-dense"):
+        raise UsageError(f"module wants loop-fin, loop-dense or imverma, got {kind!r}")
     A = build_affine(build_simple("A1"))
+    W = _window(cfg.window)
     if kind == "loop-fin":
-        W = _window(cfg.window)
-        M = loop_support(A, [finite_dim_sl2(1), finite_dim_sl2(2)], [_ONE, Fraction(2)], W)
-    elif kind == "loop-dense":
-        W = _window(cfg.window)
+        factors = [finite_dim_sl2(1), finite_dim_sl2(2)]
+    else:
         dense = dense_sl2(
             DenseSL2Params(Fraction(1, 2), Fraction(3)),
             DegreeWindow(W.nmin - 2, W.nmax + 2),
         )
-        M = loop_support(A, [dense, finite_dim_sl2(1)], [_ONE, Fraction(2)], W)
-    elif kind == "imverma":
-        lam = _frac(cfg.params["lam"], "lambda")
-        depth = _count(cfg.params["depth"], "depth")
-        M = imaginary_verma(lam, depth, depth, algebra=A)
-    else:
-        raise UsageError(f"module wants loop-fin, loop-dense or imverma, got {kind!r}")
-    return A, M
+        factors = [dense, finite_dim_sl2(1)]
+    return A, loop_support(A, factors, [_ONE, Fraction(2)], W)
 
 
 def cmd_shadow(cfg):
@@ -549,8 +549,6 @@ def cmd_pm_build(cfg):
     W = _window(cfg.window)
     table, rows = {}, []
     for r in sorted(roots_window(A, W), key=lambda r: (r.n, r.fin)):
-        if r.kind != "real":
-            continue
         rep = shadow_detect(M, r.fin, r.n)
         if rep.tag not in ("f", "i"):
             fins = ",".join(str(c) for c in r.fin)
@@ -559,7 +557,8 @@ def cmd_pm_build(cfg):
                 f"{cfg.params['module']} needs a larger window or depth"
             )
         table[(r.fin, r.n)] = rep.tag
-        rows.append([str(c) for c in r.fin] + [str(r.n), rep.tag])
+        if r.kind == "real":
+            rows.append([str(c) for c in r.fin] + [str(r.n), rep.tag])
     try:
         P = build_PM(A, table, W)
     except ValueError as exc:

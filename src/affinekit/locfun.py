@@ -393,9 +393,7 @@ def twist_module(M, spec):
             not M.boundary.isdisjoint(rung) for rung in store.ladders[lab][1:depth]
         ):
             boundary.add(lab)
-    T = GradedModule(
-        M.algebra, M.window, weight_of, action, boundary, M.k_value, list(M.gens)
-    )
+    T = GradedModule(M.algebra, weight_of, action, boundary, M.k_value, list(M.gens))
     f_keys = [("fin", key) if M.kind == "fin" else ("t",) + key for key in spec.f_elt.c]
     if all(len(store.chains.get(gk, ())) == 1 for gk in f_keys):
         T.twist_tables[spec.alpha] = (store, {})

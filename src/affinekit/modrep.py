@@ -26,7 +26,6 @@ from .affine import (
     AffineAlgebra,
     AffRoot,
     AffWeight,
-    DegreeWindow,
     aff_bracket,
     build_affine,
     is_positive_root,
@@ -34,7 +33,14 @@ from .affine import (
     roots_window,
     sl2_triple,
 )
-from .exact import coordinate_map, kernel, mat_mul, rational_sqrt, solve_any
+from .exact import (
+    coordinate_map,
+    hermite_reduce,
+    hermite_solve,
+    kernel,
+    mat_mul,
+    rational_sqrt,
+)
 from .exact import invert  # noqa: F401  perfbench's tracer test rebinds modrep.invert
 from .finlie import LieElt, build_simple
 from .rootpar import ParabolicSet, check_parabolic_axioms
@@ -131,7 +137,6 @@ class GradedModule(_WeightView):
     """
 
     algebra: object
-    window: object
     weight_of: dict
     action: dict
     boundary: set
@@ -332,7 +337,7 @@ def dense_sl2(params, window):
         action[(("fin", "E21"), lab)] = frow
         action[(("fin", "H1"), lab)] = {lab: hval} if hval else {}
     gens = [("fin", n) for n in g.basis]
-    return GradedModule(g, window, weight_of, action, boundary, _Z, gens)
+    return GradedModule(g, weight_of, action, boundary, _Z, gens)
 
 
 def finite_dim_sl2(m):
@@ -348,7 +353,7 @@ def finite_dim_sl2(m):
         action[(("fin", "E21"), lab)] = {("u", i + 1): _ONE} if i < m else {}
         action[(("fin", "H1"), lab)] = {lab: Fraction(m - 2 * i)} if m != 2 * i else {}
     gens = [("fin", n) for n in g.basis]
-    return GradedModule(g, None, weight_of, action, set(), _Z, gens)
+    return GradedModule(g, weight_of, action, set(), _Z, gens)
 
 
 def natural_rep(g):
@@ -369,7 +374,7 @@ def natural_rep(g):
                     vec[("x", i)] = Fraction(mat[i][j])
             action[(("fin", name), ("x", j))] = vec
     gens = [("fin", n) for n in g.basis]
-    return GradedModule(g, None, weight_of, action, set(), _Z, gens)
+    return GradedModule(g, weight_of, action, set(), _Z, gens)
 
 
 def adjoint_rep(g):
@@ -380,7 +385,7 @@ def adjoint_rep(g):
             br = g.bracket(LieElt({x: _ONE}), LieElt({y: _ONE}))
             action[(("fin", x), ("a", y))] = {("a", n): c for n, c in br.c.items()}
     gens = [("fin", n) for n in g.basis]
-    return GradedModule(g, None, weight_of, action, set(), _Z, gens)
+    return GradedModule(g, weight_of, action, set(), _Z, gens)
 
 
 # ------------------------------------------------------------ loop modules
@@ -492,7 +497,7 @@ def loop_module(A, factors, scalars, window, gen_window=2):
                         else:
                             del vec[nl]
             action[(gk, lab)] = vec
-    return GradedModule(A, window, support.weight_of, action, support.boundary, _Z, gens)
+    return GradedModule(A, support.weight_of, action, support.boundary, _Z, gens)
 
 
 # ------------------------------------------------- twisted loop fixed points
@@ -627,15 +632,13 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
             for key, c in combo.items():
                 _acc(row, L.action[(gk, key)], c)
             action[(gk, lab)] = fixed_row(row)
-    return GradedModule(At, window, weight_of, action, boundary, _Z, L.gens)
+    return GradedModule(At, weight_of, action, boundary, _Z, L.gens)
 
 
 # ------------------------------------------------------- imaginary Verma
 
 
-def imaginary_verma(
-    lam, depth, length_cap, mode_cap=None, gen_window=2, algebra=None, n0_ext=0
-):
+def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0):
     """Truncated imaginary Verma module over the affine sl2.
 
     The vacuum is killed by every e t^n and by h t^n for n != 0, carries
@@ -662,7 +665,7 @@ def imaginary_verma(
     lam = Fraction(lam)
     if mode_cap is None:
         mode_cap = depth
-    A = algebra or build_affine(build_simple("A1"))
+    A = build_affine(build_simple("A1"))
 
     modes = [k for k in range(-mode_cap, mode_cap + 1) if k]
     mons = []
@@ -789,9 +792,7 @@ def imaginary_verma(
             boundary.add(lab)
 
     gens = _loop_gens(A, gen_window)
-    return GradedModule(
-        A, DegreeWindow(-depth, depth), weight_of, action, boundary, _Z, gens
-    )
+    return GradedModule(A, weight_of, action, boundary, _Z, gens)
 
 
 # ----------------------------------------------------- parabolic induction
@@ -861,7 +862,7 @@ def levi_dense_module(P, params, jwindow, base_fin):
         action[("K", lab)] = {}
 
     gens = [egen, fgen] + [("t", hl, 0) for hl in carts] + ["D", "K"]
-    return GradedModule(A, jwindow, weight_of, action, boundary, _Z, gens)
+    return GradedModule(A, weight_of, action, boundary, _Z, gens)
 
 
 @dataclass(frozen=True)
@@ -1029,20 +1030,18 @@ def induced_truncated(P, N, depth, gen_window=None):
     if gen_window is None:
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
 
-    levi_cols = []
-    for k in P.levi_root_keys():
-        if any(c for c in k[0]) or k[1] != 0:
-            levi_cols.append(list(k[0]) + [Fraction(k[1])])
+    # one column per Levi root (integer coordinates, as every root has); an
+    # empty Levi leaves no columns, and then only a zero difference solves
+    levi_cols = [list(fin) + [n] for fin, n in P.levi_root_keys() if any(fin) or n]
+    lattice = hermite_reduce([[col[i] for col in levi_cols] for i in range(A.fin_rank + 1)])
     nlabs = list(N.weight_of)
     w0 = N.weight_of[nlabs[0]]
     for nl in nlabs[1:]:
         w = N.weight_of[nl]
         dvec = [a - c for a, c in zip(w.fin, w0.fin)] + [w.d - w0.d]
-        if levi_cols:
-            mat = [[col[i] for col in levi_cols] for i in range(len(dvec))]
-            if solve_any(mat, dvec) is None:
-                raise ValueError("N is supported on several Levi root lattice cosets")
-        elif any(dvec):
+        if any(v.denominator != 1 for v in dvec) or hermite_solve(
+            lattice, [int(v) for v in dvec]
+        ) is None:
             raise ValueError("N is supported on several Levi root lattice cosets")
 
     push = _induction_push(P, depth, gen_window)
@@ -1081,9 +1080,7 @@ def induced_truncated(P, N, depth, gen_window=None):
                 cut = True
         if cut:
             boundary.add(lab)
-    return GradedModule(
-        A, P.window, weight_of, action, boundary, k, _loop_gens(A, gen_window)
-    )
+    return GradedModule(A, weight_of, action, boundary, k, _loop_gens(A, gen_window))
 
 
 # ------------------------------------------------ degree-pairing matrices
@@ -1153,7 +1150,8 @@ class ShadowReport:
 
 
 def shadow_detect(M, fin, n):
-    """Classify a real root direction as f-type or i-type from the support.
+    """Classify a root direction (fin, n), real or imaginary (fin = 0), as
+    f-type or i-type from the support.
 
     Walks every ray weight + k (fin, n) through the support.  A ray that
     dies at an unmasked weight is conclusive f-type evidence (the generator
@@ -1184,73 +1182,45 @@ def shadow_detect(M, fin, n):
 
 
 def build_PM(A, table, window):
-    """Parabolic set attached to a shadow table on the windowed real roots.
+    """Parabolic set attached to a shadow table on every window root.
 
-    When some root string through the window mixes both tags, the f-part
-    must accumulate at one end of each mixed string; membership is then
-    tag(r)=f or tag(-r)=i, which also places pure strings, with the
-    imaginary line oriented to the f-side; the set is then tagged standard.
-    It is never tagged mixed: a mixed flag (phi1, phi2) agrees on any finite
-    window with the standard covector K phi1 + phi2 for K large enough, so
-    no window table tells the two apart.  When every string is pure, whole
-    strings are sorted into f and i families and the set is (f union -i) +
-    full imaginary line.  The result must pass the windowed parabolic
-    axioms.
+    table tags each window root, imaginary ones included, "f" or "i", and
+    every root is placed by one rule: r is in P iff tag(r) = f or
+    tag(-r) = i.  This inverts the shadow rule (tag(r) = f iff r is in P and
+    -r is not) for every parabolic set; a Levi pair, tagged (f, f) or
+    (i, i), stays in P.  Each real root string must be convex (its f-part at
+    one end) and the mixed strings oriented alike.  The set is tagged all,
+    imaginary or standard, never mixed: a mixed flag (phi1, phi2) agrees on
+    any finite window with the standard covector K phi1 + phi2 for K large
+    enough, so no window table tells the two apart.  The result must pass
+    the windowed parabolic axioms.
     """
-    reals = [r for r in roots_window(A, window) if r.kind == "real"]
-    for r in reals:
-        t = table.get((r.fin, r.n))
-        if t not in ("f", "i"):
+    roots = roots_window(A, window)
+    strings = {}
+    for r in roots:
+        if table.get((r.fin, r.n)) not in ("f", "i"):
             raise ValueError(f"shadow table misses root ({r.fin}, {r.n})")
+        if r.kind == "real":
+            strings.setdefault(r.fin, []).append(r.n)
 
-    fams = {}
-    for r in reals:
-        fams.setdefault(r.fin, []).append(r.n)
-    kinds = {}
-    for fin, ns in fams.items():
-        ns.sort()
-        tags = [table[(fin, n)] for n in ns]
-        if all(t == "f" for t in tags):
-            kinds[fin] = "pure_f"
-        elif all(t == "i" for t in tags):
-            kinds[fin] = "pure_i"
-        else:
-            up = all(
-                tags[i] != "f" or tags[i + 1] == "f" for i in range(len(tags) - 1)
-            )
-            down = all(
-                tags[i + 1] != "f" or tags[i] == "f" for i in range(len(tags) - 1)
-            )
-            if up and not down:
-                kinds[fin] = "mix_up"
-            elif down and not up:
-                kinds[fin] = "mix_down"
-            else:
-                raise ValueError("shadow table is not convex along a root string")
+    orients = set()
+    for fin, ns in strings.items():
+        tags = [table[(fin, n)] for n in sorted(ns)]
+        pairs = list(zip(tags, tags[1:]))
+        up = all(a != "f" or b == "f" for a, b in pairs)
+        down = all(b != "f" or a == "f" for a, b in pairs)
+        if not (up or down):
+            raise ValueError("shadow table is not convex along a root string")
+        if up != down:
+            orients.add(up)
+    if len(orients) > 1:
+        raise ValueError("shadow table orients root strings inconsistently")
 
-    members = {}
-    if any(k.startswith("mix") for k in kinds.values()):
-        ups = {fin for fin, k in kinds.items() if k == "mix_up"}
-        downs = {fin for fin, k in kinds.items() if k == "mix_down"}
-        if ups and downs:
-            raise ValueError("shadow table orients root strings inconsistently")
-        sign = 1 if ups else -1
-        for r in reals:
-            neg = (tuple(-c for c in r.fin), -r.n)
-            members[(r.fin, r.n)] = table[(r.fin, r.n)] == "f" or table[neg] == "i"
-        for r in roots_window(A, window):
-            if r.kind == "imaginary":
-                members[(r.fin, r.n)] = sign * r.n > 0
-    else:
-        pf = {fin for fin, k in kinds.items() if k == "pure_f"}
-        pi = {fin for fin, k in kinds.items() if k == "pure_i"}
-        pring = pf | {tuple(-c for c in fin) for fin in pi}
-        for r in reals:
-            members[(r.fin, r.n)] = r.fin in pring
-        for r in roots_window(A, window):
-            if r.kind == "imaginary":
-                members[(r.fin, r.n)] = True
-
+    members = {
+        (r.fin, r.n): table[(r.fin, r.n)] == "f"
+        or table[(tuple(-c for c in r.fin), -r.n)] == "i"
+        for r in roots
+    }
     if all(members.values()):
         tag = "all"
     elif all(members[k] for k in members if not any(k[0])):

@@ -178,7 +178,7 @@ def test_lowering_chains_fill_the_longest_root_string(label, twisted, bound):
     g = build_simple(label)
     A = build_affine(g, sigma_aut(g) if twisted else None)
     assert A.longest_root_string == bound
-    M = GradedModule(A, None, {}, {}, set(), _Z, [])
+    M = GradedModule(A, {}, {}, set(), _Z, [])
     gens = [AffElt(d=1)] + [AffElt({(lab, m): 1}) for m in range(-2, 3) for lab in A.class_labels(m)]
     lengths = {
         len(locfun._lowering_chain(M, sl2_triple(A, root)[1], u))
@@ -554,7 +554,6 @@ def test_localize_imverma_basis_oracle():
     # |degree| <= 2, n0 >= -3, n0 + length <= 2; weights read lam - 2(n0 + L)
     M = imaginary_verma(F(3), depth=2, length_cap=2, gen_window=1)
     L = _vac_loc()
-    assert L.window.nmin == -2 and L.window.nmax == 2
 
     mons = [()]
     for k in (-2, -1, 1, 2):
@@ -864,6 +863,19 @@ def test_loop_iso_inverse_roundtrip():
                     w = ((("w", j), ("u", i)), s)
                     v = loop_loc_iso(data, 2, {w: F(1)})
                     assert loop_loc_iso(data, *loop_loc_iso_inv(data, v, N=N)) == v
+
+
+def test_loop_iso_matches_the_band_solve_on_the_loop_module():
+    # the closed-form expansion of (f t^r)^{-N} over the factors against the
+    # bandwise inverse of f t^r solved on the loop module itself
+    for r in (0, 1):
+        data = _loop_data(r)
+        for N in (1, 2):
+            for j in range(-3, 4):
+                for i in range(3):
+                    for s in (-1, 0, 1):
+                        v = {((("w", j), ("u", i)), s): F(1)}
+                        assert loop_loc_iso(data, N, v) == f_power(data.M, data.F_aff, v, -N)
 
 
 def test_loop_iso_reuses_the_dense_factor_table(monkeypatch):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as F
 
@@ -18,7 +20,7 @@ from affinekit.affine import (
     root_space,
     sl2_triple,
 )
-from affinekit.rootpar import assemble_parabolic, make_flag
+from affinekit.rootpar import assemble_parabolic, make_flag, random_flag
 from affinekit.modrep import (
     _MAX_REPORT,
     _ONE,
@@ -775,6 +777,14 @@ def test_induced_rejects_scattered_support():
     )
     with pytest.raises(ValueError):
         induced_truncated(P, bad, depth=1)
+    # half the Levi root (2, -1) + 0 delta lies in the Levi root span but not
+    # in its lattice, so the shifted label sits in another coset
+    assert levi_sl2_root(P) == AffRoot("real", (F(2), F(-1)), 0)
+    w = N.weight_of[("w", 2)]
+    half = AffWeight((w.fin[0] + 1, w.fin[1] - F(1, 2)), w.d, w.k)
+    bad = dataclasses.replace(N, weight_of={**N.weight_of, ("w", 2): half})
+    with pytest.raises(ValueError, match="several Levi root lattice cosets"):
+        induced_truncated(P, bad, depth=1)
 
 
 # the push re-run per label, as induced_truncated did before it was tabulated
@@ -914,7 +924,7 @@ def _induced_per_label(P, N, depth, gen_window=None):
             action[(gk, lab)] = dict(vec)
             if taint:
                 boundary.add(lab)
-    return GradedModule(A, P.window, weight_of, action, boundary, N.k_value, gens)
+    return GradedModule(A, weight_of, action, boundary, N.k_value, gens)
 
 
 _PUSH_FLAGS = {"A2": (A2aff, (1, 2, 5)), "C2": (build_affine(build_simple("C2")), (1, F(1, 2), -2))}
@@ -1085,14 +1095,14 @@ def test_shadow_imverma_split():
 
 
 def _hw_table(window):
+    """Shadow table of the positive roots: f on each positive root, imaginary
+    ones included, i on each negative one."""
     from affinekit.affine import is_positive_root, roots_window
 
-    table = {}
-    for r in roots_window(A1aff, window):
-        if r.kind != "real":
-            continue
-        table[(r.fin, r.n)] = "f" if is_positive_root(A1aff, r.fin, r.n) else "i"
-    return table
+    return {
+        (r.fin, r.n): "f" if is_positive_root(A1aff, r.fin, r.n) else "i"
+        for r in roots_window(A1aff, window)
+    }
 
 
 def test_build_PM_highest_weight_pattern():
@@ -1125,10 +1135,9 @@ def test_build_PM_from_imverma_shadow():
     M = imaginary_verma(F(3), depth=3, length_cap=3)
     from affinekit.affine import roots_window
 
-    table = {}
-    for r in roots_window(A1aff, W):
-        if r.kind == "real":
-            table[(r.fin, r.n)] = shadow_detect(M, r.fin, r.n).tag
+    # every window root is tagged, the imaginary ones (f, f) on the vacuum
+    table = {(r.fin, r.n): shadow_detect(M, r.fin, r.n).tag for r in roots_window(A1aff, W)}
+    assert {table[((F(0),), n)] for n in (-2, -1, 1, 2)} == {"f"}
     P = build_PM(A1aff, table, W)
     assert P.tag == "imaginary"
     for n in range(-2, 3):
@@ -1146,11 +1155,7 @@ def test_flagless_set_needs_a_flag_for_certificates():
 
     W = DegreeWindow(-1, 1)
     M = imaginary_verma(F(3), depth=3, length_cap=3)
-    table = {
-        (r.fin, r.n): shadow_detect(M, r.fin, r.n).tag
-        for r in roots_window(A1aff, W)
-        if r.kind == "real"
-    }
+    table = {(r.fin, r.n): shadow_detect(M, r.fin, r.n).tag for r in roots_window(A1aff, W)}
     sets = [build_PM(A1aff, table, W), build_PM(A1aff, {k: "f" for k in table}, W)]
     assert [P.tag for P in sets] == ["imaginary", "all"]
     for P in sets:
@@ -1161,18 +1166,20 @@ def test_flagless_set_needs_a_flag_for_certificates():
 
 
 def _pm_table(P):
-    """Shadow table of P: tag(r) = f iff r is in P and -r is not."""
+    """Shadow table of P on every window root: tag(r) = f iff r is in P and
+    -r is not."""
     return {
         (fin, n): "f" if m and not P.member(tuple(-c for c in fin), -n) else "i"
         for (fin, n), m in P.members.items()
-        if any(fin)
     }
 
 
 def _string_kinds(table):
+    """pure / mixed for each real root string of a shadow table."""
     strings = {}
     for (fin, n), t in sorted(table.items(), key=lambda kv: kv[0][1]):
-        strings.setdefault(fin, []).append(t)
+        if any(fin):
+            strings.setdefault(fin, []).append(t)
     return {"pure" if len(set(ts)) == 1 else "mixed" for ts in strings.values()}
 
 
@@ -1202,6 +1209,27 @@ def test_build_PM_pure_and_mixed_strings(phi1, phi2, tag):
         assert K.tag == "standard" and K.members == P.members
 
 
+def _survey_sets():
+    """(A, W, P) for random_flag seed 5, 60 draws each on A2, C2 and A3, on
+    the window -1..1."""
+    rng = random.Random(5)
+    W = DegreeWindow(-1, 1)
+    for name in ("A2", "C2", "A3"):
+        A = build_affine(build_simple(name))
+        for _ in range(60):
+            yield A, W, assemble_parabolic(A, random_flag(A, rng), W)
+
+
+def test_build_PM_inverts_the_shadow_rule_on_every_survey_flag():
+    # the shadow table of P, imaginary roots included, gives P back, whether
+    # the flag is standard, mixed or imaginary
+    tags = Counter()
+    for A, W, P in _survey_sets():
+        assert build_PM(A, _pm_table(P), W).members == P.members, P.flag
+        tags[P.tag] += 1
+    assert tags == {"standard": 152, "mixed": 14, "imaginary": 14}
+
+
 def test_build_PM_inconsistent_table():
     W = DegreeWindow(-3, 3)
     table = _hw_table(W)
@@ -1209,7 +1237,15 @@ def test_build_PM_inconsistent_table():
     table[((F(2),), 0)] = "i"
     table[((F(2),), 1)] = "f"
     table[((F(2),), 2)] = "i"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not convex"):
+        build_PM(A1aff, table, W)
+    # the real strings rise to the f-side while the imaginary line is
+    # tagged the other way round: no parabolic set has that shadow
+    table = _hw_table(W)
+    for n in range(-3, 4):
+        if n:
+            table[((F(0),), n)] = "i" if n > 0 else "f"
+    with pytest.raises(ValueError, match="does not assemble into a parabolic set"):
         build_PM(A1aff, table, W)
 
 
