@@ -525,9 +525,9 @@ def cmd_shadow(cfg):
     A, M = _support_module(cfg)
     fin = _frac_list(cfg.params["fin"], "fin")
     nn = _int(cfg.params["n"], "n")
-    if len(fin) != A.fin_rank or not any(fin) or not A.is_root(fin, nn):
+    if len(fin) != A.fin_rank or not A.is_root(fin, nn):
         fins = ",".join(str(c) for c in fin)
-        raise UsageError(f"shadow direction ({fins})+{nn}d is not a real root of A1")
+        raise UsageError(f"shadow direction ({fins})+{nn}d is not a root of A1")
     rep = shadow_detect(M, fin, nn)
     records = [
         _info("module", cfg.params["module"]),
@@ -550,12 +550,6 @@ def cmd_pm_build(cfg):
     table, rows = {}, []
     for r in sorted(roots_window(A, W), key=lambda r: (r.n, r.fin)):
         rep = shadow_detect(M, r.fin, r.n)
-        if rep.tag not in ("f", "i"):
-            fins = ",".join(str(c) for c in r.fin)
-            raise UsageError(
-                f"shadow inconclusive at root ({fins})+{r.n}d; module "
-                f"{cfg.params['module']} needs a larger window or depth"
-            )
         table[(r.fin, r.n)] = rep.tag
         if r.kind == "real":
             rows.append([str(c) for c in r.fin] + [str(r.n), rep.tag])

@@ -99,7 +99,23 @@ def _scaled(vec, c):
 
 
 class _WeightView:
-    """Weight bands read off weight_of, for a Support and a GradedModule."""
+    """Weight bands and generator weights, for a Support and a GradedModule."""
+
+    @cached_property
+    def kind(self):
+        return "aff" if isinstance(self.algebra, AffineAlgebra) else "fin"
+
+    @cached_property
+    def gen_disp(self):
+        """The weight each generator adds, read off the algebra."""
+        A = self.algebra
+        if self.kind == "fin":
+            return {gk: AffWeight(A.weight_of[gk[1]], _Z, _Z) for gk in self.gens}
+        zero = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
+        return {
+            gk: zero if gk in ("D", "K") else A.loop_weight(gk[1:])
+            for gk in self.gens
+        }
 
     @cached_property
     def weights(self):
@@ -119,10 +135,12 @@ class _WeightView:
 
 @dataclass
 class Support(_WeightView):
-    """The labels, weights and truncation mask of a module, without its rows."""
+    """The labels, weights, mask and generators of a module, without its rows."""
 
+    algebra: object
     weight_of: dict
     boundary: set
+    gens: list
 
 
 @dataclass
@@ -142,22 +160,6 @@ class GradedModule(_WeightView):
     boundary: set
     k_value: Fraction
     gens: list
-
-    @cached_property
-    def kind(self):
-        return "aff" if isinstance(self.algebra, AffineAlgebra) else "fin"
-
-    @cached_property
-    def gen_disp(self):
-        """The weight each generator adds, read off the algebra."""
-        A = self.algebra
-        if self.kind == "fin":
-            return {gk: AffWeight(A.weight_of[gk[1]], _Z, _Z) for gk in self.gens}
-        zero = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
-        return {
-            gk: zero if gk in ("D", "K") else A.loop_weight(gk[1:])
-            for gk in self.gens
-        }
 
     @cached_property
     def twist_tables(self):
@@ -428,7 +430,8 @@ def loop_support(A, factors, scalars, window, gen_window=2):
             raise ValueError("loop factors must be finite-algebra modules")
 
     fweights = [{lab: _coroot_weight(A, Fm, lab) for lab in Fm.weight_of} for Fm in factors]
-    degrees = {gk[2] for gk in _loop_gens(A, gen_window) if gk not in ("D", "K")}
+    gens = _loop_gens(A, gen_window)
+    degrees = {gk[2] for gk in gens if gk not in ("D", "K")}
     edge = {s for s in window if any(s + m not in window for m in degrees)}
     weight_of, boundary = {}, set()
     for tlab in itertools.product(*[list(Fm.weight_of) for Fm in factors]):
@@ -440,7 +443,7 @@ def loop_support(A, factors, scalars, window, gen_window=2):
             weight_of[lab] = AffWeight(fin, Fraction(s), _Z)
             if taint0 or s in edge:
                 boundary.add(lab)
-    return Support(weight_of, boundary)
+    return Support(A, weight_of, boundary, gens)
 
 
 def loop_module(A, factors, scalars, window, gen_window=2):
@@ -457,7 +460,6 @@ def loop_module(A, factors, scalars, window, gen_window=2):
     """
     support = loop_support(A, factors, scalars, window, gen_window)
     scalars = [Fraction(a) for a in scalars]
-    gens = _loop_gens(A, gen_window)
     # each class-basis element acting on each factor label, once per degree class
     factor_rows = {}
     for c in range(A.s):
@@ -466,7 +468,9 @@ def loop_module(A, factors, scalars, window, gen_window=2):
             factor_rows[(c, name)] = [
                 {fl: Fm.apply_elt(u, {fl: _ONE}) for fl in Fm.weight_of} for Fm in factors
             ]
-    tgens = [(gk, factor_rows[(A.class_of(gk[2]), gk[1])]) for gk in gens if gk not in ("D", "K")]
+    tgens = [
+        (gk, factor_rows[(A.class_of(gk[2]), gk[1])]) for gk in support.gens if gk not in ("D", "K")
+    ]
     # a_i^m once per degree m for this call
     powers = {m: [a ** m for a in scalars] for m in range(-gen_window, gen_window + 1)}
 
@@ -497,7 +501,7 @@ def loop_module(A, factors, scalars, window, gen_window=2):
                         else:
                             del vec[nl]
             action[(gk, lab)] = vec
-    return GradedModule(A, support.weight_of, action, support.boundary, _Z, gens)
+    return GradedModule(A, support.weight_of, action, support.boundary, _Z, support.gens)
 
 
 # ------------------------------------------------- twisted loop fixed points
@@ -594,11 +598,7 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
     if any(S2[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise IncompatibleData("loop involution failed to square to one")
 
-    eye = [[_ONE if i == j else _Z for j in range(n)] for i in range(n)]
-    plus = kernel([[S[i][j] - eye[i][j] for j in range(n)] for i in range(n)])
-    minus = kernel([[S[i][j] + eye[i][j] for j in range(n)] for i in range(n)])
-    if len(plus) + len(minus) != n:
-        raise IncompatibleData("eigenspaces do not span the tensor square")
+    plus = kernel([[S[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
     fixed_coords = coordinate_map(plus)
 
     def fixed_row(row):
@@ -1150,35 +1150,40 @@ class ShadowReport:
 
 
 def shadow_detect(M, fin, n):
-    """Classify a root direction (fin, n), real or imaginary (fin = 0), as
-    f-type or i-type from the support.
+    """Tag a root direction (fin, n), real or imaginary (fin = 0), f or i
+    from the support; M may be a Support.
 
-    Walks every ray weight + k (fin, n) through the support.  A ray that
-    dies at an unmasked weight is conclusive f-type evidence (the generator
-    truly vanished there); rays that only ever die at masked weights are
-    consistent with injectivity, giving i-type.  Only the weights and the
-    mask are read, so M may be a Support.
+    One walk gives each support weight its ray end (the last weight of
+    w + k (fin, n) in the support) and step count.  The longest ray that
+    ends at a weight with an unmasked label, the first in support_sorted()
+    order among ties, is conclusive f evidence (the generator truly
+    vanished there); else the first ray ending at an all-masked weight gives
+    i, consistent with injectivity.  The mask covers only the generators M
+    tabulates, so a direction none of them moves along raises
+    UntabulatedGenerator.
     """
     disp = AffWeight(tuple(Fraction(c) for c in fin), Fraction(n), _Z)
+    if not any(disp.fin) and not disp.d:
+        raise ValueError("shadow direction must be nonzero")
+    if disp not in M.gen_disp.values():
+        fins = ",".join(str(c) for c in disp.fin)
+        raise UntabulatedGenerator(f"no tabulated generator moves along ({fins})+{n}d")
     supp = M.weights
-    interior, edge = None, None
-    for w0 in M.support_sorted():
-        k, prev, w = 1, w0, w0 + disp
-        while w in supp and k <= len(supp) + 1:
-            k += 1
-            prev, w = w, w + disp
-        labs = supp[prev]
-        if all(l in M.boundary for l in labs):
-            if edge is None:
-                edge = ShadowReport("i", w0, k - 1)
-        else:
-            if interior is None or k - 1 > interior.steps:
-                interior = ShadowReport("f", w0, k - 1)
-    if interior is not None:
-        return interior
-    if edge is not None:
-        return edge
-    return ShadowReport("inconclusive", None, 0)
+    if not supp:
+        raise IncompatibleData("shadow of an empty support")
+    ray = {}
+    for w in supp:
+        path = []
+        while w not in ray and (nxt := w + disp) in supp:
+            path.append(w)
+            w = nxt
+        end, steps = ray.setdefault(w, (w, 0))
+        for steps, p in enumerate(reversed(path), steps + 1):
+            ray[p] = (end, steps)
+    order = M.support_sorted()
+    clean = [w for w in order if not all(l in M.boundary for l in supp[ray[w][0]])]
+    w0 = max(clean, key=lambda w: ray[w][1]) if clean else order[0]
+    return ShadowReport("f" if clean else "i", w0, ray[w0][1])
 
 
 def build_PM(A, table, window):

@@ -185,8 +185,8 @@ def test_malformed_values_are_input_errors(tmp_path):
     # scalars, and a zero evaluation point
     assert main(["probe-bounded", "--factors=fin:1", "--out", str(tmp_path / "p")]) == 1
     assert main(["probe-bounded", "--scalars=1,0", "--out", str(tmp_path / "q")]) == 1
-    # shadow directions that are not real roots of A1: too many coordinates,
-    # a weight that is not a root, the zero direction
+    # shadow directions that are not roots of A1: too many coordinates, a
+    # weight that is not a root, the zero direction
     for fin in ("2,3", "1", "0"):
         assert main(["shadow", f"--fin={fin}", "--out", str(tmp_path / "s")]) == 1
 
@@ -338,7 +338,7 @@ _SUPPORT_ONLY_RUNS = [
 ] + [
     ["pm-build", f"--module={module}", f"--window={w}"]
     for module in ("loop-fin", "loop-dense")
-    for w in ("-1:1", "-2:2")
+    for w in ("-1:1", "-2:2", "-3:3")
 ]
 
 
@@ -363,7 +363,7 @@ def test_support_only_commands_match_the_row_building_path(tmp_path, capsys, mon
             want = run(argv, "rows")
         assert got == want, argv
         codes.add(got[0])
-    assert codes == {0, 2}
+    assert codes == {0, 1, 2}
 
 
 def test_rerun_csv_byte_identical_modulo_stamp(tmp_path):
@@ -586,6 +586,35 @@ def test_shadow_expectations(tmp_path):
                       "--fin", "2", "--n", "0", "--window=-3:3",
                       "--expect", "f", name="f.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "module,tag", [("imverma", "f"), ("loop-fin", "i"), ("loop-dense", "i")]
+)
+def test_shadow_tags_imaginary_directions(tmp_path, module, tag):
+    # the vacuum's h t^n act freely; a loop module's reach the window's edge
+    code, text = run_cli(tmp_path, "shadow", f"--module={module}", "--fin=0", "--n=1")
+    assert code == 0
+    recs = {r["name"]: r for r in load(text)["records"]}
+    assert recs["tag"]["actual"] == tag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pm-build", "--module=imverma", "--depth=4", "--window=-3:3"],
+        ["pm-build", "--module=loop-fin", "--window=-3:3"],
+    ],
+)
+def test_pm_build_refuses_roots_past_the_generator_window(tmp_path, capsys, argv):
+    # the modules tabulate generators of degree |m| <= 2, so their mask says
+    # nothing about a degree-3 root
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no tabulated generator moves along (-2)+-3d" in err
+    assert "not convex" not in err
+    assert not out.exists()
 
 
 def test_pm_build_imverma(tmp_path):

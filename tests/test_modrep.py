@@ -29,6 +29,8 @@ from affinekit.modrep import (
     GradedModule,
     IncompatibleData,
     NothingCompared,
+    ShadowReport,
+    Support,
     UntabulatedGenerator,
     _acc,
     _cartan_value,
@@ -1092,6 +1094,73 @@ def test_shadow_imverma_split():
     M = imaginary_verma(F(3), depth=3, length_cap=3)
     assert shadow_detect(M, (F(2),), 1).tag == "f"
     assert shadow_detect(M, (F(-2),), 0).tag == "i"
+
+
+def _per_start_shadow(M, fin, n):
+    """The shadow tag read by walking the whole ray from every start weight,
+    kept as the oracle of shadow_detect's one walk per weight."""
+    disp = AffWeight(tuple(F(c) for c in fin), F(n), F(0))
+    supp = M.weights
+    interior, edge = None, None
+    for w0 in M.support_sorted():
+        k, prev, w = 1, w0, w0 + disp
+        while w in supp:
+            k += 1
+            prev, w = w, w + disp
+        if all(l in M.boundary for l in supp[prev]):
+            if edge is None:
+                edge = ShadowReport("i", w0, k - 1)
+        elif interior is None or k - 1 > interior.steps:
+            interior = ShadowReport("f", w0, k - 1)
+    return edge if interior is None else interior
+
+
+def _shadow_grid():
+    W1, W3 = DegreeWindow(-1, 1), DegreeWindow(-3, 3)
+    fins = [finite_dim_sl2(1), finite_dim_sl2(2)]
+    dense = [dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-3, 3)), finite_dim_sl2(1)]
+    yield imaginary_verma(F(3), 2, 2)
+    yield imaginary_verma(F(1, 2), 3, 3)
+    for W in (W1, W3):
+        yield loop_support(A1aff, fins, [F(1), F(2)], W)
+        yield loop_support(A1aff, dense, [F(1), F(2)], W)
+    yield loop_module(A1aff, dense, [F(1), F(2)], W1)
+    yield loop_module(A1aff, fins, [F(1), F(2)], W1, gen_window=1)
+    yield loop_support(A2aff, [natural_rep(A2)], [F(1)], W1)
+
+
+def test_shadow_walk_matches_the_per_start_walk():
+    directions = 0
+    for M in _shadow_grid():
+        for d in set(M.gen_disp.values()):
+            if any(d.fin) or d.d:
+                assert shadow_detect(M, d.fin, d.d) == _per_start_shadow(M, d.fin, d.d)
+                directions += 1
+    assert directions == 140
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        imaginary_verma(F(3), 4, 4),
+        loop_support(A1aff, [finite_dim_sl2(1)], [F(1)], DegreeWindow(-3, 3)),
+    ],
+    ids=["imverma", "loop"],
+)
+def test_shadow_refuses_directions_no_tabulated_generator_moves_along(M):
+    # generators of degree |m| <= 2 are tabulated, so the mask says
+    # nothing about degree 3
+    for fin, n in [(2, 3), (2, -3), (-2, 3), (-2, -3), (0, 3), (0, -3)]:
+        with pytest.raises(UntabulatedGenerator, match=re.escape(f"({fin})+{n}d")):
+            shadow_detect(M, (F(fin),), n)
+    assert shadow_detect(M, (F(0),), 2).tag in ("f", "i")
+    with pytest.raises(ValueError, match="must be nonzero"):
+        shadow_detect(M, (F(0),), 0)
+
+
+def test_shadow_of_an_empty_support_is_refused():
+    with pytest.raises(IncompatibleData, match="empty support"):
+        shadow_detect(Support(A1aff, {}, set(), _loop_gens(A1aff, 2)), (F(2),), 0)
 
 
 def _hw_table(window):
