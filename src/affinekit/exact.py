@@ -243,30 +243,16 @@ def det(mat) -> Fraction:
     return acc * sign
 
 
-def _solve(A, b):
-    """(x, unique) for some solution x of A x = b; (None, False) when there is none."""
-    if not A:
-        return None, False
-    cols = len(A[0])
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    m, pivots = rref(aug)
-    if cols in pivots:
-        return None, False  # inconsistent
-    sol = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        sol[c] = m[r][cols]
-    return sol, len(pivots) == cols
-
-
 def solve_unique(A, b):
     """Solve A x = b; returns the solution iff it exists and is unique."""
-    sol, unique = _solve(A, b)
-    return sol if unique else None
-
-
-def solve_any(A, b):
-    """Some solution of A x = b, or None if inconsistent."""
-    return _solve(A, b)[0]
+    if not A:
+        return None
+    cols = len(A[0])
+    m, pivots = rref([list(row) + [bv] for row, bv in zip(A, b)])
+    # a pivot in the last column means no solution; fewer than cols, many
+    if cols in pivots or len(pivots) != cols:
+        return None
+    return [m[c][cols] for c in range(cols)]
 
 
 def kernel(A):

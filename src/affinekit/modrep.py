@@ -17,6 +17,7 @@ h^2/2 then acts by the constant 2c + b + b^2/2.
 """
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -149,14 +150,17 @@ class GradedModule(_WeightView):
 
     The algebra fixes kind: "aff" over an AffineAlgebra, "fin" over a
     SimpleLieAlgebra.  Generators are keyed ("fin", name) for kind "fin" and
-    ("t", label, m), "D", "K" for kind "aff".  action maps (gen, label) to a
-    sparse vector over labels.  boundary is the truncation mask: the set of
-    labels whose tabulated action lost at least one term to the window.
+    ("t", label, m), "D", "K" for kind "aff".  action is a mapping from
+    (gen, label) to a sparse vector over labels: a dict, or for an induced
+    module a read-only mapping that fills a label's rows on their first read
+    (a full iteration fills everything).  boundary is the truncation mask:
+    the set of labels whose tabulated action lost at least one term to the
+    window.
     """
 
     algebra: object
     weight_of: dict
-    action: dict
+    action: Mapping
     boundary: set
     k_value: Fraction
     gens: list
@@ -268,20 +272,35 @@ def check_bracket_compat(M):
 
 
 def check_weight_additivity(M):
+    """Every row target has the weight of its source plus its generator's.
+
+    Returns a list of violations, empty when the law holds.  Raises
+    NothingCompared when no row has a target.
+    """
     bad = []
+    compared = False
     for (gen, lab), vec in M.action.items():
         expect = M.weight_of[lab] + M.gen_disp[gen]
         for tgt in vec:
+            compared = True
             if M.weight_of[tgt] != expect:
                 bad.append((gen, lab, tgt))
                 if len(bad) >= _MAX_REPORT:
                     return bad
+    if not compared:
+        raise NothingCompared(f"no action row has a target ({len(M.weight_of)} labels)")
     return bad
 
 
 def check_level(M):
-    if M.kind != "aff":
-        return []
+    """K acts on every label by the module's level k_value.
+
+    Returns a list of violations, empty when the law holds.  Raises
+    NothingCompared when there is no label to compare, as over a
+    finite-dimensional algebra, which has no K.
+    """
+    if M.kind != "aff" or not M.weight_of:
+        raise NothingCompared(f"no label to compare K on ({M.kind} module, {len(M.weight_of)} labels)")
     bad = []
     for lab in M.weight_of:
         got = M.action[("K", lab)]
@@ -868,11 +887,19 @@ def levi_dense_module(P, params, jwindow, base_fin):
 @dataclass(frozen=True)
 class _InductionPush:
     """The push of every loop generator through every letter monomial of P,
-    with the coefficient module left as a slot; see _induction_push."""
+    with the coefficient module left as a slot; see _induction_push.
+
+    weights and masks feed the labels and the mask of an induced module,
+    rows feed only its action rows.  A monomial's mask entry merges its
+    rows: the union of their reads (in the order the rows read them), one
+    always flag (the OR over the rows) and the union of their guards, empty
+    when always is set.
+    """
 
     letters: list
     weights: dict  # monomial -> loop weight of its letters, in basis order
-    rows: dict  # monomial -> [(gen key, terms, always, reads, guards)], D and K aside
+    masks: dict  # monomial -> (reads, always, guards)
+    rows: dict  # monomial -> [(gen key, terms)], D and K aside
 
 
 def _induction_push(P, depth, gen_window):
@@ -891,7 +918,8 @@ def _induction_push(P, depth, gen_window):
     order the push reads them; each guard is the terms (slot, c) of one
     monomial that a letter insertion cuts off.  The cut loses a term only
     where those terms are a nonzero vector at n, since a term that cancels
-    there is never pushed further.
+    there is never pushed further.  always, reads and guards are merged per
+    monomial into its mask entry; the rows keep only their terms.
     """
     push = P._pushes.get((depth, gen_window))
     if push is not None:
@@ -977,17 +1005,22 @@ def _induction_push(P, depth, gen_window):
 
     gens = [gk for gk in _loop_gens(A, gen_window) if gk not in ("D", "K")]
     zero = AffWeight(tuple([_Z] * A.fin_rank), _Z, _Z)
-    weights, rows = {}, {}
+    weights, masks, rows = {}, {}, {}
     for r in range(depth + 1):
         for mon in itertools.combinations_with_replacement(letters, r):
             weights[mon] = sum((A.loop_weight(l) for l in mon), zero)
             rows[mon] = []
+            reads, always, guards = [], False, set()
             for gk in gens:
-                terms, always, reads, guards = act_key(gk[1:], mon)
+                terms, a, r2, g2 = act_key(gk[1:], mon)
                 # a unit coefficient is stored as _ONE itself, tested by identity
                 terms = [(m, slot, _ONE if c == 1 else c) for (m, slot), c in terms.items()]
-                rows[mon].append((gk, terms, always, reads, guards))
-    push = _InductionPush(letters, weights, rows)
+                rows[mon].append((gk, terms))
+                reads += [g for g in r2 if g not in reads]
+                always |= a
+                guards |= g2
+            masks[mon] = (tuple(reads), always, frozenset() if always else frozenset(guards))
+    push = _InductionPush(letters, weights, masks, rows)
     P._pushes[(depth, gen_window)] = push
     return push
 
@@ -1003,11 +1036,78 @@ def _slot_terms(slot, c, N, nl):
 
 
 def _guard_fires(guard, N, nl):
-    """Whether the terms (slot, c) of a guard are a nonzero vector at nl."""
+    """Whether the terms (slot, c) of a guard are a nonzero vector at nl;
+    reads only N's rows."""
     vec = {}
     for slot, c in guard:
         _acc(vec, dict(_slot_terms(slot, c, N, nl)))
     return bool(vec)
+
+
+class _InducedRows(Mapping):
+    """The action of an induced module, evaluated from the push label by label.
+
+    The first read of a row (mon, n) evaluates the push rows of mon at the
+    N-label n for every generator and keeps them.  Iteration walks the
+    labels in order and fills each one it reaches, so a full iteration
+    (items(), ==, dict(...)) sees the whole table; membership and len read
+    only the labels and generators.  Read-only: a module with other rows is
+    built with another action mapping.
+    """
+
+    def __init__(self, push, N, weight_of, gens):
+        self._push, self._N, self._weight_of = push, N, weight_of
+        self._gens = gens
+        self._gen_set = frozenset(gens)
+        self._rows = {}
+
+    def _fill(self, lab):
+        mon, nl = lab
+        rows, N, k = self._rows, self._N, self._N.k_value
+        d = self._weight_of[lab].d
+        rows[("D", lab)] = {lab: d} if d else {}
+        rows[("K", lab)] = {lab: k} if k else {}
+        for gk, terms in self._push.rows[mon]:
+            vec = {}
+            for mon2, slot, c in terms:
+                for t, v in _slot_terms(slot, c, N, nl):
+                    key = (mon2, t)
+                    old = vec.get(key)
+                    if old is None:
+                        vec[key] = v
+                    else:
+                        v += old
+                        if v:
+                            vec[key] = v
+                        else:
+                            del vec[key]
+            rows[(gk, lab)] = vec
+
+    def __getitem__(self, key):
+        row = self._rows.get(key)
+        if row is None:
+            if key not in self:
+                raise KeyError(key)
+            self._fill(key[1])
+            row = self._rows[key]
+        return row
+
+    def __contains__(self, key):
+        try:
+            gk, lab = key
+        except (TypeError, ValueError):
+            return False
+        return lab in self._weight_of and gk in self._gen_set
+
+    def __iter__(self):
+        for lab in self._weight_of:
+            if ("D", lab) not in self._rows:
+                self._fill(lab)
+            for gk in self._gens:
+                yield (gk, lab)
+
+    def __len__(self):
+        return len(self._weight_of) * len(self._gens)
 
 
 def induced_truncated(P, N, depth, gen_window=None):
@@ -1021,8 +1121,14 @@ def induced_truncated(P, N, depth, gen_window=None):
     brackets.  N must be supported in a single coset of the Levi root
     lattice, with the Levi read as levi_sl2_root reads it (P.levi_root_keys).
     The push does not depend on N: it is tabulated once per (depth,
-    gen_window) on P (_induction_push), and each call evaluates it at the
-    labels of N.
+    gen_window) on P (_induction_push).
+
+    Weights and mask are computed here from the push and N alone.  A label
+    (mon, n) is masked iff n is in N.boundary, or some push row of mon has
+    always, or one of mon's guards fires at n (a guard reads only N's rows).
+    A Levi generator the push reads and N lacks at n raises
+    UntabulatedGenerator here.  The action rows are evaluated on first read
+    (_InducedRows), one label at a time.
     """
     A = P.algebra
     if P.tag != "standard":
@@ -1045,42 +1151,20 @@ def induced_truncated(P, N, depth, gen_window=None):
             raise ValueError("N is supported on several Levi root lattice cosets")
 
     push = _induction_push(P, depth, gen_window)
-    k = N.k_value
-    weight_of = {}
+    weight_of, boundary = {}, set()
     for mon, wl in push.weights.items():
+        reads, always, guards = push.masks[mon]
         for nl in nlabs:
-            weight_of[(mon, nl)] = wl + N.weight_of[nl]
-
-    action, boundary = {}, set()
-    for lab, w in weight_of.items():
-        mon, nl = lab
-        action[("D", lab)] = {lab: w.d} if w.d else {}
-        action[("K", lab)] = {lab: k} if k else {}
-        # a read at a masked n masks nothing new: the label is masked already
-        cut = nl in N.boundary
-        for gk, terms, always, reads, guards in push.rows[mon]:
+            lab = (mon, nl)
+            weight_of[lab] = wl + N.weight_of[nl]
             for g in reads:
                 if (g, nl) not in N.action:
                     raise UntabulatedGenerator(f"Levi generator {g!r} is not tabulated in N")
-            vec = {}
-            for mon2, slot, c in terms:
-                for t, v in _slot_terms(slot, c, N, nl):
-                    key = (mon2, t)
-                    old = vec.get(key)
-                    if old is None:
-                        vec[key] = v
-                    else:
-                        v += old
-                        if v:
-                            vec[key] = v
-                        else:
-                            del vec[key]
-            action[(gk, lab)] = vec
-            if not cut and (always or guards and any(_guard_fires(g, N, nl) for g in guards)):
-                cut = True
-        if cut:
-            boundary.add(lab)
-    return GradedModule(A, weight_of, action, boundary, k, _loop_gens(A, gen_window))
+            if always or nl in N.boundary or any(_guard_fires(g, N, nl) for g in guards):
+                boundary.add(lab)
+    gens = _loop_gens(A, gen_window)
+    action = _InducedRows(push, N, weight_of, gens)
+    return GradedModule(A, weight_of, action, boundary, N.k_value, gens)
 
 
 # ------------------------------------------------ degree-pairing matrices

@@ -204,6 +204,13 @@ def test_solve_unique_and_det():
     b = [F(5), F(10)]
     x = solve_unique(A, b)
     assert x == [F(1), F(3)]
+    # no solution, many solutions, no equations: None; a consistent
+    # overdetermined system keeps its one solution
+    singular = [[F(1), F(2)], [F(2), F(4)]]
+    assert solve_unique(singular, [F(1), F(3)]) is None
+    assert solve_unique(singular, [F(1), F(2)]) is None
+    assert solve_unique([], []) is None
+    assert solve_unique(A + [[F(1), F(1)]], b + [F(4)]) == [F(1), F(3)]
     assert det(A) == 5
     assert mat_rank(A) == 2
 

@@ -57,7 +57,7 @@ from affinekit.modrep import (
     sigma_intertwiner,
     twisted_loop_fixed_points,
 )
-from affinekit.exact import kernel, solve_any
+from affinekit.exact import kernel, rref
 
 
 A1 = build_simple("A1")
@@ -270,8 +270,10 @@ def test_check_level_catches_a_wrong_central_row():
     lab = next(iter(M.weight_of))
     bad = dataclasses.replace(M, action={**M.action, ("K", lab): {lab: F(1)}})
     assert check_level(bad) == [lab]
-    # a module over a finite-dimensional algebra has no central row to check
-    assert check_level(finite_dim_sl2(2)) == []
+    # a module over a finite-dimensional algebra has no central row to check,
+    # so the check compares nothing and refuses to pass
+    with pytest.raises(NothingCompared, match="fin module"):
+        check_level(finite_dim_sl2(2))
 
 
 def test_checkers_stop_at_the_report_cap():
@@ -792,6 +794,18 @@ def test_induced_rejects_scattered_support():
 # the push re-run per label, as induced_truncated did before it was tabulated
 
 
+def solve_any(A, b):
+    """Some solution of A x = b, or None if inconsistent: one rref of [A | b]."""
+    cols = len(A[0])
+    m, pivots = rref([list(row) + [bv] for row, bv in zip(A, b)])
+    if cols in pivots:
+        return None
+    sol = [_Z] * cols
+    for r, c in enumerate(pivots):
+        sol[c] = m[r][cols]
+    return sol
+
+
 def _induced_per_label(P, N, depth, gen_window=None):
     """induced_truncated as it was before the push was tabulated: the whole
     push re-run for every label of N, kept here as the oracle.
@@ -1034,7 +1048,7 @@ def test_induction_reads_the_levi_beyond_the_window():
 
 def test_induced_guard_masks_only_where_its_terms_are_nonzero():
     # no table built from a real flag has shown a guard yet, so one is
-    # planted: the first row on the empty monomial loses a term wherever the
+    # planted: the mask entry of the empty monomial loses a term wherever the
     # e row of N is nonzero, which with c = 0 excludes the interior j = 0
     P = _standard_P()
     N = levi_dense_module(
@@ -1044,9 +1058,10 @@ def test_induced_guard_masks_only_where_its_terms_are_nonzero():
     assert N.action[(egen, ("w", 0))] == {} and ("w", 0) not in N.boundary
     plain = induced_truncated(P, N, depth=1)
     push = _induction_push(P, 1, 1)
-    gk, terms, _, reads, _ = push.rows[()][0]
-    planted = (gk, terms, False, reads + (egen,), {((egen, F(1)),)})
-    P._pushes[(1, 1)] = dataclasses.replace(push, rows={**push.rows, (): [planted, *push.rows[()][1:]]})
+    reads, always, guards = push.masks[()]
+    assert not always
+    planted = (reads + (egen,), False, guards | {((egen, F(1)),)})
+    P._pushes[(1, 1)] = dataclasses.replace(push, masks={**push.masks, (): planted})
     M = induced_truncated(P, N, depth=1)
     assert M.action == plain.action
     assert M.boundary - plain.boundary == {((), ("w", -1)), ((), ("w", 1))}
@@ -1062,6 +1077,127 @@ def test_induced_untabulated_levi_row_is_named():
     )
     with pytest.raises(UntabulatedGenerator, match=re.escape(repr(fgen))):
         induced_truncated(P, bad, depth=1)
+
+
+# rows on first read, against the push evaluated up front
+
+
+def _eager_rows(P, N, depth, gen_window=None):
+    """Every action row of induced_truncated(P, N, depth, gen_window), each
+    push row evaluated at each label up front, as induced_truncated did
+    before its rows were filled on first read; kept here as the oracle."""
+    if gen_window is None:
+        gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
+    push = _induction_push(P, depth, gen_window)
+    k = N.k_value
+    action = {}
+    for mon, wl in push.weights.items():
+        for nl, wn in N.weight_of.items():
+            lab = (mon, nl)
+            d = wl.d + wn.d
+            action[("D", lab)] = {lab: d} if d else {}
+            action[("K", lab)] = {lab: k} if k else {}
+            for gk, terms in push.rows[mon]:
+                vec = {}
+                for mon2, slot, c in terms:
+                    if slot is None:
+                        _acc(vec, {(mon2, nl): c})
+                    elif slot == "K":
+                        _acc(vec, {(mon2, nl): c * k})
+                    else:
+                        _acc(vec, {(mon2, t): c * v for t, v in N.action[(slot, nl)].items()})
+                action[(gk, lab)] = vec
+    return action
+
+
+def _seeded_levi_N(seed, twisted=False):
+    """A dense Levi line on the induce flag (1, 2, 5) of A2, drawn as the
+    induce benchmark draws it, optionally twisted along the Levi root."""
+    from affinekit.locfun import make_twist_spec, twist_module
+
+    rng = random.Random(seed)
+    P = _push_P("A2")
+    b = F(rng.randint(-5, 5), rng.choice((2, 3)))
+    c = F(rng.randint(1, 9), rng.choice((1, 2)))
+    N = levi_dense_module(P, DenseSL2Params(b, c), DegreeWindow(-3, 3), base_fin=(b, F(4)))
+    if twisted:
+        N = twist_module(N, make_twist_spec(N, levi_sl2_root(P), F(rng.randint(-9, 9), 2)))
+    return P, N
+
+
+def _natural_borel_N(k):
+    """A one-label Cartan module at level k on the natural Borel of A2,
+    whose Levi is the degree-zero Cartan alone."""
+    P = assemble_parabolic(A2aff, make_flag(A2aff, (F(1), F(1), F(5))), DegreeWindow(-1, 1))
+    lab, fin = ("v", 0), (F(3, 2), F(-2))
+    carts = A2aff.cartan_labels(0)
+    action = {("D", lab): {}, ("K", lab): {lab: k}}
+    for hl in carts:
+        val = _cartan_value(A2aff, AffElt({(hl, 0): _ONE}), fin)
+        action[(("t", hl, 0), lab)] = {lab: val} if val else {}
+    gens = [("t", hl, 0) for hl in carts] + ["D", "K"]
+    return P, GradedModule(A2aff, {lab: AffWeight(fin, _Z, _Z)}, action, set(), k, gens)
+
+
+_LAZY_CASES = {
+    "seed0-depth1": lambda: (*_seeded_levi_N(0), 1),
+    "seed1-depth2": lambda: (*_seeded_levi_N(1), 2),
+    "seed2-twisted-depth1": lambda: (*_seeded_levi_N(2, twisted=True), 1),
+    "natural-borel-level3-depth2": lambda: (*_natural_borel_N(F(3)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAZY_CASES))
+def test_induced_rows_equal_the_eager_evaluation(case):
+    # read in a shuffled order, so rows are filled label by label in between
+    P, N, depth = _LAZY_CASES[case]()
+    M = induced_truncated(P, N, depth)
+    want = _eager_rows(P, N, depth)
+    keys = list(want)
+    random.Random(7).shuffle(keys)
+    for key in keys:
+        assert M.action[key] == want[key], key
+    assert dict(M.action) == want
+    assert M.action == want and want == M.action
+    assert len(M.boundary) < len(M.weight_of)
+
+
+def test_building_an_induced_module_fills_no_row():
+    P, N = _seeded_levi_N(0)
+    M = induced_truncated(P, N, depth=1)
+    assert M.weight_of and M.boundary and M.multiplicity_table()
+    assert M.action._rows == {}
+    # one read fills the rows of that label, for every generator, and no other
+    lab = next(l for l in M.weight_of if l not in M.boundary)
+    gk = ("t", "E21", -1)
+    assert M.action[(gk, lab)] == _eager_rows(P, N, 1)[(gk, lab)]
+    assert set(M.action._rows) == {(g, lab) for g in M.gens}
+
+
+def test_induced_action_behaves_as_a_dict():
+    P, N = _seeded_levi_N(3)
+    M = induced_truncated(P, N, depth=1)
+    want = _eager_rows(P, N, 1)
+    lab = next(iter(M.weight_of))
+    # membership and len read no row
+    assert (("t", "E12", 0), lab) in M.action and ("D", lab) in M.action
+    assert (("t", "E12", 7), lab) not in M.action
+    assert (("t", "E12", 0), ((), ("w", 99))) not in M.action
+    assert "D" not in M.action and ("D", lab, 0) not in M.action
+    assert len(M.action) == len(want)
+    assert M.action._rows == {}
+    with pytest.raises(KeyError):
+        M.action[(("t", "E12", 7), lab)]
+    with pytest.raises(KeyError):
+        M.action[("D", ((), ("w", 99)))]
+    assert M.action.get((("t", "E12", 7), lab)) is None
+    items = list(M.action.items())
+    assert len(items) == len(want) and dict(items) == want
+    assert set(M.action) == set(want)
+    # one changed row breaks == both ways, as one missing row does
+    key = next(k for k, row in want.items() if row)
+    for other in ({**want, key: {}}, {k: v for k, v in want.items() if k != key}):
+        assert M.action != other and other != M.action
 
 
 # ------------------------------------------------------------ shadows and P_M
