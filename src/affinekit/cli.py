@@ -62,6 +62,7 @@ from .modrep import (
     natural_rep,
     prop42_matrix,
     shadow_detect,
+    vacuum_support,
 )
 from .rootpar import (
     ImproperParabolic,
@@ -498,14 +499,15 @@ def cmd_localize_demo(cfg):
 
 
 def _support_module(cfg):
-    """(A, M) for shadow and pm-build, which read only M's weights and mask:
-    a loop module comes as its loop_support, with no rows built."""
+    """(A, S) for shadow and pm-build, which read only the weights and mask:
+    S is the module's Support (vacuum_support or loop_support), with no
+    rows built."""
     kind = cfg.params["module"]
     if kind == "imverma":
         lam = _frac(cfg.params["lam"], "lambda")
         depth = _count(cfg.params["depth"], "depth")
-        M = imaginary_verma(lam, depth, depth)
-        return M.algebra, M
+        S = vacuum_support(lam, depth, depth)
+        return S.algebra, S
     if kind not in ("loop-fin", "loop-dense"):
         raise UsageError(f"module wants loop-fin, loop-dense or imverma, got {kind!r}")
     A = build_affine(build_simple("A1"))
@@ -746,13 +748,19 @@ _COMMANDS = {
         Flag("b", "1/2"), Flag("c", "3"), Flag("x", "1/2"), Flag("jwindow", "-6:6"),
     )),
     "shadow": Command(cmd_shadow, "f/i direction tag read off a module support", (
-        Flag("module", "loop-fin", choices=_MODULES), Flag("lambda", "3"), Flag("depth", "3"),
+        Flag("module", "loop-fin", choices=_MODULES),
+        Flag("lambda", "3", "vacuum h-eigenvalue (read by imverma only)"),
+        Flag("depth", "3", "vacuum depth and length cap (read by imverma only)"),
         Flag("fin", "2", "root direction, comma separated fractions"),
-        Flag("n", "0"), Flag("window", "-6:6"), Flag("expect", choices=("f", "i")),
+        Flag("n", "0"),
+        Flag("window", "-6:6", "t-degree window lo:hi of the loop modules (imverma ignores it)"),
+        Flag("expect", choices=("f", "i")),
     ), tabled=False),
     "pm-build": Command(cmd_pm_build, "parabolic set attached to a module shadow table", (
-        Flag("module", "imverma", choices=_MODULES), Flag("lambda", "3"), Flag("depth", "4"),
-        Flag("window", "-2:2"),
+        Flag("module", "imverma", choices=_MODULES),
+        Flag("lambda", "3", "vacuum h-eigenvalue (read by imverma only)"),
+        Flag("depth", "4", "vacuum depth and length cap (read by imverma only)"),
+        Flag("window", "-2:2", "t-degree window lo:hi of the roots tagged and the loop modules"),
     )),
     "identities": Command(cmd_identities, "exact identity suites", (
         Flag("suite", "multinomial", choices=("multinomial", "localization", "efloc")),

@@ -657,6 +657,86 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
 # ------------------------------------------------------- imaginary Verma
 
 
+def vacuum_support(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0):
+    """The Support of imaginary_verma(lam, depth, length_cap, mode_cap,
+    gen_window, n0_ext): its labels in the same order, their weights, the
+    mask and the generators, with no row built.
+
+    Labels ("m", n0, mon) meet the caps: |grade(mon)| <= depth, every mode
+    |k| <= mode_cap, length(mon) <= length_cap and -n0_ext <= n0 <=
+    length_cap - length(mon).  A label is masked iff a row of
+    imaginary_verma puts a term (whatever its coefficient) on a target
+    that breaks a cap.  With L = length(mon), g = grade(mon) and m over
+    -W..W for W = gen_window, the targets are:
+
+      f_0: n0 + 1; it breaks a cap iff n0 + L = length_cap.
+      f_m (m != 0): mon f_m; breaks iff L = length_cap, n0 + L =
+        length_cap, |m| > mode_cap or |g + m| > depth.
+      h_m (m != 0): one f_k moved to f_{k+m}; breaks iff |g + m| > depth
+        or |k + m| > mode_cap.
+      e_m: one f_{-m} dropped, or a letter pair {f_a, f_b} replaced by
+        f_{m+a+b}; breaks iff |g + m| > depth or |m + a + b| > mode_cap.
+      the n0 chain (n0 != 0, in h_m and e_m): n0 - 1, with f_m inserted or
+        one f_k moved to f_{k+m}; breaks iff n0 = -n0_ext, or as f_m or
+        h_m does.
+      c3 (n0 not in {0, 1}, in e_m): n0 - 1 for m = 0, else n0 - 2 with f_m
+        inserted; breaks iff that n0 is below -n0_ext, or as f_m does.
+
+    So a label is masked iff n0 + L = length_cap, or n0 = -n0_ext != 0, or
+    W + |a + b| > mode_cap for a letter pair of mon, or W >= 1 and one of:
+    L = length_cap; |g| + W > depth; W + |k| > mode_cap for a letter f_k of
+    mon (W > mode_cap for the vacuum); n0 = 1 - n0_ext with n0_ext >= 2.
+    """
+    lam = Fraction(lam)
+    if mode_cap is None:
+        mode_cap = depth
+    A = build_affine(build_simple("A1"))
+    W = gen_window
+
+    modes = [k for k in range(-mode_cap, mode_cap + 1) if k]
+    weight_of, boundary = {}, set()
+
+    def add(mon, L, g):
+        # mon lists its modes in increasing order, so its extreme letters
+        # and extreme letter pairs sit at its ends
+        reach = W
+        if mon:
+            reach += max(-mon[0][0], mon[-1][0])
+        pair = 0
+        if L >= 2:
+            lo = mon[0][0] + (mon[0][0] if mon[0][1] > 1 else mon[1][0])
+            hi = mon[-1][0] + (mon[-1][0] if mon[-1][1] > 1 else mon[-2][0])
+            pair = W + max(-lo, hi)
+        cut = pair > mode_cap or (
+            W >= 1 and (L == length_cap or abs(g) + W > depth or reach > mode_cap)
+        )
+        for n0 in range(-n0_ext, length_cap - L + 1):
+            lab = ("m", n0, mon)
+            weight_of[lab] = AffWeight((lam - 2 * (n0 + L),), Fraction(g), _Z)
+            if (
+                cut
+                or n0 + L == length_cap
+                or n0 == -n0_ext != 0
+                or (W >= 1 and n0_ext >= 2 and n0 == 1 - n0_ext)
+            ):
+                boundary.add(lab)
+
+    def rec(i, cur, length, grade):
+        if i == len(modes):
+            if abs(grade) <= depth:
+                add(tuple(cur), length, grade)
+            return
+        k = modes[i]
+        rec(i + 1, cur, length, grade)
+        for nk in range(1, length_cap - length + 1):
+            cur.append((k, nk))
+            rec(i + 1, cur, length + nk, grade + k * nk)
+            cur.pop()
+
+    rec(0, [], 0, 0)
+    return Support(A, weight_of, boundary, _loop_gens(A, W))
+
+
 def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0):
     """Truncated imaginary Verma module over the affine sl2.
 
@@ -666,6 +746,9 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=
     tuple of (mode, power), and n0 is the exponent of the zero-mode letter
     f t^0.  Four caps truncate: |degree| <= depth, n0 + length(mon) <=
     length_cap, |mode| <= mode_cap (default depth) and n0 >= -n0_ext.
+    Labels, weights and mask are vacuum_support's; a row term whose target
+    breaks a cap (falls outside the labels) is dropped, and the support
+    masks its label.
 
     With n0_ext = 0 this is the vacuum module itself.  With n0_ext > 0 the
     zero-mode letter also runs over negative powers, which is the
@@ -681,33 +764,9 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=
            plus lam n_{-m} (drop one f_{-m}); commuting past f_0^{n0} adds
            the exact two-step chain [e_m, f_0] = h_m, [h_m, f_0] = -2 f_m.
     """
+    support = vacuum_support(lam, depth, length_cap, mode_cap, gen_window, n0_ext)
     lam = Fraction(lam)
-    if mode_cap is None:
-        mode_cap = depth
-    A = build_affine(build_simple("A1"))
-
-    modes = [k for k in range(-mode_cap, mode_cap + 1) if k]
-    mons = []
-
-    def rec(i, cur, length):
-        if i == len(modes):
-            if abs(sum(k * nk for k, nk in cur)) <= depth:
-                mons.append(tuple(cur))
-            return
-        k = modes[i]
-        rec(i + 1, cur, length)
-        for nk in range(1, length_cap - length + 1):
-            cur.append((k, nk))
-            rec(i + 1, cur, length + nk)
-            cur.pop()
-
-    rec(0, [], 0)
-
-    def length_of(mon):
-        return sum(nk for _, nk in mon)
-
-    def grade_of(mon):
-        return sum(k * nk for k, nk in mon)
+    weight_of = support.weight_of
 
     bumped = {}  # (mon, k, delta) -> bump(mon, k, delta), for this call only
 
@@ -723,45 +782,34 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=
         bumped[key] = res
         return res
 
-    weight_of = {}
-    for mon in mons:
-        L = length_of(mon)
-        for n0 in range(-n0_ext, length_cap - L + 1):
-            weight_of[("m", n0, mon)] = AffWeight(
-                (lam - 2 * (n0 + L),), Fraction(grade_of(mon)), _Z
-            )
+    def put(vec, np, nm, coeff):
+        tg = ("m", np, nm)
+        if tg not in weight_of:
+            return
+        old = vec.get(tg)
+        if old is None:
+            if coeff:
+                vec[tg] = Fraction(coeff)
+        else:
+            w = old + coeff
+            if w:
+                vec[tg] = w
+            else:
+                del vec[tg]
 
-    action, boundary = {}, set()
+    def put_mode(vec, np, base, k, coeff):
+        # insert a factor f t^k, folding mode zero into the n0 exponent
+        if k == 0:
+            put(vec, np + 1, base, coeff)
+        else:
+            put(vec, np, bump(base, k, +1), coeff)
+
+    action = {}
     for lab in weight_of:
         _, n0, mon = lab
-        L = length_of(mon)
-        g = grade_of(mon)
+        L = sum(nk for _, nk in mon)
+        g = sum(k * nk for k, nk in mon)
         occ = dict(mon)
-        drops = []
-
-        def put(vec, np, nm, coeff):
-            tg = ("m", np, nm)
-            if tg in weight_of:
-                old = vec.get(tg)
-                if old is None:
-                    if coeff:
-                        vec[tg] = Fraction(coeff)
-                else:
-                    w = old + coeff
-                    if w:
-                        vec[tg] = w
-                    else:
-                        del vec[tg]
-            else:
-                drops.append(tg)
-
-        def put_mode(vec, np, base, k, coeff):
-            # insert a factor f t^k, folding mode zero into the n0 exponent
-            if k == 0:
-                put(vec, np + 1, base, coeff)
-            else:
-                put(vec, np, bump(base, k, +1), coeff)
-
         action[("D", lab)] = {lab: Fraction(g)} if g else {}
         action[("K", lab)] = {}
         for m in range(-gen_window, gen_window + 1):
@@ -807,11 +855,8 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=
             if c3:
                 put_mode(vec, n0 - 2, mon, m, c3)
             action[(("t", "E12", m), lab)] = vec
-        if drops:
-            boundary.add(lab)
 
-    gens = _loop_gens(A, gen_window)
-    return GradedModule(A, weight_of, action, boundary, _Z, gens)
+    return GradedModule(support.algebra, weight_of, action, support.boundary, _Z, support.gens)
 
 
 # ----------------------------------------------------- parabolic induction

@@ -339,14 +339,25 @@ _SUPPORT_ONLY_RUNS = [
     ["pm-build", f"--module={module}", f"--window={w}"]
     for module in ("loop-fin", "loop-dense")
     for w in ("-1:1", "-2:2", "-3:3")
+] + [
+    ["shadow", "--module=imverma", f"--lambda={lam}", f"--fin={fin}", f"--n={n}"]
+    for lam in ("3", "1/2")
+    for fin in ("2", "0")
+    for n in (-1, 1)
+] + [
+    ["pm-build", "--module=imverma", f"--lambda={lam}", f"--depth={depth}", f"--window={w}"]
+    for lam in ("3", "0")
+    for depth in ("2", "4")
+    for w in ("-1:1", "-2:2", "-3:3")
 ]
 
 
 def test_support_only_commands_match_the_row_building_path(tmp_path, capsys, monkeypatch):
-    # probe-bounded, shadow and pm-build read only a loop module's support;
-    # with loop_module itself behind them every report is byte-identical
+    # probe-bounded, shadow and pm-build read only a module's support; with
+    # loop_module and imaginary_verma themselves behind them every report is
+    # byte-identical
     from affinekit import cli
-    from affinekit.modrep import loop_module
+    from affinekit.modrep import imaginary_verma, loop_module
 
     def run(argv, name):
         out = tmp_path / name
@@ -360,10 +371,36 @@ def test_support_only_commands_match_the_row_building_path(tmp_path, capsys, mon
         got = run(argv, "support")
         with monkeypatch.context() as mp:
             mp.setattr(cli, "loop_support", loop_module)
+            mp.setattr(cli, "vacuum_support", imaginary_verma)
             want = run(argv, "rows")
         assert got == want, argv
         codes.add(got[0])
     assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("module", ["imverma", "loop-fin", "loop-dense"])
+@pytest.mark.parametrize("command", ["shadow", "pm-build"])
+def test_shadow_and_pm_build_read_a_support(command, module):
+    from affinekit import cli
+    from affinekit.modrep import Support
+
+    cfg = cli._resolve(cli._build_parser().parse_args([command, f"--module={module}"]))
+    A, M = cli._support_module(cfg)
+    assert type(M) is Support
+    assert M.algebra is A
+
+
+def test_vacuum_support_shadows_equal_the_built_vacuum():
+    from affinekit.affine import DegreeWindow, build_affine, roots_window
+    from affinekit.finlie import build_simple
+    from affinekit.modrep import imaginary_verma, shadow_detect, vacuum_support
+
+    roots = roots_window(build_affine(build_simple("A1")), DegreeWindow(-2, 2))
+    assert {r.n for r in roots if not any(r.fin)} == {-2, -1, 1, 2}
+    for lam in range(1, 6):
+        S, M = vacuum_support(lam, 3, 3), imaginary_verma(lam, 3, 3)
+        for r in roots:
+            assert shadow_detect(S, r.fin, r.n) == shadow_detect(M, r.fin, r.n), (lam, r)
 
 
 def test_rerun_csv_byte_identical_modulo_stamp(tmp_path):

@@ -56,6 +56,7 @@ from affinekit.modrep import (
     shadow_detect,
     sigma_intertwiner,
     twisted_loop_fixed_points,
+    vacuum_support,
 )
 from affinekit.exact import kernel, rref
 
@@ -589,6 +590,117 @@ def test_bracket_compat_refuses_to_pass_on_nothing():
     assert len(M.weight_of) == len(M.boundary) == 4
     with pytest.raises(NothingCompared, match=r"\(4 labels, 4 masked\)"):
         check_bracket_compat(M)
+
+
+def _vacuum_rows_with_drops(lam, depth, length_cap, mode_cap, gen_window, n0_ext):
+    """imaginary_verma's labels and rows, built with the drop tracking of its
+    old row path, kept as the oracle of vacuum_support: a row term whose
+    target is not a label is dropped, and a label is masked iff one of its
+    terms was dropped.  Labels come in lexicographic order of the power
+    vectors over the modes -mode_cap..mode_cap.  Returns (weight_of,
+    action, boundary)."""
+    modes = [k for k in range(-mode_cap, mode_cap + 1) if k]
+    weight_of = {}
+    for pw in itertools.product(range(length_cap + 1), repeat=len(modes)):
+        L, g = sum(pw), sum(k * p for k, p in zip(modes, pw))
+        if L <= length_cap and abs(g) <= depth:
+            mon = tuple((k, p) for k, p in zip(modes, pw) if p)
+            for n0 in range(-n0_ext, length_cap - L + 1):
+                weight_of[("m", n0, mon)] = AffWeight((lam - 2 * (n0 + L),), F(g), F(0))
+
+    action, boundary = {}, set()
+    for lab in weight_of:
+        _, n0, mon = lab
+        occ = Counter(dict(mon))
+        L, g = sum(occ.values()), sum(k * p for k, p in mon)
+        drops = []
+
+        def put(vec, n, out, into, c):
+            # n0 -> n, mon less the letters out plus the letter into (mode 0
+            # raises n), with coefficient c
+            new = occ.copy()
+            new.subtract(out)
+            if into == 0:
+                n += 1
+            elif into is not None:
+                new[into] += 1
+            tg = ("m", n, tuple(sorted((k, p) for k, p in new.items() if p)))
+            if tg not in weight_of:
+                drops.append(tg)
+                return
+            vec[tg] = vec.get(tg, 0) + c
+            if not vec[tg]:
+                del vec[tg]
+
+        action[("D", lab)] = {lab: F(g)} if g else {}
+        action[("K", lab)] = {}
+        for m in range(-gen_window, gen_window + 1):
+            f, h, e = {}, {}, {}
+            put(f, n0, (), m, 1)
+            if m == 0:
+                h0 = lam - 2 * (n0 + L)
+                h = {lab: h0} if h0 else {}
+            else:
+                for k, p in mon:
+                    put(h, n0, (k,), k + m, -2 * p)
+                if n0:
+                    put(h, n0 - 1, (), m, -2 * n0)
+            if lam and occ[-m]:
+                put(e, n0, (-m,), None, lam * occ[-m])
+            for ka, kb in itertools.combinations_with_replacement(sorted(occ), 2):
+                cnt = occ[ka] * (occ[ka] - 1) // 2 if ka == kb else occ[ka] * occ[kb]
+                if cnt:
+                    put(e, n0, (ka, kb), m + ka + kb, -2 * cnt)
+            if n0 and m == 0:
+                put(e, n0 - 1, (), None, n0 * (lam - 2 * L))
+            if n0 and m:
+                for k, p in mon:
+                    put(e, n0 - 1, (k,), k + m, -2 * n0 * p)
+            if n0 not in (0, 1):
+                put(e, n0 - 2, (), m, -n0 * (n0 - 1))
+            action[(("t", "E21", m), lab)] = f
+            action[(("t", "H1", m), lab)] = h
+            action[(("t", "E12", m), lab)] = e
+        if drops:
+            boundary.add(lab)
+    return weight_of, action, boundary
+
+
+# (lam, depth, length_cap, mode_cap, gen_window, n0_ext)
+_VACUUM_GRID = [
+    (lam, depth, cap, None, gw, ext)
+    for lam in (F(3), F(0), F(1, 2))
+    for depth in (1, 2, 3)
+    for cap in (1, 2, 3)
+    for gw in (1, 2)
+    for ext in (0, 2)
+] + [
+    (F(3), 3, 3, 2, 1, 0),  # mode cap below depth
+    (F(3), 3, 3, 1, 2, 0),  # gen_window above the mode cap
+    (F(1), 3, 2, None, 1, 3),
+    (F(-2), 3, 2, 2, 3, 1),
+    (F(3), 1, 3, 3, 1, 0),  # mode cap above depth
+    (F(0), 2, 3, 3, 2, 3),
+    (F(1), 2, 2, 2, 0, 2),  # f_0, h_0 and e_0 only
+    (F(5, 2), 4, 2, 2, 1, 1),
+]
+
+
+def test_vacuum_support_is_the_support_of_imaginary_verma():
+    for lam, depth, cap, mode_cap, gw, ext in _VACUUM_GRID:
+        args = (lam, depth, cap, mode_cap, gw, ext)
+        S = vacuum_support(*args)
+        M = imaginary_verma(*args)
+        weight_of, action, boundary = _vacuum_rows_with_drops(
+            lam, depth, cap, depth if mode_cap is None else mode_cap, gw, ext
+        )
+        assert list(S.weight_of.items()) == list(weight_of.items()), args
+        assert S.boundary == boundary, args
+        assert S.weights == M.weights
+        assert S.gens == M.gens == _loop_gens(A1aff, gw)
+        assert list(M.weight_of.items()) == list(weight_of.items())
+        assert M.boundary == boundary
+        assert M.action == action, args
 
 
 # ------------------------------------------------------------ Prop-4.2 pairing
