@@ -3,9 +3,10 @@
 Everything in this package computes over the rationals: the scalar type is
 the stdlib Fraction (arbitrary precision, always in lowest terms, positive
 denominator).  This module adds generalized binomials with
-an arbitrary rational upper argument, generalized multinomials, dense
-univariate polynomials for identity checking, and exact Gaussian
-elimination / integer lattice solving used throughout the package.
+an arbitrary rational upper argument, generalized multinomials, a dense
+univariate polynomial that is evaluated and compared (no ring operations),
+and exact Gaussian elimination / integer lattice solving used throughout
+the package.
 
 No floating point is used anywhere.
 """
@@ -59,7 +60,9 @@ def multinom_convolution_check(N: int, K: int, k: int) -> bool:
     multinom(-N; i) * multinom(N+K; j) == multinom(K; l)
     for every tuple l with sum(l) <= N + K.
 
-    This is the coefficient identity behind the loop-localization map.
+    It is the coefficient identity behind the multinomial expansion of an
+    inverse power (f t^r)^{-N} over the factors of a loop module: the
+    expansions of the powers -N and N + K compose to that of K.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -116,52 +119,12 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([Fraction(0), Fraction(1)])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        # degree of the zero polynomial reported as -1
-        return len(self.coeffs) - 1
-
     def __call__(self, v) -> Fraction:
         v = Fraction(v)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly(
-            [
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly([c * a for a in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs

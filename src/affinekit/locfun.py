@@ -16,14 +16,13 @@ supports in the +alpha direction; a label of a twisted module built with
 parameter x stands for the old vector carried by the formal power f^{-x}.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .exact import Poly, det, gen_binom, gen_multinom, invert, kernel, rational_sqrt, solve_unique
+from .exact import Poly, det, gen_binom, invert, kernel, solve_unique
 from .finlie import LieElt, sl2_normalise
-from .affine import AffElt, AffRoot, AffWeight, sl2_triple
+from .affine import AffRoot, AffWeight, sl2_triple
 from .modrep import (
     GradedModule,
     IncompatibleData,
@@ -36,7 +35,6 @@ from .modrep import (
     imaginary_verma,
     induced_truncated,
     levi_sl2_root,
-    loop_module,
 )
 
 _Z = Fraction(0)
@@ -538,94 +536,6 @@ def imverma_localized(lam, depth, length_cap, gen_window=2, n0_ext=2):
     return localize(L, _ZERO_MODE)
 
 
-# -------------------------------------------------------- twist parameters
-
-
-class TwistRoots(list):
-    """Rational roots of the lowering quadratic, with diagnostics attached."""
-
-    def __init__(self, roots, quadratic, discriminant):
-        super().__init__(roots)
-        self.quadratic = quadratic
-        self.discriminant = discriminant
-
-
-def _neg_binom_poly(i):
-    # binom(-x, i) as a polynomial in x
-    p = Poly([_ONE])
-    fact = 1
-    for j in range(i):
-        p = p * Poly([Fraction(-j), Fraction(-1)])
-        fact *= j + 1
-    return p * Poly([Fraction(1, fact)])
-
-
-def _poly_roots(q):
-    """Rational roots of a polynomial of degree at most two, ascending."""
-    deg = q.degree()
-    if deg <= 0:
-        return [], None
-    if deg == 1:
-        a0, a1 = q.coeffs
-        return [-a0 / a1], None
-    a0, a1, a2 = q.coeffs
-    disc = a1 * a1 - 4 * a2 * a0
-    s = rational_sqrt(disc)
-    if s is None:
-        return [], disc
-    roots = sorted({(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)})
-    return roots, disc
-
-
-def find_twist_parameter(M, alpha, lam, v):
-    """Rational x with e_alpha (f_alpha^x . v) = 0, for an eigenvector v.
-
-    v must satisfy f_alpha e_alpha v = c v; the coefficient of the image
-    along f_alpha^{x-1} v is then a quadratic in x assembled from the
-    lowering chain of e_alpha.  Returns the rational roots (possibly none)
-    with the quadratic and its discriminant attached; every root is checked
-    by evaluating the chain at it.
-    """
-    spec = make_twist_spec(M, alpha, _Z)
-    vec = _as_vec(v)
-    ws = {M.weight_of[lab] for lab in vec}
-    if len(ws) != 1:
-        raise IncompatibleData("v must be weight homogeneous")
-    if lam is not None and next(iter(ws)) != lam:
-        raise IncompatibleData("v does not lie in the stated weight space")
-    bands = twist_table(M, spec)[0].bands
-    ladder = [vec]
-    ref = _rung(M, spec.f_elt, ladder, 1, bands)
-
-    def ratio(wv):
-        if not wv:
-            return _Z
-        k0 = next(iter(wv))
-        if k0 not in ref:
-            raise IncompatibleData("the lowering chain left the f_alpha^{-1} line")
-        c = wv[k0] / ref[k0]
-        if _scaled(ref, c) != wv:
-            raise IncompatibleData("the lowering chain left the f_alpha^{-1} line")
-        return c
-
-    chain = [
-        M.apply_elt(u, _rung(M, spec.f_elt, ladder, i, bands))
-        for i, u in enumerate(_lowering_chain(M, spec.f_elt, spec.e_elt))
-    ]
-
-    q = Poly()
-    for i, wv in enumerate(chain):
-        q = q + _neg_binom_poly(i) * Poly([ratio(wv)])
-    roots, disc = _poly_roots(q)
-    for x0 in roots:
-        total = {}
-        for i, wv in enumerate(chain):
-            _acc(total, wv, gen_binom(-x0, i))
-        if total:
-            raise IncompatibleData("a computed root failed direct evaluation")
-    return TwistRoots(roots, q, disc)
-
-
 # ------------------------------------------------- e against inverse powers
 
 
@@ -685,129 +595,6 @@ def efloc_walk(lam, x, k):
         lab = ("m", -j, ())
         out.append(vec.get(lab, _Z) if vec.keys() <= {lab} else None)
     return out
-
-
-# ------------------------------------------------ loop modules, inverted
-
-
-@dataclass
-class LoopLocData:
-    """A loop module together with one lowering letter f t^r to invert.
-
-    factors[0] must carry a bandwise invertible action of the root lowering
-    operator f = spec.f_elt (a dense line); the remaining factors must be
-    nilpotent under it.  nil[t] is the least m with f^m = 0 on
-    factors[t + 1].
-    """
-
-    factors: list
-    scalars: list
-    r: int
-    window: object
-    M: object
-    spec: TwistSpec
-    F_aff: object
-    nil: list
-
-
-def make_loop_data(A, factors, scalars, alpha, r, window, gen_window=2):
-    scalars = [Fraction(a) for a in scalars]
-    r = int(r)
-    M = loop_module(A, factors, scalars, window, gen_window=gen_window)
-    spec = make_twist_spec(factors[0], alpha, _Z)
-    F_aff = AffElt({(name, r): c for name, c in spec.f_elt.c.items()})
-    nil = []
-    for Ft in factors[1:]:
-        vecs = [{lab: _ONE} for lab in Ft.weight_of]
-        m = 0
-        while any(vecs):
-            vecs = [Ft.apply_elt(spec.f_elt, v) for v in vecs]
-            m += 1
-            if m > len(Ft.weight_of) + 1:
-                raise IncompatibleData("a loop factor is not lowering nilpotent")
-        nil.append(m)
-    return LoopLocData(list(factors), scalars, r, window, M, spec, F_aff, nil)
-
-
-def loop_loc_iso(data, N, vec):
-    """Honest vector represented by (f t^r)^{-N} . vec in the loop module.
-
-    For N <= 0 the power is applied directly.  For N > 0 the inverse is
-    pushed into the factors: the nilpotent factors absorb finitely many
-    lowering letters and the first factor absorbs the rest through its
-    bandwise inverse, weighted by generalized multinomials and by the
-    evaluation scalars a_t^{i_t r}.
-    """
-    if N <= 0:
-        return f_power(data.M, data.F_aff, vec, -N)
-    return _loop_expand(data, _as_vec(vec), -N)
-
-
-def _loop_expand(data, vec, K):
-    """(f t^r)^K . vec expanded over the factors, as an honest vector.
-
-    The power splits as a generalized multinomial over the factors: each
-    nilpotent factor takes i_t < nil[t] letters and the first factor the
-    remaining K - sum(i), through its bandwise inverse when that is negative.
-    For K >= 0 the multinomial vanishes on every split with sum(i) > K.
-    """
-    out = {}
-    f_elt = data.spec.f_elt
-    bands = twist_table(data.factors[0], data.spec)[0].bands
-    for (tlab, s), c0 in vec.items():
-        sp = s + K * data.r
-        if sp not in data.window:
-            raise BandError("loop degree left the window; enlarge it")
-        for itup in itertools.product(*[range(m) for m in data.nil]):
-            i0 = K - sum(itup)
-            coef = c0 * gen_multinom(Fraction(K), list(itup))
-            if not coef:
-                continue
-            coef *= data.scalars[0] ** (i0 * data.r)
-            for t, it in enumerate(itup):
-                coef *= data.scalars[t + 1] ** (it * data.r)
-            parts = [f_power(data.factors[0], f_elt, {tlab[0]: _ONE}, i0, bands)]
-            for t, it in enumerate(itup):
-                pt = f_power(data.factors[t + 1], f_elt, {tlab[t + 1]: _ONE}, it)
-                if not pt:
-                    break
-                parts.append(pt)
-            else:
-                for combo in itertools.product(*[p.items() for p in parts]):
-                    cc = coef
-                    for _, c in combo:
-                        cc *= c
-                    _acc(out, {(tuple(l for l, _ in combo), sp): cc})
-    return out
-
-
-def loop_pair_act(data, elt, N, vec):
-    """Action of elt on the formal pair (N, vec), as a list of pairs.
-
-    Commuting elt across the inverse letters gives
-    elt . (N, w) = sum_i (-1)^i binom(-N, i) (N + i, ad(F)^i(elt) . w).
-    """
-    vec = _as_vec(vec)
-    out = []
-    for i, u in enumerate(_lowering_chain(data.M, data.F_aff, elt)):
-        c = gen_binom(Fraction(-N), i)
-        if i % 2:
-            c = -c
-        applied = data.M.apply_elt(u, vec)
-        if applied and c:
-            out.append((N + i, _scaled(applied, c)))
-    return out
-
-
-def loop_loc_iso_inv(data, vec, N=None):
-    """A pair (N, w) representing the honest vector vec.
-
-    N defaults to the sum of the factor nilpotency degrees, enough for every
-    term of the expansion to carry nonnegative honest powers.
-    """
-    if N is None:
-        N = sum(data.nil)
-    return N, _loop_expand(data, _as_vec(vec), N)
 
 
 # ------------------------------------------- induction versus localization
@@ -873,12 +660,13 @@ def induction_commutes_probe(P, S, x, depth):
             and clean(MB, _wshift(w, aw, x + 1))
         ):
             continue
+        band_set = set(band)
         try:
             cols_a = []
             for l in band:
                 ta = _scaled(theta_action(MA, specA, egen, l), ecoef)
                 va = MA.apply_elt(specA.f_elt, ta)
-                if any(t not in set(band) for t in va):
+                if not va.keys() <= band_set:
                     raise IncompatibleData("band endomorphism left its band")
                 cols_a.append(va)
         except BandError:

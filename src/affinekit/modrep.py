@@ -152,8 +152,8 @@ class GradedModule(_WeightView):
     SimpleLieAlgebra.  Generators are keyed ("fin", name) for kind "fin" and
     ("t", label, m), "D", "K" for kind "aff".  action is a mapping from
     (gen, label) to a sparse vector over labels: a dict, or for an induced
-    module a read-only mapping that fills a label's rows on their first read
-    (a full iteration fills everything).  boundary is the truncation mask:
+    module a read-only mapping that fills each row on its first read (a full
+    iteration fills everything).  boundary is the truncation mask:
     the set of labels whose tabulated action lost at least one term to the
     window.
     """
@@ -944,7 +944,7 @@ class _InductionPush:
     letters: list
     weights: dict  # monomial -> loop weight of its letters, in basis order
     masks: dict  # monomial -> (reads, always, guards)
-    rows: dict  # monomial -> [(gen key, terms)], D and K aside
+    rows: dict  # monomial -> {gen key: terms}, D and K aside
 
 
 def _induction_push(P, depth, gen_window):
@@ -1054,13 +1054,13 @@ def _induction_push(P, depth, gen_window):
     for r in range(depth + 1):
         for mon in itertools.combinations_with_replacement(letters, r):
             weights[mon] = sum((A.loop_weight(l) for l in mon), zero)
-            rows[mon] = []
+            rows[mon] = {}
             reads, always, guards = [], False, set()
             for gk in gens:
                 terms, a, r2, g2 = act_key(gk[1:], mon)
                 # a unit coefficient is stored as _ONE itself, tested by identity
                 terms = [(m, slot, _ONE if c == 1 else c) for (m, slot), c in terms.items()]
-                rows[mon].append((gk, terms))
+                rows[mon][gk] = terms
                 reads += [g for g in r2 if g not in reads]
                 always |= a
                 guards |= g2
@@ -1090,14 +1090,15 @@ def _guard_fires(guard, N, nl):
 
 
 class _InducedRows(Mapping):
-    """The action of an induced module, evaluated from the push label by label.
+    """The action of an induced module, evaluated from the push row by row.
 
-    The first read of a row (mon, n) evaluates the push rows of mon at the
-    N-label n for every generator and keeps them.  Iteration walks the
-    labels in order and fills each one it reaches, so a full iteration
-    (items(), ==, dict(...)) sees the whole table; membership and len read
-    only the labels and generators.  Read-only: a module with other rows is
-    built with another action mapping.
+    The first read of a row (gk, (mon, n)) evaluates the push terms of gk on
+    mon at the N-label n, and keeps that row alone; the D and K rows come
+    from the label's weight and N's level.  Iteration yields the keys only,
+    so a full iteration through the rows (items(), ==, dict(...)) reads
+    each one by its key; membership and len read only the labels and
+    generators.  Read-only: a module with other rows is built with another
+    action mapping.
     """
 
     def __init__(self, push, N, weight_of, gens):
@@ -1106,35 +1107,35 @@ class _InducedRows(Mapping):
         self._gen_set = frozenset(gens)
         self._rows = {}
 
-    def _fill(self, lab):
-        mon, nl = lab
-        rows, N, k = self._rows, self._N, self._N.k_value
-        d = self._weight_of[lab].d
-        rows[("D", lab)] = {lab: d} if d else {}
-        rows[("K", lab)] = {lab: k} if k else {}
-        for gk, terms in self._push.rows[mon]:
-            vec = {}
-            for mon2, slot, c in terms:
-                for t, v in _slot_terms(slot, c, N, nl):
-                    key = (mon2, t)
-                    old = vec.get(key)
+    def __getitem__(self, key):
+        row = self._rows.get(key)
+        if row is not None:
+            return row
+        if key not in self:
+            raise KeyError(key)
+        gk, lab = key
+        if gk == "D":
+            d = self._weight_of[lab].d
+            row = {lab: d} if d else {}
+        elif gk == "K":
+            k = self._N.k_value
+            row = {lab: k} if k else {}
+        else:
+            mon, nl = lab
+            row = {}
+            for mon2, slot, c in self._push.rows[mon][gk]:
+                for t, v in _slot_terms(slot, c, self._N, nl):
+                    tk = (mon2, t)
+                    old = row.get(tk)
                     if old is None:
-                        vec[key] = v
+                        row[tk] = v
                     else:
                         v += old
                         if v:
-                            vec[key] = v
+                            row[tk] = v
                         else:
-                            del vec[key]
-            rows[(gk, lab)] = vec
-
-    def __getitem__(self, key):
-        row = self._rows.get(key)
-        if row is None:
-            if key not in self:
-                raise KeyError(key)
-            self._fill(key[1])
-            row = self._rows[key]
+                            del row[tk]
+        self._rows[key] = row
         return row
 
     def __contains__(self, key):
@@ -1146,8 +1147,6 @@ class _InducedRows(Mapping):
 
     def __iter__(self):
         for lab in self._weight_of:
-            if ("D", lab) not in self._rows:
-                self._fill(lab)
             for gk in self._gens:
                 yield (gk, lab)
 
@@ -1173,7 +1172,7 @@ def induced_truncated(P, N, depth, gen_window=None):
     always, or one of mon's guards fires at n (a guard reads only N's rows).
     A Levi generator the push reads and N lacks at n raises
     UntabulatedGenerator here.  The action rows are evaluated on first read
-    (_InducedRows), one label at a time.
+    (_InducedRows), one row at a time.
     """
     A = P.algebra
     if P.tag != "standard":

@@ -8,7 +8,7 @@ finish well inside a minute on a laptop.
 import random
 from fractions import Fraction as F
 
-from affinekit.exact import det, multinom_convolution_check
+from affinekit.exact import det, gen_multinom, multinom_convolution_check
 from affinekit.finlie import LieElt, build_simple, sigma_aut
 from affinekit.affine import (
     AffElt,
@@ -45,12 +45,12 @@ from affinekit.locfun import (
     efloc_admissible,
     efloc_product,
     efloc_walk,
+    f_power,
     induction_commutes_probe,
-    loop_loc_iso,
-    loop_loc_iso_inv,
-    loop_pair_act,
-    make_loop_data,
+    make_twist_spec,
+    theta_action,
     twist_laws,
+    twist_table,
 )
 
 _Z = F(0)
@@ -339,51 +339,91 @@ def test_multinomial_identity():
 # 8 ---------------------------------------------------------------------
 
 
+def _loop_inverse_oracle(dense, nil, scalars, r, N, v):
+    """(E21 t^r)^{-N} v on loop_module(A1, [dense, nil], scalars, ...), as
+    the multinomial expansion over the two factors; no band is solved.
+
+    E21 t^r acts as A + B with A = a_0^r E21 on the dense factor and
+    B = a_1^r E21 on the nilpotent one; they commute, so
+    (A + B)^{-N} = sum_i multinom(-N; i) A^{-N-i} B^i, a finite sum.  On the
+    dense line E21 w_j = w_{j-1}, so E21^{-i} w_j = w_{j+i} in closed form;
+    the nilpotent factor takes honest powers of its E21 row.
+    """
+    a0, a1 = (F(a) ** r for a in scalars)
+    out = {}
+    for ((wlab, ulab), s), c in v.items():
+        j = wlab[1]
+        for jj in range(j, j + N + len(nil.weight_of) + 1):
+            assert dense.action[(("fin", "E21"), ("w", jj))] == {("w", jj - 1): _ONE}
+        u, i = {ulab: _ONE}, 0
+        while u:
+            coef = c * gen_multinom(-N, [i]) * a0 ** (-N - i) * a1**i
+            for ul, cu in u.items():
+                key = ((("w", j + N + i), ul), s - N * r)
+                out[key] = out.get(key, _Z) + coef * cu
+            u = nil.apply_gen(("fin", "E21"), u)
+            i += 1
+    return {k: c for k, c in out.items() if c}
+
+
+def _theta(L, spec, u, v):
+    """Theta_{spec.x}(u) . v for an element u of the loop algebra."""
+    out = {}
+    for (name, n), c in u.c.items():
+        for lab, d in theta_action(L, spec, ("t", name, n), v).items():
+            out[lab] = out.get(lab, _Z) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
 def test_loop_localization_isomorphism():
+    # (a) the band solve of (E21 t^r)^{-N} on the loop module against the
+    # multinomial expansion over its factors; (b) u f^{-N} v = f^{-N}
+    # Theta_N(u) v for nine loop generators u and u = f itself, where
+    # f = f_alpha of the root (alpha, -r) is -E21 t at r = 1, with the wrong
+    # exponents N - 1, N + 1 and 1/2 as controls that must fail; (c)
+    # f^N f^{-N} v = v.  Every label of the grid is compared: nothing is
+    # skipped, and a failed band solve raises.
     A = build_affine(build_simple("A1"))
-    rng = random.Random(108)
-    bad = []
+    dense = dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-8, 8))
+    nil = finite_dim_sl2(1)
+    scalars = [F(3), F(2)]
+    L = loop_module(A, [dense, nil], scalars, DegreeWindow(-6, 6), gen_window=3)
+    labels = [
+        ((("w", j), ("u", i)), s) for j in range(-2, 3) for i in (0, 1) for s in (-1, 0, 1)
+    ]
+    bad, failed_controls = [], set()
     for r in (0, 1):
-        data = make_loop_data(
-            A,
-            [dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-8, 8)), finite_dim_sl2(1)],
-            [F(3), F(2)],
-            (F(2),),
-            r,
-            DegreeWindow(-6, 6),
-            gen_window=3,
-        )
-        M = data.M
-        for i in range(50):
-            j = rng.randint(-2, 2)
-            fi = rng.randint(0, 1)
-            s = rng.randint(-1, 1)
-            w = ((("w", j), ("u", fi)), s)
-            v = {w: _ONE}
-            name = rng.choice(("E12", "E21", "H1"))
-            n = rng.randint(-1, 1)
-            u = AffElt({(name, n): _ONE})
-            rhs = M.apply_elt(u, loop_loc_iso(data, 1, v))
-            lhs = {}
-            for Np, vec in loop_pair_act(data, u, 1, v):
-                for lab, c in loop_loc_iso(data, Np, vec).items():
-                    t = lhs.get(lab, _Z) + c
-                    if t:
-                        lhs[lab] = t
-                    else:
-                        del lhs[lab]
-            if lhs != rhs:
-                bad.append((r, i, "equivariance", w, name, n))
-            out = loop_loc_iso(data, 1, v)
-            Np, w2 = loop_loc_iso_inv(data, out)
-            if loop_loc_iso(data, Np, w2) != out:
-                bad.append((r, i, "roundtrip", w))
-            if loop_loc_iso(data, 0, v) != v:
-                bad.append((r, i, "identity", w))
-            two = M.apply_elt(data.F_aff, M.apply_elt(data.F_aff, v))
-            if loop_loc_iso(data, -2, v) != two:
-                bad.append((r, i, "honest powers", w))
-    _line("loop localization isomorphism (r in {0,1}, 50 samples each)", bad)
+        root = ((F(2),), -r)
+        plain = AffElt({("E21", r): _ONE})
+        plain_bands = {}
+        for N in (1, 2):
+            spec = make_twist_spec(L, root, N)
+            f = spec.f_elt
+            bands = twist_table(L, spec)[0].bands
+            us = [AffElt({(name, n): _ONE}) for name in ("E12", "E21", "H1") for n in (-1, 0, 1)]
+            us.append(f)
+            controls = [make_twist_spec(L, root, x) for x in (N - 1, N + 1, F(1, 2))]
+            for lab in labels:
+                v = {lab: _ONE}
+                want = _loop_inverse_oracle(dense, nil, scalars, r, N, v)
+                if f_power(L, plain, v, -N, plain_bands) != want:
+                    bad.append((r, N, "oracle", lab))
+                down = f_power(L, f, v, -N, bands)
+                if f_power(L, f, down, N, bands) != v:
+                    bad.append((r, N, "round trip", lab))
+                for u in us:
+                    lhs = L.apply_elt(u, down)
+                    if lhs != f_power(L, f, _theta(L, spec, u, lab), -N, bands):
+                        bad.append((r, N, "rule", lab, u))
+                    for c in controls:
+                        if lhs != f_power(L, f, _theta(L, c, u, lab), -N, bands):
+                            failed_controls.add((r, N, c.x))
+    for r in (0, 1):
+        for N in (1, 2):
+            for x in (N - 1, N + 1, F(1, 2)):
+                if (r, N, x) not in failed_controls:
+                    bad.append((r, N, "control passed", x))
+    _line("loop localization isomorphism (r in {0,1}, N in {1,2}, 30 labels each)", bad)
 
 
 # 9 ---------------------------------------------------------------------

@@ -177,23 +177,15 @@ def test_rational_sqrt(p, q):
 
 
 def test_poly_arithmetic():
-    x = Poly.x()
-    p = x * x - Poly([F(3)]) * x + Poly([F(2)])
+    # Poly is evaluated and compared only: (x - 1)(x - 2), ascending
+    p = Poly([F(2), F(-3), F(1)])
     assert p(F(1)) == 0
     assert p(F(2)) == 0
     assert p(F(0)) == 2
-    assert p.degree() == 2
-    assert (p - p).is_zero()
-    assert Poly([F(5)]).degree() == 0
+    assert p(F(3, 7)) == (F(3, 7) - 1) * (F(3, 7) - 2)
     assert Poly([F(5), F(0)]).coeffs == (F(5),)
-
-
-def test_poly_mul_eval_compat():
-    p = Poly([F(1), F(2), F(1)])
-    q = Poly([F(-1), F(1)])
-    r = p * q
-    for v in (F(0), F(1), F(-2), F(3, 7)):
-        assert r(v) == p(v) * q(v)
+    assert Poly([F(5), F(0)]) == Poly([F(5)]) and hash(Poly([F(5), F(0)])) == hash(Poly([F(5)]))
+    assert Poly([F(0)]).coeffs == () and repr(Poly()) == "Poly(0)"
 
 
 # ---------------------------------------------------------- linear algebra

@@ -2,9 +2,10 @@
 
 Oracles: the three-term lowering chain on the dense sl2 line is evaluated by
 hand (ad(f)e = -h, ad(f)^2 e = -2f, ad(f)^3 e = 0), the twist parameter
-quadratics are checked against their closed forms, and the loop isomorphism
-is pinned by explicit multinomial expansions plus the defining property that
-the honest generator undoes one formal inverse letter.
+quadratics are read off theta_action and efloc_walk against their closed
+forms, and the inverse letters of a loop module are pinned by an explicit
+multinomial expansion plus the defining property that the honest generator
+undoes them.
 """
 
 import copy
@@ -49,14 +50,9 @@ from affinekit.locfun import (
     efloc_quadratic,
     efloc_walk,
     f_power,
-    find_twist_parameter,
     imverma_localized,
     induction_commutes_probe,
     localize,
-    loop_loc_iso,
-    loop_loc_iso_inv,
-    loop_pair_act,
-    make_loop_data,
     make_twist_spec,
     theta_action,
     twist_module,
@@ -622,27 +618,38 @@ def test_localize_needs_a_rule():
 # ------------------------------------------------------- twist parameters
 
 
+def _w1_coefficient(M, x):
+    """The coefficient at w_1 of Theta_{-x}(e) . w_0 on a dense line M, that
+    is of e (f^x w_0) along f^{x-1} w_0; raises if the row leaves w_1."""
+    row = theta_action(M, make_twist_spec(M, (F(2),), -x), ("fin", "E12"), ("w", 0))
+    assert row.keys() <= {("w", 1)}, (x, row)
+    return row.get(("w", 1), _Z)
+
+
+_X_GRID = sorted({F(n, d) for d in (1, 2, 3, 4) for n in range(-4 * d, 4 * d + 1)})
+
+
 def test_find_twist_parameter_dense():
-    # e(f^x w_0) carries c + (b+1)x - x^2; b = 1/2, c = 55/16 has roots
-    # -5/4 and 11/4 with discriminant 16
+    # e(f^x w_0) carries c + (b+1)x - x^2; b = 1/2, c = 55/16 has the roots
+    # -5/4 and 11/4, and no other x of the grid kills the row
     M = _dense(F(1, 2), F(55, 16))
-    lam = AffWeight((F(1, 2),), _Z, _Z)
-    roots = find_twist_parameter(M, (F(2),), lam, ("w", 0))
-    assert list(roots) == [F(-5, 4), F(11, 4)]
-    assert roots.quadratic == Poly([F(55, 16), F(3, 2), F(-1)])
-    assert roots.discriminant == 16
-    for x0 in roots:
-        spec = make_twist_spec(M, (F(2),), -x0)
-        assert theta_action(M, spec, ("fin", "E12"), ("w", 0)) == {}
+    assert _w1_coefficient(M, F(1, 2)) == F(63, 16)
+    roots = []
+    for x in _X_GRID:
+        got = _w1_coefficient(M, x)
+        assert got == F(55, 16) + F(3, 2) * x - x * x, x
+        if not got:
+            roots.append(x)
+    assert roots == [F(-5, 4), F(11, 4)]
 
 
 def test_find_twist_parameter_irrational():
+    # b = 0, c = 1: the quadratic 1 + x - x^2 has discriminant 5, so no
+    # rational x kills the row
     M = _dense(F(0), F(1))
-    lam = AffWeight((F(0),), _Z, _Z)
-    roots = find_twist_parameter(M, (F(2),), lam, ("w", 0))
-    assert list(roots) == []
-    assert roots.discriminant == 5
-    assert roots.quadratic.degree() == 2
+    for x in _X_GRID:
+        got = _w1_coefficient(M, x)
+        assert got == 1 + x - x * x and got, x
 
 
 _VAC_LAMS = [F(3), F(0), F(-1), F(-2), F(1, 2), F(-7, 3), F(5)]
@@ -650,14 +657,13 @@ _VAC_LAMS = [F(3), F(0), F(-1), F(-2), F(1, 2), F(-7, 3), F(5)]
 
 @pytest.mark.parametrize("lam", _VAC_LAMS, ids=str)
 def test_find_twist_parameter_vacuum(lam):
-    # the twist code derives the vacuum's quadratic from the module; it must
-    # be the closed form x(lam + 1 - x): e_0 vac = 0 makes x = 0 a root, the
-    # other is lam + 1 (a double root at lam = -1)
-    L = _vac_loc(lam=lam)
-    roots = find_twist_parameter(L, ALPHA, AffWeight((lam,), _Z, _Z), ("m", 0, ()))
-    assert roots.quadratic == efloc_quadratic(lam)
-    assert list(roots) == sorted({F(0), lam + 1})
-    assert roots.discriminant == (lam + 1) ** 2
+    # one e_0 step across f_0^x on the localized vacuum must carry the closed
+    # form x(lam + 1 - x): e_0 vac = 0 makes x = 0 a root, the other is
+    # lam + 1 (a double root at lam = -1), and the walk vanishes at both
+    q = efloc_quadratic(lam)
+    for x in (F(0), lam + 1, F(5, 2), F(-3, 2)):
+        assert efloc_walk(lam, x, 1) == [q(x)], x
+    assert q(F(5, 2)) and q(F(-3, 2))
 
 
 # ------------------------------------------------------------ e-f products
@@ -785,128 +791,69 @@ def test_efloc_walk_reports_a_step_off_the_line(monkeypatch):
 # --------------------------------------------------- loop module inversion
 
 
-def _loop_data(r):
+def _loop_module(r):
+    """The loop module of a dense line and the 3-dimensional sl2 module at
+    the scalars 3 and 2, with the lowering letter E21 t^r."""
     L0 = dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-8, 8))
-    F1 = finite_dim_sl2(2)
-    return make_loop_data(
-        A1aff, [L0, F1], [F(3), F(2)], (F(2),), r,
-        DegreeWindow(-6, 6), gen_window=3,
-    )
+    M = loop_module(A1aff, [L0, finite_dim_sl2(2)], [F(3), F(2)], DegreeWindow(-6, 6), gen_window=3)
+    return M, AffElt({("E21", r): F(1)})
 
 
 def test_loop_iso_nonpositive_is_honest():
-    data = _loop_data(1)
+    M, f = _loop_module(1)
     w = ((("w", 0), ("u", 0)), 0)
-    assert loop_loc_iso(data, 0, {w: F(1)}) == {w: F(1)}
-    two = data.M.apply_elt(data.F_aff, data.M.apply_elt(data.F_aff, {w: F(1)}))
-    assert loop_loc_iso(data, -2, {w: F(1)}) == two
+    assert f_power(M, f, {w: F(1)}, 0) == {w: F(1)}
+    two = M.apply_elt(f, M.apply_elt(f, {w: F(1)}))
+    assert f_power(M, f, {w: F(1)}, 2) == two
 
 
 def test_loop_iso_single_inverse_pin():
     # (f t)^{-1}(w_0 x u_0 x t^0) expands along f-powers in the second factor:
     # multinom(-1; i) = (-1)^i, evaluation scalars 3 and 2
-    data = _loop_data(1)
+    M, f = _loop_module(1)
     w = ((("w", 0), ("u", 0)), 0)
-    out = loop_loc_iso(data, 1, {w: F(1)})
+    out = f_power(M, f, {w: F(1)}, -1)
     assert out == {
         ((("w", 1), ("u", 0)), -1): F(1, 3),
         ((("w", 2), ("u", 1)), -1): F(-2, 9),
         ((("w", 3), ("u", 2)), -1): F(4, 27),
     }
     # the honest generator undoes the formal inverse
-    assert data.M.apply_elt(data.F_aff, out) == {w: F(1)}
+    assert M.apply_elt(f, out) == {w: F(1)}
 
 
 def test_loop_iso_equivariance():
-    # u . iso(N, w) = iso(pair action of u on (N, w)) over a grid of
-    # generators and basis vectors (243 checks at r = 1, 54 at r = 0)
-    for r, js, ss in ((1, (-1, 0, 1), (-1, 0, 1)), (0, (0,), (-1, 0, 1))):
-        data = _loop_data(r)
+    # u . f^{-1} w = f^{-1} (Theta_1(u) . w) over a grid of generators and
+    # basis vectors (243 checks for each r), f = f_alpha of the root
+    # (alpha, -r); acceptance check 8 runs the same rule on a smaller factor
+    for r in (0, 1):
+        M, _ = _loop_module(r)
+        spec = make_twist_spec(M, ((F(2),), -r), 1)
+        bands = locfun.twist_table(M, spec)[0].bands
         for name in ("E12", "E21", "H1"):
             for n in (-1, 0, 1):
-                u = AffElt({(name, n): F(1)})
-                for j in js:
+                gk = ("t", name, n)
+                for j in (-1, 0, 1):
                     for i in (0, 1, 2):
-                        for s in ss:
+                        for s in (-1, 0, 1):
                             w = ((("w", j), ("u", i)), s)
-                            rhs = data.M.apply_elt(
-                                u, loop_loc_iso(data, 1, {w: F(1)})
-                            )
-                            lhs = {}
-                            for Np, vec in loop_pair_act(data, u, 1, {w: F(1)}):
-                                for lab, c in loop_loc_iso(data, Np, vec).items():
-                                    q = lhs.get(lab, _Z) + c
-                                    if q:
-                                        lhs[lab] = q
-                                    else:
-                                        del lhs[lab]
-                            assert lhs == rhs
+                            lhs = M.apply_gen(gk, f_power(M, spec.f_elt, {w: F(1)}, -1, bands))
+                            theta = theta_action(M, spec, gk, w)
+                            assert lhs == f_power(M, spec.f_elt, theta, -1, bands), (r, gk, w)
 
 
 def test_loop_iso_inverse_roundtrip():
-    # iso_inv picks N' = (nilpotency of the finite factor) + n = 3 and lands
-    # on the pair (3, F w), equivalent to (2, w); iso sends it back
-    data = _loop_data(1)
-    w = ((("w", 0), ("u", 0)), 1)
-    v = loop_loc_iso(data, 2, {w: F(1)})
-    Np, w2 = loop_loc_iso_inv(data, v)
-    assert Np == 3
-    assert w2 == data.M.apply_elt(data.F_aff, {w: F(1)})
-    assert loop_loc_iso(data, Np, w2) == v
-    # every interior label of the -8..8 dense factor round-trips through an
-    # explicit N = 0..4: the expansion runs at K = -N and at K = N, and for N
-    # below the nilpotency sum the vanishing multinomial drops the split terms
-    for N in range(5):
+    # f^N f^{-N} w = w and f^{-N} f^N w = w for N = 0..2 on every interior
+    # label of the -8..8 dense factor; at N = 3 the honest steps would meet
+    # masked labels, which f_power refuses
+    M, f = _loop_module(1)
+    for N in range(3):
         for j in range(-2, 3):
             for i in range(3):
                 for s in (-1, 0, 1):
-                    w = ((("w", j), ("u", i)), s)
-                    v = loop_loc_iso(data, 2, {w: F(1)})
-                    assert loop_loc_iso(data, *loop_loc_iso_inv(data, v, N=N)) == v
-
-
-def test_loop_iso_matches_the_band_solve_on_the_loop_module():
-    # the closed-form expansion of (f t^r)^{-N} over the factors against the
-    # bandwise inverse of f t^r solved on the loop module itself
-    for r in (0, 1):
-        data = _loop_data(r)
-        for N in (1, 2):
-            for j in range(-3, 4):
-                for i in range(3):
-                    for s in (-1, 0, 1):
-                        v = {((("w", j), ("u", i)), s): F(1)}
-                        assert loop_loc_iso(data, N, v) == f_power(data.M, data.F_aff, v, -N)
-
-
-def test_loop_iso_reuses_the_dense_factor_table(monkeypatch):
-    # the band inverses of the dense factor live in its twist table, so a
-    # repeated expansion reads them and adds no band entry
-    data = _loop_data(1)
-    v = {((("w", 0), ("u", 0)), 0): F(1)}
-    added = []
-    solve = locfun._f_inverse
-
-    def counting_solve(M, f_elt, vec, cache):
-        before = len(cache)
-        try:
-            return solve(M, f_elt, vec, cache)
-        finally:
-            added.append(len(cache) - before)
-
-    monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
-    first = loop_loc_iso(data, 1, v)
-    assert sum(added) > 0
-    added.clear()
-    assert loop_loc_iso(data, 1, v) == first
-    assert added and sum(added) == 0
-
-
-def test_loop_pair_act_formal_rule():
-    # the lowering generator itself commutes with its inverse letters
-    data = _loop_data(1)
-    w = ((("w", 0), ("u", 0)), 0)
-    pairs = loop_pair_act(data, data.F_aff, 2, {w: F(1)})
-    assert pairs == [(2, data.M.apply_elt(data.F_aff, {w: F(1)}))]
+                    v = {((("w", j), ("u", i)), s): F(1)}
+                    assert f_power(M, f, f_power(M, f, v, -N), N) == v
+                    assert f_power(M, f, f_power(M, f, v, N), -N) == v
 
 
 # ------------------------------------------------- induction and twisting

@@ -1209,7 +1209,7 @@ def _eager_rows(P, N, depth, gen_window=None):
             d = wl.d + wn.d
             action[("D", lab)] = {lab: d} if d else {}
             action[("K", lab)] = {lab: k} if k else {}
-            for gk, terms in push.rows[mon]:
+            for gk, terms in push.rows[mon].items():
                 vec = {}
                 for mon2, slot, c in terms:
                     if slot is None:
@@ -1279,11 +1279,17 @@ def test_building_an_induced_module_fills_no_row():
     M = induced_truncated(P, N, depth=1)
     assert M.weight_of and M.boundary and M.multiplicity_table()
     assert M.action._rows == {}
-    # one read fills the rows of that label, for every generator, and no other
+    # iteration yields keys and reads no row
+    assert len(list(M.action)) == len(M.action) and M.action._rows == {}
+    # one read fills exactly that row, and a second read fills nothing more
     lab = next(l for l in M.weight_of if l not in M.boundary)
-    gk = ("t", "E21", -1)
-    assert M.action[(gk, lab)] == _eager_rows(P, N, 1)[(gk, lab)]
-    assert set(M.action._rows) == {(g, lab) for g in M.gens}
+    want = _eager_rows(P, N, 1)
+    for gk in (("t", "E21", -1), "D", "K"):
+        before = set(M.action._rows)
+        assert M.action[(gk, lab)] == want[(gk, lab)]
+        assert set(M.action._rows) == before | {(gk, lab)}
+    assert M.action[("D", lab)] is M.action[("D", lab)]
+    assert set(M.action._rows) == {(g, lab) for g in (("t", "E21", -1), "D", "K")}
 
 
 def test_induced_action_behaves_as_a_dict():
