@@ -2,7 +2,7 @@
 
 Modules
 -------
-exact    rational scalars, generalized binomials, polynomials, exact linalg
+exact    rational scalars, generalized binomials, exact linalg
 finlie   finite-dimensional simple Lie algebras with Chevalley-style bases
 affine   affine algebras (twisted and untwisted), roots, sl2 triples
 rootpar  functional flags, parabolic subsets, cone certificates

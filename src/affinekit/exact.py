@@ -1,14 +1,8 @@
-"""Exact scalar arithmetic and small exact linear algebra.
+"""Exact scalar arithmetic and small exact linear algebra over Fraction.
 
-Everything in this package computes over the rationals: the scalar type is
-the stdlib Fraction (arbitrary precision, always in lowest terms, positive
-denominator).  This module adds generalized binomials with
-an arbitrary rational upper argument, generalized multinomials, a dense
-univariate polynomial that is evaluated and compared (no ring operations),
-and exact Gaussian elimination / integer lattice solving used throughout
-the package.
-
-No floating point is used anywhere.
+Generalized binomials and multinomials with a rational upper argument,
+Gaussian elimination, and integer lattice solving.  No floating point is
+used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -103,40 +97,6 @@ def rational_sqrt(q):
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-# -------------------------------------------------------------- polynomials
-
-
-class Poly:
-    """Dense univariate polynomial over the rationals, ascending degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def __call__(self, v) -> Fraction:
-        v = Fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "Poly(" + " + ".join(terms) + ")"
 
 
 # ----------------------------------------------------------- linear algebra

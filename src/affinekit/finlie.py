@@ -208,17 +208,9 @@ class SimpleLieAlgebra:
                 if w in self.root_vector:
                     raise ValueError(f"root space of {w} is not one-dimensional")
                 self.root_vector[w] = a
-        self.cartan_matrix = [
-            [int(self.weight_of[self._chevalley[j + 1][0]][i]) for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
         self.simple_roots = [
             self.weight_of[self._chevalley[j + 1][0]] for j in range(self.rank)
         ]
-        # the Gram matrix of the coroots is symmetric: its rows are its columns
-        self._coroot_dual = coordinate_map(
-            [[self.form_table[(a, b)] for b in self.cartan] for a in self.cartan]
-        )
 
     # -- public operations
 
@@ -240,10 +232,6 @@ class SimpleLieAlgebra:
             for b, yb in y.c.items():
                 tot += xa * yb * self.form_table[(a, b)]
         return tot
-
-    def weight_form(self, v, w):
-        """Invariant form on weights given in fw-coordinates."""
-        return sum((Fraction(a) * b for a, b in zip(v, self._coroot_dual(w))), Fraction(0))
 
     @cached_property
     def longest_root_string(self):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .exact import Poly, det, gen_binom, invert, kernel, solve_unique
+from .exact import det, gen_binom, invert, kernel, solve_unique
 from .finlie import LieElt, sl2_normalise
 from .affine import AffRoot, AffWeight, sl2_triple
 from .modrep import (
@@ -539,19 +539,18 @@ def imverma_localized(lam, depth, length_cap, gen_window=2, n0_ext=2):
 # ------------------------------------------------- e against inverse powers
 
 
-def efloc_quadratic(lam):
-    """p(x) = x(lam + 1 - x), with e_0 (f_0^x vac) = p(x) f_0^{x-1} vac on the
-    vacuum module: the sl2 string e f^n v = n(lam + 1 - n) f^{n-1} v."""
-    return Poly([_Z, Fraction(lam) + 1, -_ONE])
-
-
 def efloc_product(lam, x, k):
-    """prod_{j=0}^{k-1} p(x - j): the coefficient of e_0^k across f_0^x."""
-    q = efloc_quadratic(lam)
+    """prod_{j=0}^{k-1} p(x - j): the coefficient of e_0^k across f_0^x.
+
+    p(y) = y(lam + 1 - y), with e_0 (f_0^y vac) = p(y) f_0^{y-1} vac on the
+    vacuum module: the sl2 string e f^n v = n(lam + 1 - n) f^{n-1} v.
+    """
+    top = Fraction(lam) + 1
     x = Fraction(x)
     out = _ONE
     for j in range(k):
-        out *= q(x - j)
+        y = x - j
+        out *= y * (top - y)
     return out
 
 
@@ -576,6 +575,8 @@ def efloc_walk(lam, x, k):
     row.  The label masks are coarse, so those rows still hold the values of
     efloc_product; a walk of length 3 reads no masked label.
     """
+    if k < 0:
+        raise ValueError(f"the walk length k must be nonnegative, got {k}")
     if not k:
         return []
     L = imverma_localized(lam, 2, 2, gen_window=1, n0_ext=2 * k)

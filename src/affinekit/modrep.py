@@ -17,6 +17,7 @@ h^2/2 then acts by the constant 2c + b + b^2/2.
 """
 
 import itertools
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -686,7 +687,10 @@ def vacuum_support(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0
     W + |a + b| > mode_cap for a letter pair of mon, or W >= 1 and one of:
     L = length_cap; |g| + W > depth; W + |k| > mode_cap for a letter f_k of
     mon (W > mode_cap for the vacuum); n0 = 1 - n0_ext with n0_ext >= 2.
+    A negative n0_ext would drop the vacuum itself and raises ValueError.
     """
+    if n0_ext < 0:
+        raise ValueError(f"n0_ext must be nonnegative, got {n0_ext}")
     lam = Fraction(lam)
     if mode_cap is None:
         mode_cap = depth
@@ -904,6 +908,8 @@ def levi_dense_module(P, params, jwindow, base_fin):
     gfin, gn = root.fin, root.n
     e, f, h = sl2_triple(A, root)
     base_fin = tuple(Fraction(v) for v in base_fin)
+    if len(base_fin) != A.fin_rank:
+        raise ValueError(f"base_fin needs {A.fin_rank} coordinates, got {len(base_fin)}")
     if _cartan_value(A, h, base_fin) != Fraction(params.b):
         raise ValueError("base_fin disagrees with b on the Levi coroot")
 
@@ -947,8 +953,13 @@ class _InductionPush:
     rows: dict  # monomial -> {gen key: terms}, D and K aside
 
 
+# P -> {(depth, gen_window): _InductionPush}; a ParabolicSet hashes by
+# identity, and its tables go with it
+_PUSHES = weakref.WeakKeyDictionary()
+
+
 def _induction_push(P, depth, gen_window):
-    """The push of induced_truncated, filled once per (depth, gen_window) on P.
+    """The push of induced_truncated, filled once per (depth, gen_window) for P.
 
     The push reads N only at the label n it starts from: a Levi generator
     that reaches the empty monomial reads its row of N at n, and a central
@@ -965,14 +976,33 @@ def _induction_push(P, depth, gen_window):
     where those terms are a nonzero vector at n, since a term that cancels
     there is never pushed further.  always, reads and guards are merged per
     monomial into its mask entry; the rows keep only their terms.
+
+    Each loop basis key (lab, m) has a kind: "levi" for the degree-zero
+    Cartan or a root in P together with its negative, "nplus" for a root in
+    P whose negative is not, "letter" for a root outside P.
     """
-    push = P._pushes.get((depth, gen_window))
+    pushes = _PUSHES.setdefault(P, {})
+    push = pushes.get((depth, gen_window))
     if push is not None:
         return push
     A = P.algebra
-    letters = [
-        key for r in P.roots for key in root_space(A, r) if P.basis_kind(*key) == "letter"
-    ]
+    kinds = {}
+
+    def kind_of(key):
+        kind = kinds.get(key)
+        if kind is None:
+            lab, m = key
+            fin = A.fin_weight(m, lab)
+            if not any(fin) and m == 0:
+                kind = "levi"
+            elif P.member(fin, m):
+                kind = "levi" if P.member(tuple(-c for c in fin), -m) else "nplus"
+            else:
+                kind = "letter"
+            kinds[key] = kind
+        return kind
+
+    letters = [key for r in P.roots for key in root_space(A, r) if kind_of(key) == "letter"]
     letters.sort(key=lambda t: (t[1], t[0]))
     lset = set(letters)
     lorder = {l: i for i, l in enumerate(letters)}
@@ -1007,7 +1037,7 @@ def _induction_push(P, depth, gen_window):
         """key . (mon, n) as (terms {(mon', slot): c}, always, reads, guards)."""
         res = cache_act.get((key, mon))
         if res is None:
-            kind = P.basis_kind(*key)
+            kind = kind_of(key)
             if kind == "letter":
                 # a letter root outside the stored window loses its term
                 v, t = insert_letter(key, mon) if key in lset else ({}, True)
@@ -1066,7 +1096,7 @@ def _induction_push(P, depth, gen_window):
                 guards |= g2
             masks[mon] = (tuple(reads), always, frozenset() if always else frozenset(guards))
     push = _InductionPush(letters, weights, masks, rows)
-    P._pushes[(depth, gen_window)] = push
+    pushes[(depth, gen_window)] = push
     return push
 
 
@@ -1165,7 +1195,7 @@ def induced_truncated(P, N, depth, gen_window=None):
     brackets.  N must be supported in a single coset of the Levi root
     lattice, with the Levi read as levi_sl2_root reads it (P.levi_root_keys).
     The push does not depend on N: it is tabulated once per (depth,
-    gen_window) on P (_induction_push).
+    gen_window) for P (_induction_push).
 
     Weights and mask are computed here from the push and N alone.  A label
     (mon, n) is masked iff n is in N.boundary, or some push row of mon has

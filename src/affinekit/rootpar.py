@@ -133,8 +133,9 @@ class ParabolicSet:
     passed in explicitly must cover exactly those keys.  With a flag, the
     set evaluates phi1 and phi2 once per root line (_sign_line), so
     membership at any degree is one integer multiply-add per covector.
-    Construction never classifies: a flag-backed set is tagged the first
-    time tag is read.
+    A flag-backed set is classified at construction (classify_parabolic),
+    so an improper flag raises ImproperParabolic here; a flagless set keeps
+    the tag it is given.
     """
 
     def __init__(self, A, flag, window, members=None, tag=None):
@@ -160,19 +161,13 @@ class ParabolicSet:
         ):
             raise ValueError("an explicit member table must cover exactly the window roots")
         self.members = members
-        self._tag = tag
-        self._kinds = {}
+        self._tag = tag if flag is None else classify_parabolic(self)
         self._levi_keys = None
         self._levi_root_keys = None
-        # modrep._induction_push's tables, one per (depth, gen_window)
-        self._pushes = {}
 
     @property
     def tag(self):
-        """The classify_parabolic tag of the flag, computed on first read; a
-        flagless set keeps the tag it was given."""
-        if self._tag is None and self.flag is not None:
-            self._tag = classify_parabolic(self)
+        """The classify_parabolic tag of the flag; read-only."""
         return self._tag
 
     def _line(self, fin):
@@ -193,30 +188,6 @@ class ParabolicSet:
             raise ValueError("membership outside the window needs a defining flag")
         return _in_P(self._line(fin), n)
 
-    def member_key(self, key):
-        return self.member(key[0], key[1])
-
-    def basis_kind(self, lab, m):
-        """Kind of the loop basis key (lab, m): "levi", "nplus" or "letter".
-
-        levi: the degree-zero Cartan, or a root in P together with its
-        negative; nplus: a root in P whose negative is not; letter: a root
-        outside P.  Memoised per key, apart from members, which holds roots
-        only.
-        """
-        key = (lab, m)
-        kind = self._kinds.get(key)
-        if kind is None:
-            fin = self.algebra.fin_weight(m, lab)
-            if not any(fin) and m == 0:
-                kind = "levi"
-            elif self.member(fin, m):
-                kind = "levi" if self.member(tuple(-c for c in fin), -m) else "nplus"
-            else:
-                kind = "letter"
-            self._kinds[key] = kind
-        return kind
-
     def keys(self):
         return [(r.fin, r.n) for r in self.roots]
 
@@ -225,7 +196,7 @@ class ParabolicSet:
         (members never change) and shared between callers."""
         if self._levi_keys is None:
             self._levi_keys = [
-                k for k in self.keys() if self.member_key(k) and self.member_key(_neg(k))
+                k for k in self.keys() if self.member(*k) and self.member(*_neg(k))
             ]
         return self._levi_keys
 
@@ -272,9 +243,7 @@ def _line_signs(flag, fin):
 
 
 def assemble_parabolic(A, flag, window):
-    P = ParabolicSet(A, flag, window)
-    P.tag  # classifies now, so an improper set raises ImproperParabolic here
-    return P
+    return ParabolicSet(A, flag, window)
 
 
 def check_parabolic_axioms(P):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 
 from affinekit.exact import (
-    Poly,
     coordinate_map,
     det,
     gen_binom,
@@ -171,21 +170,6 @@ def test_rational_sqrt(p, q):
     assert rational_sqrt(F(p, q) ** 2) == F(p, q)
     assert rational_sqrt(-F(p + 1, q) ** 2) is None
     assert rational_sqrt(2 * F(p + 1, q) ** 2) is None
-
-
-# ------------------------------------------------------------------ Poly
-
-
-def test_poly_arithmetic():
-    # Poly is evaluated and compared only: (x - 1)(x - 2), ascending
-    p = Poly([F(2), F(-3), F(1)])
-    assert p(F(1)) == 0
-    assert p(F(2)) == 0
-    assert p(F(0)) == 2
-    assert p(F(3, 7)) == (F(3, 7) - 1) * (F(3, 7) - 2)
-    assert Poly([F(5), F(0)]).coeffs == (F(5),)
-    assert Poly([F(5), F(0)]) == Poly([F(5)]) and hash(Poly([F(5), F(0)])) == hash(Poly([F(5)]))
-    assert Poly([F(0)]).coeffs == () and repr(Poly()) == "Poly(0)"
 
 
 # ---------------------------------------------------------- linear algebra

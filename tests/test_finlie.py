@@ -104,10 +104,12 @@ def test_form_nondegenerate(algebras):
 
 
 def test_long_root_normalization(algebras):
-    # the invariant form is scaled so that long roots have (alpha,alpha) = 2
+    # the invariant form is scaled so that long roots have (alpha,alpha) = 2;
+    # untwisted, fin_form reads weights on the coroots of g
     expect_norms = {"A1": {2}, "A2": {2}, "A3": {2}, "C2": {1, 2}}
     for t, g in algebras.items():
-        norms = {g.weight_form(r, r) for r in g.roots}
+        form = build_affine(g).fin_form
+        norms = {form(r, r) for r in g.roots}
         assert norms == {F(n) for n in expect_norms[t]}
         assert max(norms) == 2
 
@@ -143,11 +145,24 @@ def test_chevalley_sl2_relations(algebras):
             assert g.bracket(h, f) == f.scale(-2)
 
 
+# closed-form Cartan matrices a_ij = alpha_j(h_i); C2 has alpha_1 short
+CARTAN = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "C2": [[2, -2], [-1, 2]],
+}
+
+
 def test_cartan_matrix_consistency(algebras):
-    for g in algebras.values():
+    for t, g in algebras.items():
+        form = build_affine(g).fin_form
         for j, alpha in enumerate(g.simple_roots):
             # fw-coordinates of alpha_j are the j-th Cartan matrix column
-            assert list(alpha) == [g.cartan_matrix[i][j] for i in range(g.rank)]
+            assert list(alpha) == [CARTAN[t][i][j] for i in range(g.rank)]
+            # and the form gives a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
+            for i, beta in enumerate(g.simple_roots):
+                assert 2 * form(beta, alpha) / form(beta, beta) == CARTAN[t][i][j]
 
 
 # ------------------------------------------------------------------- sigma

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinekit.exact import Poly, gen_binom
+from affinekit.exact import gen_binom
 from affinekit.finlie import LieElt, build_simple, sigma_aut
 from affinekit.affine import (
     AffElt,
@@ -47,7 +47,6 @@ from affinekit.locfun import (
     BandError,
     efloc_admissible,
     efloc_product,
-    efloc_quadratic,
     efloc_walk,
     f_power,
     imverma_localized,
@@ -660,18 +659,13 @@ def test_find_twist_parameter_vacuum(lam):
     # one e_0 step across f_0^x on the localized vacuum must carry the closed
     # form x(lam + 1 - x): e_0 vac = 0 makes x = 0 a root, the other is
     # lam + 1 (a double root at lam = -1), and the walk vanishes at both
-    q = efloc_quadratic(lam)
     for x in (F(0), lam + 1, F(5, 2), F(-3, 2)):
-        assert efloc_walk(lam, x, 1) == [q(x)], x
-    assert q(F(5, 2)) and q(F(-3, 2))
+        want = x * (lam + 1 - x)
+        assert efloc_walk(lam, x, 1) == [efloc_product(lam, x, 1)] == [want], x
+        assert want or x in (0, lam + 1)
 
 
 # ------------------------------------------------------------ e-f products
-
-
-def test_efloc_quadratic_closed_form():
-    assert efloc_quadratic(F(3)) == Poly([F(0), F(4), F(-1)])
-    assert efloc_quadratic(F(0)) == Poly([F(0), F(1), F(-1)])
 
 
 def test_efloc_product_values():
@@ -768,6 +762,11 @@ def test_efloc_walk_builds_the_vacuum_once(monkeypatch):
 
 def test_efloc_walk_of_length_zero_is_empty():
     assert efloc_walk(F(3), F(5, 2), 0) == []
+
+
+def test_efloc_walk_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        efloc_walk(F(3), F(5, 2), -1)
 
 
 def test_efloc_walk_reports_a_step_off_the_line(monkeypatch):

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import random
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as F
@@ -20,6 +22,7 @@ from affinekit.affine import (
     root_space,
     sl2_triple,
 )
+from affinekit import modrep
 from affinekit.rootpar import assemble_parabolic, make_flag, random_flag
 from affinekit.modrep import (
     _MAX_REPORT,
@@ -703,6 +706,14 @@ def test_vacuum_support_is_the_support_of_imaginary_verma():
         assert M.action == action, args
 
 
+def test_vacuum_support_rejects_a_negative_n0_ext():
+    # n0 would start at 1, leaving out the vacuum ("m", 0, ())
+    assert ("m", 0, ()) in vacuum_support(F(3), 2, 2, n0_ext=0).weight_of
+    for build in (vacuum_support, imaginary_verma):
+        with pytest.raises(ValueError, match="n0_ext"):
+            build(F(3), 2, 2, n0_ext=-1)
+
+
 # ------------------------------------------------------------ Prop-4.2 pairing
 
 
@@ -741,6 +752,51 @@ def test_prop42_submatrix_invertible():
         assert det(half) != 0
 
 
+def _cartan_levi_module(lam, k):
+    """C_lam: one label, h t^0 -> lam, D -> 0, K -> k, over the Levi of the
+    natural Borel of affine A1 (its degree-zero Cartan, D and K)."""
+    h, v = ("t", "H1", 0), "v"
+    action = {(h, v): _scaled({v: _ONE}, F(lam)), ("D", v): {}, ("K", v): _scaled({v: _ONE}, F(k))}
+    return GradedModule(
+        A1aff, {v: AffWeight((F(lam),), _Z, F(k))}, action, set(), F(k), [h, "D", "K"]
+    )
+
+
+def _prop42_read_off_the_engine(n, lam, k):
+    """prop42_matrix(n, lam) read off the Verma module induced from C_lam at
+    level k along the natural Borel of A1: entry (k', l) applies f_{l-n},
+    e_{-l}, h_{n-k'} and h_{k'} to the top label, checking that every vector
+    read lies on unmasked labels and that the result lies on the top label."""
+    window = DegreeWindow(1 - 2 * n, 2 * n - 1)
+    P = assemble_parabolic(A1aff, make_flag(A1aff, (F(1), F(5))), window)
+    assert P.tag == "standard" and P.levi_root_keys() == []
+    M = induced_truncated(P, _cartan_levi_module(lam, k), 3, gen_window=n - 1)
+    top = ((), "v")
+    out = []
+    for kk in range(1, n):
+        row = []
+        for l in range(1, n):
+            vec = {top: _ONE}
+            for gk in (("t", "E21", l - n), ("t", "E12", -l), ("t", "H1", n - kk), ("t", "H1", kk)):
+                assert not vec.keys() & M.boundary, (kk, l, gk)
+                vec = M.apply_gen(gk, vec)
+            assert vec.keys() <= {top} and top not in M.boundary, (kk, l)
+            row.append(vec.get(top, _Z))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("n,lam", [(2, F(1)), (2, F(-3, 2)), (3, F(1))], ids=str)
+def test_prop42_matrix_is_read_off_the_induced_verma_module(n, lam):
+    assert _prop42_read_off_the_engine(n, lam, 0) == prop42_matrix(n, lam)
+
+
+def test_prop42_read_off_the_engine_sees_the_level():
+    # prop42 is a level-zero pairing: at level 1 the central terms of the
+    # brackets of h's survive
+    assert _prop42_read_off_the_engine(2, F(1), 1) != prop42_matrix(2, F(1))
+
+
 # ------------------------------------------------------------ induced modules
 
 
@@ -768,6 +824,15 @@ def test_levi_dense_module_consistency():
         assert N.weight_of[lab].fin == (F(1, 2) + 2 * j, F(4) - j)
     assert check_bracket_compat(N) == []
     assert check_weight_additivity(N) == []
+
+
+def test_levi_dense_module_rejects_a_base_fin_of_the_wrong_length():
+    # A2 has two finite coordinates: one is too few, three too many
+    P = _standard_P()
+    params = DenseSL2Params(F(1, 2), F(3))
+    for base_fin in ((F(1, 2),), (F(1, 2), F(4), F(7))):
+        with pytest.raises(ValueError, match="base_fin needs 2 coordinates"):
+            levi_dense_module(P, params, DegreeWindow(-2, 2), base_fin)
 
 
 def test_cartan_value_untwisted_and_twisted():
@@ -817,8 +882,8 @@ def test_induced_layers_and_top():
     # radical keys: k in P with -k outside P
     rad = [
         (fin, n) for fin, n in P.keys()
-        if any(fin) and P.member_key((fin, n))
-        and not P.member_key((tuple(-c for c in fin), -n))
+        if any(fin) and P.member(fin, n)
+        and not P.member(tuple(-c for c in fin), -n)
     ]
     for fin, n in rad[:6]:
         from affinekit.affine import canonical_generator
@@ -852,7 +917,7 @@ def test_induced_bracket_compat():
 
 
 def test_induced_tables_do_not_leak_between_modules():
-    # basis_kind and basis_bracket are memoised on P and its algebra: one P
+    # the push is kept per P and basis_bracket on the algebra: one P
     # inducing N and then a twist of N must agree with fresh ones each time
     from affinekit.affine import AffRoot, is_positive_root
     from affinekit.locfun import make_twist_spec, twist_module
@@ -918,6 +983,18 @@ def solve_any(A, b):
     return sol
 
 
+def _basis_kind(P, lab, m):
+    """"levi", "nplus" or "letter" for the loop basis key (lab, m), read off
+    P.member: the degree-zero Cartan or a root in P with its negative, a root
+    in P whose negative is not, a root outside P."""
+    fin = P.algebra.fin_weight(m, lab)
+    if not any(fin) and m == 0:
+        return "levi"
+    if not P.member(fin, m):
+        return "letter"
+    return "levi" if P.member(tuple(-c for c in fin), -m) else "nplus"
+
+
 def _induced_per_label(P, N, depth, gen_window=None):
     """induced_truncated as it was before the push was tabulated: the whole
     push re-run for every label of N, kept here as the oracle.
@@ -939,7 +1016,7 @@ def _induced_per_label(P, N, depth, gen_window=None):
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
 
     letters = [
-        key for r in P.roots for key in root_space(A, r) if P.basis_kind(*key) == "letter"
+        key for r in P.roots for key in root_space(A, r) if _basis_kind(P, *key) == "letter"
     ]
     letters.sort(key=lambda t: (t[1], t[0]))
     lset = set(letters)
@@ -1004,7 +1081,7 @@ def _induced_per_label(P, N, depth, gen_window=None):
         key = (lab, m, mon, nl)
         if key in cache_act:
             return cache_act[key]
-        cls = P.basis_kind(lab, m)
+        cls = _basis_kind(P, lab, m)
         if cls == "letter":
             if (lab, m) in lset:
                 res = insert_letter((lab, m), mon, nl)
@@ -1126,9 +1203,11 @@ def test_induction_push_is_built_once_per_parabolic(monkeypatch):
     P = _standard_P()
     N = _levi_N()
     first = induced_truncated(P, N, depth=2)
+    assert list(modrep._PUSHES[P]) == [(2, 1)]
+    push = modrep._PUSHES[P][(2, 1)]
     T = dataclasses.replace(N, action={**N.action, ("D", ("w", 0)): {("w", 0): F(7)}})
-    calls = {"basis_bracket": 0, "basis_kind": 0}
-    for cls, name in ((AffineAlgebra, "basis_bracket"), (ParabolicSet, "basis_kind")):
+    calls = {"basis_bracket": 0, "member": 0}
+    for cls, name in ((AffineAlgebra, "basis_bracket"), (ParabolicSet, "member")):
         orig = getattr(cls, name)
 
         def counted(self, *args, _orig=orig, _name=name):
@@ -1137,10 +1216,38 @@ def test_induction_push_is_built_once_per_parabolic(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     again = induced_truncated(P, T, depth=2)
-    assert calls == {"basis_bracket": 0, "basis_kind": 0}
+    assert calls == {"basis_bracket": 0, "member": 0}
+    assert _induction_push(P, 2, 1) is push
     assert again.action == first.action and again.boundary == first.boundary
     induced_truncated(P, N, depth=1)
-    assert calls["basis_kind"] > 0
+    assert calls["member"] > 0
+    assert list(modrep._PUSHES[P]) == [(2, 1), (1, 1)]
+    # the table holds P weakly: P and its pushes leave with its last reference
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("key,phi1", [("A2", (1, 2, 5)), ("C2", (1, 0, 3))])
+def test_push_letters_are_the_roots_outside_P(key, phi1):
+    A = build_affine(build_simple(key))
+    P = assemble_parabolic(A, make_flag(A, tuple(F(c) for c in phi1)), DegreeWindow(-1, 1))
+    assert P.tag == "standard"
+    members = dict(P.members)
+    push = _induction_push(P, 1, 1)
+    # every basis key of a window root outside P, and nothing else, in
+    # (degree, label) order
+    outside = [
+        key for r in P.roots if not P.member(r.fin, r.n) for key in root_space(A, r)
+    ]
+    assert push.letters == sorted(outside, key=lambda t: (t[1], t[0]))
+    assert set(push.weights) == {()} | {(l,) for l in push.letters}
+    kinds = {
+        _basis_kind(P, lab, m) for m in range(-3, 4) for lab in A.class_labels(m)
+    }
+    assert kinds == {"levi", "nplus", "letter"}
+    assert P.members == members
 
 
 def test_induction_reads_the_levi_beyond_the_window():
@@ -1173,7 +1280,7 @@ def test_induced_guard_masks_only_where_its_terms_are_nonzero():
     reads, always, guards = push.masks[()]
     assert not always
     planted = (reads + (egen,), False, guards | {((egen, F(1)),)})
-    P._pushes[(1, 1)] = dataclasses.replace(push, masks={**push.masks, (): planted})
+    modrep._PUSHES[P][(1, 1)] = dataclasses.replace(push, masks={**push.masks, (): planted})
     M = induced_truncated(P, N, depth=1)
     assert M.action == plain.action
     assert M.boundary - plain.boundary == {((), ("w", -1)), ((), ("w", 1))}
@@ -1447,7 +1554,7 @@ def test_build_PM_pure_tables():
     table = {k: "f" for k in _hw_table(W)}
     P = build_PM(A1aff, table, W)
     assert P.tag == "all"
-    assert all(P.member_key(k) for k in P.keys())
+    assert all(P.member(*k) for k in P.keys())
     table = {k: "i" for k in _hw_table(W)}
     P = build_PM(A1aff, table, W)
     assert P.tag == "all"

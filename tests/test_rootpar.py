@@ -91,7 +91,7 @@ def test_assemble_without_phi2(algebras):
     expect = {
         (r.fin, r.n) for r in roots_window(A, W3) if flag_value(fl.phi1, r.fin, r.n) >= 0
     }
-    assert {k for k in P.keys() if P.member_key(k)} == expect
+    assert {k for k in P.keys() if P.member(*k)} == expect
 
 
 def test_assemble_borel_demand(algebras):
@@ -124,7 +124,7 @@ def test_axioms_positive_system(algebras):
 def test_axioms_fail_on_doctored_set(algebras):
     A = algebras["A1u"]
     P = assemble_parabolic(A, make_flag(A, (F(1), F(5))), W3)
-    members = {k: P.member_key(k) for k in P.keys()}
+    members = {k: P.member(*k) for k in P.keys()}
     # remove an interior sum: alpha + delta = (alpha) + (delta)
     key = ((F(2),), 1)
     assert members[key]
@@ -143,30 +143,6 @@ def test_axioms_random_flags(algebras):
             fl = random_flag(A, rng)
             P = assemble_parabolic(A, fl, W3)
             assert check_parabolic_axioms(P), (key, fl)
-
-
-@pytest.mark.parametrize("key,phi1", [("A2u", (1, 2, 5)), ("C2u", (1, 0, 3))])
-def test_basis_kind_matches_membership(algebras, key, phi1):
-    A = algebras[key]
-    P = assemble_parabolic(A, make_flag(A, tuple(F(c) for c in phi1)), DegreeWindow(-1, 1))
-    assert P.tag == "standard"
-    members = dict(P.members)
-    seen = set()
-    # degrees -3..3 reach past the window, where member falls back to the flag
-    for m in range(-3, 4):
-        for lab in A.class_labels(m):
-            fin = A.fin_weight(m, lab)
-            key_in = P.member(fin, m)
-            neg_in = P.member(tuple(-c for c in fin), -m)
-            if (not any(fin) and m == 0) or (key_in and neg_in):
-                want = "levi"
-            else:
-                want = "nplus" if key_in else "letter"
-            # the second call is answered from the memo
-            assert P.basis_kind(lab, m) == P.basis_kind(lab, m) == want, (lab, m)
-            seen.add(want)
-    assert seen == {"levi", "nplus", "letter"}
-    assert P.members == members
 
 
 # ---------------------------------------------------- classification
@@ -213,13 +189,12 @@ def test_classify_mixed_splits_imaginary(algebras):
     assert verify_classification(P)
 
 
-def test_tag_is_read_only_and_classified_on_first_read(algebras):
+def test_tag_is_read_only_and_classified_at_construction(algebras):
     A = algebras["A1u"]
     # phi1 vanishes on both roots of the degree-0 window, so P = Delta there
     improper = make_flag(A, (F(0), F(1)))
-    P = ParabolicSet(A, improper, DegreeWindow(0, 0))  # construction never classifies
     with pytest.raises(ImproperParabolic):
-        P.tag
+        ParabolicSet(A, improper, DegreeWindow(0, 0))
     with pytest.raises(ImproperParabolic):
         assemble_parabolic(A, improper, DegreeWindow(0, 0))
     Q = ParabolicSet(A, make_flag(A, (F(1), F(1))), W3)
@@ -288,7 +263,7 @@ def test_window_doubling_stability(algebras):
             P2 = assemble_parabolic(A, fl, W3.doubled())
             assert classify_parabolic(P1) == classify_parabolic(P2)
             for k in P1.keys():
-                assert P1.member_key(k) == P2.member_key(k)
+                assert P1.member(*k) == P2.member(*k)
 
 
 # ---------------------------------------------------- bases and the cone
@@ -382,7 +357,7 @@ def test_NG_frozen_values(algebras):
     expected = {"A1": 2, "A2": 2, "A3": 2, "C2": 2}
     for t, want in expected.items():
         g = build_simple(t)
-        assert oracle(g.roots, g.weight_form) == want
+        assert oracle(g.roots, build_affine(g).fin_form) == want
         assert build_affine(g).NG == want
     # twisted A2: the real root directions are +-beta and +-2beta
     A = algebras["A2t"]

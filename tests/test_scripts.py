@@ -4,6 +4,7 @@ The scripts check their own results (twist_scan.py, for one, compares every
 walk with the closed-form product), so exit status 0 is the assertion.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -91,6 +92,32 @@ def _perfbench_source(name):
     mod = types.ModuleType(name)
     exec(compile(path.read_text(), str(path), "exec"), vars(mod))
     return mod
+
+
+# the layers of src/affinekit, lowest first: a module imports only the ones
+# before it
+LAYERS = ["exact", "finlie", "affine", "rootpar", "modrep", "locfun", "cli"]
+
+
+def test_modules_import_only_lower_layers():
+    src = ROOT / "src" / "affinekit"
+    assert sorted(LAYERS) == sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    for pos, layer in enumerate(LAYERS):
+        tree = ast.parse((src / f"{layer}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                full = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # from .x import y and from . import x, or their absolute forms
+                pkg = "affinekit." if node.level else ""
+                full = [pkg + node.module] if node.module else []
+                if node.module in (None, "affinekit"):
+                    full = ["affinekit." + alias.name for alias in node.names]
+            else:
+                continue
+            imported |= {n.split(".")[1] for n in full if n.startswith("affinekit.")}
+        assert imported <= set(LAYERS[:pos]), (layer, imported - set(LAYERS[:pos]))
 
 
 def test_benchmark_names_resolve_in_affinekit():
