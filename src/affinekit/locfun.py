@@ -28,6 +28,7 @@ from .modrep import (
     IncompatibleData,
     NothingCompared,
     UntabulatedGenerator,
+    _LazyRows,
     _acc,
     _band_matrix,
     _scaled,
@@ -334,19 +335,34 @@ def theta_action(M, spec, X, v, cache=None):
     return out
 
 
+def _elt_gens(M, elt):
+    """The generator keys whose rows M.apply_elt reads to apply elt."""
+    if M.kind == "fin":
+        return [("fin", name) for name in elt.c]
+    keys = [("t",) + key for key in elt.c]
+    return keys + ["D"] if elt.d else keys
+
+
 def twist_module(M, spec):
     """The module with the same labels, actions conjugated by f_alpha^x.
 
     A label of the result stands for the old vector behind the formal power
     f_alpha^{-x}, so its weight gains x alpha and the row of u becomes
-    Theta_x(u).  Labels whose series leaves the window keep an empty row and
-    join the mask, as do labels whose series routed through a masked row.
-    Any other error, such as an untabulated generator, propagates.
+    Theta_x(u).  Weights and mask are computed here; the rows are filled on
+    first read (modrep._LazyRows), each by theta_action, or {} where its
+    series leaves the window, and the K row is M's.  Once every row is
+    filled the result no longer holds M.
 
     The rows of a label read the rungs f^{-i} v, i < depth, of one ladder,
     where depth is the longest lowering chain of M's generators, cut at
-    spec.cut; so the label is masked when a rung 1 <= i < depth meets M's
-    mask (rung 0 is the label itself).
+    spec.cut.  A row raises BandError exactly when the ladder fails below
+    its own chain length, so the mask needs no row: a label is masked when
+    its ladder fails below depth, or a rung 1 <= i < depth meets M's mask
+    (rung 0 is the label itself).  A chain term i >= 1 that names a
+    generator M does not tabulate raises UntabulatedGenerator here, at the
+    first label whose ladder reaches rung i, as its row would on first read.
+    Any other error, such as a lowering chain that outruns the longest root
+    string, propagates too.
 
     Every row reads twist_table(M, spec), so a twist of M by a new x along
     a root M was twisted along before solves no band and applies no term
@@ -366,34 +382,53 @@ def twist_module(M, spec):
         tw = _wshift(w, spec.weight, spec.x)
         for lab in labs:
             weight_of[lab] = tw
-    action = {}
     boundary = set(M.boundary)
     table = twist_table(M, spec)
     store = table[0]
-    depth = None  # read off the chains once the first label made them
-    for lab in M.weight_of:
-        failed = False
+    if M.weight_of:
+        gen_set = set(M.gens)
+        depth, untabulated = 1, None  # untabulated: (first rung, generator)
         for gk in M.gens:
             if gk == "K":
-                action[(gk, lab)] = dict(M.action[(gk, lab)])
                 continue
+            chain = store.chains.get(gk)
+            if chain is None:
+                chain = store.chains[gk] = _lowering_chain(M, spec.f_elt, M.gen_elt(gk))
+            n = len(chain) if spec.cut is None else min(len(chain), spec.cut)
+            depth = max(depth, n)
+            for i in range(1, n if untabulated is None else min(n, untabulated[0])):
+                missing = [g for g in _elt_gens(M, chain[i]) if g not in gen_set]
+                if missing:
+                    untabulated = (i, missing[0])
+                    break
+        for lab in M.weight_of:
+            ladder = store.ladders.get(lab)
+            if ladder is None:
+                ladder = store.ladders[lab] = [{lab: _ONE}]
             try:
-                action[(gk, lab)] = theta_action(M, spec, gk, lab, table)
+                _rung(M, spec.f_elt, ladder, depth - 1, store.bands)
+                reach = depth
             except BandError:
-                action[(gk, lab)] = {}
-                failed = True
-        if depth is None:
-            depth = max((len(store.chains[gk]) for gk in M.gens if gk != "K"), default=1)
-            if spec.cut is not None and spec.cut < depth:
-                depth = spec.cut
-        # an earlier x may have run the ladder deeper than this one reads
-        if failed or depth > 1 and any(
-            not M.boundary.isdisjoint(rung) for rung in store.ladders[lab][1:depth]
-        ):
-            boundary.add(lab)
-    T = GradedModule(M.algebra, weight_of, action, boundary, M.k_value, list(M.gens))
-    f_keys = [("fin", key) if M.kind == "fin" else ("t",) + key for key in spec.f_elt.c]
-    if all(len(store.chains.get(gk, ())) == 1 for gk in f_keys):
+                reach = len(ladder) - 1  # the failed rung ends the ladder
+            if untabulated is not None and untabulated[0] < reach:
+                raise UntabulatedGenerator(f"generator {untabulated[1]!r} is not tabulated")
+            # an earlier x may have run the ladder deeper than this one reads
+            if reach < depth or any(
+                not M.boundary.isdisjoint(rung) for rung in ladder[1:depth]
+            ):
+                boundary.add(lab)
+
+    def fill(gk, lab):
+        if gk == "K":
+            return dict(M.action[(gk, lab)])
+        try:
+            return theta_action(M, spec, gk, lab, table)
+        except BandError:
+            return {}
+
+    gens = list(M.gens)
+    T = GradedModule(M.algebra, weight_of, _LazyRows(weight_of, gens, fill), boundary, M.k_value, gens)
+    if all(len(store.chains.get(gk, ())) == 1 for gk in _elt_gens(M, spec.f_elt)):
         T.twist_tables[spec.alpha] = (store, {})
     return T
 
@@ -544,7 +579,10 @@ def efloc_product(lam, x, k):
 
     p(y) = y(lam + 1 - y), with e_0 (f_0^y vac) = p(y) f_0^{y-1} vac on the
     vacuum module: the sl2 string e f^n v = n(lam + 1 - n) f^{n-1} v.
+    A negative k raises ValueError, as in efloc_walk.
     """
+    if k < 0:
+        raise ValueError(f"the walk length k must be nonnegative, got {k}")
     top = Fraction(lam) + 1
     x = Fraction(x)
     out = _ONE

@@ -153,10 +153,10 @@ class GradedModule(_WeightView):
     SimpleLieAlgebra.  Generators are keyed ("fin", name) for kind "fin" and
     ("t", label, m), "D", "K" for kind "aff".  action is a mapping from
     (gen, label) to a sparse vector over labels: a dict, or for an induced
-    module a read-only mapping that fills each row on its first read (a full
-    iteration fills everything).  boundary is the truncation mask:
-    the set of labels whose tabulated action lost at least one term to the
-    window.
+    or a twisted module a read-only mapping (_LazyRows) that fills each row
+    on its first read (a full iteration fills everything).  boundary is the
+    truncation mask: the set of labels whose tabulated action lost at least
+    one term to the window.
     """
 
     algebra: object
@@ -212,6 +212,53 @@ class GradedModule(_WeightView):
         if elt.k:
             _acc(out, _scaled(vec, self.k_value), elt.k)
         return out
+
+
+class _LazyRows(Mapping):
+    """A read-only action mapping whose rows are filled on first read.
+
+    Its keys are (gk, lab) for lab in labels and gk in gens.  The first read
+    of a key keeps fill(gk, lab) as that row, and fills no other row.  Once
+    every row is kept, fill is dropped, and with it what fill holds (the
+    parent module of a twist, the push and N of an induction).  Iteration
+    yields the keys only, labels outer and generators inner, so a full
+    iteration through the rows (items(), ==, dict(...)) reads each one by its
+    key; membership and len read only the labels and generators.  It is not a
+    dict subclass with __missing__: there ==, items(), len and in would
+    bypass __missing__ and see a partial table.
+    """
+
+    def __init__(self, labels, gens, fill):
+        self._labels, self._gens, self._fill = labels, gens, fill
+        self._gen_set = frozenset(gens)
+        self._rows = {}
+
+    def __getitem__(self, key):
+        try:
+            return self._rows[key]
+        except KeyError:
+            pass
+        if key not in self:
+            raise KeyError(key)
+        row = self._rows[key] = self._fill(*key)
+        if len(self._rows) == len(self):
+            self._fill = None
+        return row
+
+    def __contains__(self, key):
+        try:
+            gk, lab = key
+        except (TypeError, ValueError):
+            return False
+        return lab in self._labels and gk in self._gen_set
+
+    def __iter__(self):
+        for lab in self._labels:
+            for gk in self._gens:
+                yield (gk, lab)
+
+    def __len__(self):
+        return len(self._labels) * len(self._gens)
 
 
 def _band_matrix(M, elt, src, tgt):
@@ -687,10 +734,12 @@ def vacuum_support(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0
     W + |a + b| > mode_cap for a letter pair of mon, or W >= 1 and one of:
     L = length_cap; |g| + W > depth; W + |k| > mode_cap for a letter f_k of
     mon (W > mode_cap for the vacuum); n0 = 1 - n0_ext with n0_ext >= 2.
-    A negative n0_ext would drop the vacuum itself and raises ValueError.
+    A negative depth, length_cap or n0_ext would drop the vacuum itself and
+    raises ValueError.
     """
-    if n0_ext < 0:
-        raise ValueError(f"n0_ext must be nonnegative, got {n0_ext}")
+    for name, cap in (("depth", depth), ("length_cap", length_cap), ("n0_ext", n0_ext)):
+        if cap < 0:
+            raise ValueError(f"{name} must be nonnegative, got {cap}")
     lam = Fraction(lam)
     if mode_cap is None:
         mode_cap = depth
@@ -1119,71 +1168,6 @@ def _guard_fires(guard, N, nl):
     return bool(vec)
 
 
-class _InducedRows(Mapping):
-    """The action of an induced module, evaluated from the push row by row.
-
-    The first read of a row (gk, (mon, n)) evaluates the push terms of gk on
-    mon at the N-label n, and keeps that row alone; the D and K rows come
-    from the label's weight and N's level.  Iteration yields the keys only,
-    so a full iteration through the rows (items(), ==, dict(...)) reads
-    each one by its key; membership and len read only the labels and
-    generators.  Read-only: a module with other rows is built with another
-    action mapping.
-    """
-
-    def __init__(self, push, N, weight_of, gens):
-        self._push, self._N, self._weight_of = push, N, weight_of
-        self._gens = gens
-        self._gen_set = frozenset(gens)
-        self._rows = {}
-
-    def __getitem__(self, key):
-        row = self._rows.get(key)
-        if row is not None:
-            return row
-        if key not in self:
-            raise KeyError(key)
-        gk, lab = key
-        if gk == "D":
-            d = self._weight_of[lab].d
-            row = {lab: d} if d else {}
-        elif gk == "K":
-            k = self._N.k_value
-            row = {lab: k} if k else {}
-        else:
-            mon, nl = lab
-            row = {}
-            for mon2, slot, c in self._push.rows[mon][gk]:
-                for t, v in _slot_terms(slot, c, self._N, nl):
-                    tk = (mon2, t)
-                    old = row.get(tk)
-                    if old is None:
-                        row[tk] = v
-                    else:
-                        v += old
-                        if v:
-                            row[tk] = v
-                        else:
-                            del row[tk]
-        self._rows[key] = row
-        return row
-
-    def __contains__(self, key):
-        try:
-            gk, lab = key
-        except (TypeError, ValueError):
-            return False
-        return lab in self._weight_of and gk in self._gen_set
-
-    def __iter__(self):
-        for lab in self._weight_of:
-            for gk in self._gens:
-                yield (gk, lab)
-
-    def __len__(self):
-        return len(self._weight_of) * len(self._gens)
-
-
 def induced_truncated(P, N, depth, gen_window=None):
     """Parabolically induced module, truncated at monomial length depth.
 
@@ -1202,11 +1186,15 @@ def induced_truncated(P, N, depth, gen_window=None):
     always, or one of mon's guards fires at n (a guard reads only N's rows).
     A Levi generator the push reads and N lacks at n raises
     UntabulatedGenerator here.  The action rows are evaluated on first read
-    (_InducedRows), one row at a time.
+    (_LazyRows), one row at a time: the push terms of gk on mon at the
+    N-label n; the D and K rows come from the label's weight and N's level.
+    A negative depth would leave out the top layer N and raises ValueError.
     """
     A = P.algebra
     if P.tag != "standard":
         raise ValueError("induction here needs a standard parabolic")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if gen_window is None:
         gen_window = max(abs(P.window.nmin), abs(P.window.nmax))
 
@@ -1236,9 +1224,32 @@ def induced_truncated(P, N, depth, gen_window=None):
                     raise UntabulatedGenerator(f"Levi generator {g!r} is not tabulated in N")
             if always or nl in N.boundary or any(_guard_fires(g, N, nl) for g in guards):
                 boundary.add(lab)
+
+    def fill(gk, lab):
+        if gk == "D":
+            d = weight_of[lab].d
+            return {lab: d} if d else {}
+        if gk == "K":
+            k = N.k_value
+            return {lab: k} if k else {}
+        mon, nl = lab
+        row = {}
+        for mon2, slot, c in push.rows[mon][gk]:
+            for t, v in _slot_terms(slot, c, N, nl):
+                tk = (mon2, t)
+                old = row.get(tk)
+                if old is None:
+                    row[tk] = v
+                else:
+                    v += old
+                    if v:
+                        row[tk] = v
+                    else:
+                        del row[tk]
+        return row
+
     gens = _loop_gens(A, gen_window)
-    action = _InducedRows(push, N, weight_of, gens)
-    return GradedModule(A, weight_of, action, boundary, N.k_value, gens)
+    return GradedModule(A, weight_of, _LazyRows(weight_of, gens, fill), boundary, N.k_value, gens)
 
 
 # ------------------------------------------------ degree-pairing matrices

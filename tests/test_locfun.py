@@ -10,6 +10,9 @@ undoes them.
 
 import copy
 import dataclasses
+import gc
+import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -296,6 +299,7 @@ def test_twist_keeps_a_failed_rung(monkeypatch):
     monkeypatch.setattr(locfun, "_f_inverse", counting_solve)
     monkeypatch.setattr(locfun, "theta_action", counting_theta)
     T = twist_module(M, make_twist_spec(M, (F(2),), F(5, 2)))
+    dict(T.action)  # rows are filled on first read
     assert raising_labels <= T.boundary
     assert len(raised) == len(raising_labels) > 0
     # the module's table keeps the failed rungs for every later x
@@ -500,6 +504,124 @@ def test_twist_rows_match_the_term_by_term_oracle(name, x, y):
     _assert_twist_is_the_oracle(twist_module(Tx, spec_xy), Tx, spec_xy)
 
 
+def _eager_twist(M, spec):
+    """M's twist by spec.x with every row evaluated up front, as twist_module
+    did before its rows were filled on first read; kept here as the oracle.
+    A row whose series leaves the window is {} and masks its label, as does
+    a rung 1 <= i < depth of the label's ladder that meets M's mask."""
+    weight_of = dict.fromkeys(M.weight_of)
+    for w, labs in M.weights.items():
+        tw = locfun._wshift(w, spec.weight, spec.x)
+        for lab in labs:
+            weight_of[lab] = tw
+    action = {}
+    boundary = set(M.boundary)
+    table = locfun.twist_table(M, spec)
+    store = table[0]
+    depth = None
+    for lab in M.weight_of:
+        failed = False
+        for gk in M.gens:
+            if gk == "K":
+                action[(gk, lab)] = dict(M.action[(gk, lab)])
+                continue
+            try:
+                action[(gk, lab)] = theta_action(M, spec, gk, lab, table)
+            except BandError:
+                action[(gk, lab)] = {}
+                failed = True
+        if depth is None:
+            depth = max((len(store.chains[gk]) for gk in M.gens if gk != "K"), default=1)
+            if spec.cut is not None and spec.cut < depth:
+                depth = spec.cut
+        if failed or depth > 1 and any(
+            not M.boundary.isdisjoint(rung) for rung in store.ladders[lab][1:depth]
+        ):
+            boundary.add(lab)
+    T = GradedModule(M.algebra, weight_of, action, boundary, M.k_value, list(M.gens))
+    f_keys = [("fin", key) if M.kind == "fin" else ("t",) + key for key in spec.f_elt.c]
+    if all(len(store.chains.get(gk, ())) == 1 for gk in f_keys):
+        T.twist_tables[spec.alpha] = (store, {})
+    return T
+
+
+def _assert_same_twist(T, U, rng):
+    # rows are read in a shuffled order, each compared with its key order
+    assert list(T.weight_of.items()) == list(U.weight_of.items())
+    assert T.boundary == U.boundary
+    keys = list(U.action)
+    rng.shuffle(keys)
+    for key in keys:
+        assert list(T.action[key].items()) == list(U.action[key].items()), key
+    assert list(T.action) == list(U.action)
+
+
+@_BUILDS
+def test_twisted_rows_equal_the_eager_twist(build):
+    # T on one module, its table kept from x to x; U on a fresh module
+    rng = random.Random(3)
+    M, N = build(), build()
+    for x in (_Z, F(2), F(-1), F(3, 2), F(-5, 2)):
+        T = twist_module(M, make_twist_spec(M, (F(2),), x))
+        U = _eager_twist(N, make_twist_spec(N, (F(2),), x))
+        _assert_same_twist(T, U, rng)
+    # a twist of a twist reads its parent's rows on first read too
+    Tx = twist_module(M, make_twist_spec(M, (F(2),), F(3, 2)))
+    Ux = _eager_twist(N, make_twist_spec(N, (F(2),), F(3, 2)))
+    T = twist_module(Tx, make_twist_spec(Tx, (F(2),), F(-5, 2)))
+    U = _eager_twist(Ux, make_twist_spec(Ux, (F(2),), F(-5, 2)))
+    _assert_same_twist(T, U, rng)
+
+
+def test_building_a_twisted_module_fills_no_row(monkeypatch):
+    M = _loop_line()
+    calls = []
+    theta = locfun.theta_action
+
+    def counting_theta(M, spec, X, v, cache=None):
+        calls.append((X, v))
+        return theta(M, spec, X, v, cache)
+
+    monkeypatch.setattr(locfun, "theta_action", counting_theta)
+    T = twist_module(M, make_twist_spec(M, (F(2),), F(1, 2)))
+    assert T.boundary - M.boundary and len(T.boundary) < len(T.weight_of)
+    assert calls == [] and T.action._rows == {}
+    # iteration yields keys, and membership and len read no row
+    assert len(list(T.action)) == len(T.action) and T.action._rows == {}
+    lab = next(l for l in T.weight_of if l not in T.boundary)
+    assert (("t", "E21", 1), lab) in T.action and T.action._rows == {}
+    # one read fills exactly that row, and a second read fills nothing more
+    gk = ("t", "E12", 0)
+    row = T.action[(gk, lab)]
+    assert calls == [(gk, lab)] and list(T.action._rows) == [(gk, lab)]
+    assert T.action[(gk, lab)] is row and len(calls) == 1
+    # the K row is M's, with no series
+    assert T.action[("K", lab)] == M.action[("K", lab)] and len(calls) == 1
+
+
+def test_an_empty_module_twists_without_error():
+    # no label reads a row, so even an f whose lowering chains never end
+    # (h, as in test_a_cartan_f_runs_past_the_bound) raises nothing
+    M = _dense(F(1, 2), 3)
+    spec = dataclasses.replace(make_twist_spec(M, (F(2),), F(1, 2)), f_elt=LieElt({"H1": 1}))
+    E = dataclasses.replace(M, weight_of={}, action={}, boundary=set())
+    T = twist_module(E, spec)
+    assert T.weight_of == {} and dict(T.action) == {} and T.boundary == set()
+
+
+def test_a_fully_read_twist_releases_its_parent():
+    M = _dense(F(1, 2), 3)
+    Tx = twist_module(M, make_twist_spec(M, (F(2),), F(1, 2)))
+    T = twist_module(Tx, make_twist_spec(Tx, (F(2),), F(3, 2)))
+    parent = weakref.ref(Tx)
+    del Tx
+    gc.collect()
+    assert parent() is not None  # T's unread rows still need it
+    dict(T.action)
+    gc.collect()
+    assert parent() is None
+
+
 def test_bracket_check_finds_a_planted_row_on_a_twist():
     # doubling f t^0 at ((w, -3), (u, 0)) in degree -1 breaks exactly one
     # pair: f t^-1 carries the clean label ((w, -2), (u, 0)) in degree 0
@@ -675,6 +797,13 @@ def test_efloc_product_values():
     assert efloc_product(F(3), x, 2) == F(225, 16)
     assert efloc_product(F(3), x, 3) == F(1575, 64)
     assert efloc_product(F(3), x, 4) == F(-14175, 256)
+
+
+def test_efloc_product_rejects_a_negative_length():
+    # the same input efloc_walk refuses
+    for side in (efloc_product, efloc_walk):
+        with pytest.raises(ValueError, match="nonnegative"):
+            side(F(3), F(5, 2), -1)
 
 
 def test_efloc_admissible():

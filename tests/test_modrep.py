@@ -714,6 +714,15 @@ def test_vacuum_support_rejects_a_negative_n0_ext():
             build(F(3), 2, 2, n0_ext=-1)
 
 
+def test_vacuum_support_rejects_a_negative_depth_or_length_cap():
+    # either cap below zero leaves no label at all, the vacuum included
+    for build in (vacuum_support, imaginary_verma):
+        with pytest.raises(ValueError, match="length_cap"):
+            build(F(3), 2, -1)
+        with pytest.raises(ValueError, match="depth"):
+            build(F(3), -1, 2)
+
+
 # ------------------------------------------------------------ Prop-4.2 pairing
 
 
@@ -869,6 +878,14 @@ def test_levi_sl2_root_reads_the_levi_beyond_the_window(rank_type, phi1):
     assert len([k for k in P.levi_keys() if any(k[0])]) == 2
     with pytest.raises(IncompatibleData, match="needs an sl2 Levi"):
         levi_sl2_root(P)
+
+
+def test_induced_truncated_rejects_a_negative_depth():
+    # depth -1 would leave out even the top layer N
+    P, N = _standard_P(), _levi_N()
+    assert len(induced_truncated(P, N, 0).weight_of) == len(N.weight_of)
+    with pytest.raises(ValueError, match="depth"):
+        induced_truncated(P, N, -1)
 
 
 def test_induced_layers_and_top():

@@ -156,7 +156,7 @@ def test_tracer_counts_the_band_solves_of_a_twist():
     tracer.install()
     try:
         with tracer.root("bench.item"):
-            locfun.twist_module(M, spec)
+            dict(locfun.twist_module(M, spec).action)  # rows are filled on first read
     finally:
         tracer.uninstall()
     counters = tracer.counters
