@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Weight multiplicity growth under truncation refinement.
 
-Builds the supports of loop modules (loop_support: weights and masks, no
-action rows) over successively wider dense-factor windows and records the
-largest weight multiplicity each time.  One dense factor
-gives a constant ceiling, two give a strictly growing sequence; the
-probe reports which side of the dichotomy a factor list lands on.
+Builds loop modules over successively wider dense-factor windows and
+records the largest weight multiplicity each time; only weights are read,
+so no action row is filled.  One dense factor gives a constant ceiling,
+two give a strictly growing sequence; the probe reports which side of the
+dichotomy a factor list lands on.
 """
 
 import argparse
@@ -18,7 +18,7 @@ from affinekit.modrep import (
     boundedness_probe,
     dense_sl2,
     finite_dim_sl2,
-    loop_support,
+    loop_module,
 )
 
 
@@ -29,7 +29,7 @@ def make_factory(A, dense_count, fin_dims):
         factors = [dense_sl2(p, DegreeWindow(-size, size)) for p in params]
         factors += [finite_dim_sl2(m) for m in fin_dims]
         scalars = [Fraction(i + 1) for i in range(len(factors))]
-        return loop_support(A, factors, scalars, DegreeWindow(-2, 2), gen_window=1)
+        return loop_module(A, factors, scalars, DegreeWindow(-2, 2), gen_window=1)
 
     return make
 

@@ -58,11 +58,9 @@ from .modrep import (
     finite_dim_sl2,
     imaginary_verma,
     loop_module,
-    loop_support,
     natural_rep,
     prop42_matrix,
     shadow_detect,
-    vacuum_support,
 )
 from .rootpar import (
     ImproperParabolic,
@@ -386,11 +384,11 @@ def _loop_factors(A, factors_text, jwindow):
     return out
 
 
-def _loop(build, A, factors, scalars, window):
-    """build(A, factors, scalars, window) for loop_module or loop_support,
-    with the loop data it rejects as a UsageError."""
+def _loop(A, factors, scalars, window):
+    """loop_module(A, factors, scalars, window), with the loop data it
+    rejects as a UsageError."""
     try:
-        return build(A, factors, scalars, window)
+        return loop_module(A, factors, scalars, window)
     except ValueError as exc:
         raise UsageError(f"loop module: {exc}")
 
@@ -401,7 +399,7 @@ def cmd_loop_mult(cfg):
     jwindow = _window(cfg.params["jwindow"], "jwindow")
     factors = _loop_factors(A, cfg.params["factors"], jwindow)
     scalars = _frac_list(cfg.params["scalars"], "scalars")
-    M = _loop(loop_module, A, factors, scalars, W)
+    M = _loop(A, factors, scalars, W)
     records = [
         _info("labels", len(M.weight_of)),
         _info("masked", len(M.boundary)),
@@ -499,15 +497,15 @@ def cmd_localize_demo(cfg):
 
 
 def _support_module(cfg):
-    """(A, S) for shadow and pm-build, which read only the weights and mask:
-    S is the module's Support (vacuum_support or loop_support), with no
-    rows built."""
+    """(A, M) for shadow and pm-build: M is the --module named by cfg,
+    imaginary_verma(lambda, depth, depth) or a loop module over A1.  They
+    read only its weights and mask, so no row of M is filled."""
     kind = cfg.params["module"]
     if kind == "imverma":
         lam = _frac(cfg.params["lam"], "lambda")
         depth = _count(cfg.params["depth"], "depth")
-        S = vacuum_support(lam, depth, depth)
-        return S.algebra, S
+        M = imaginary_verma(lam, depth, depth)
+        return M.algebra, M
     if kind not in ("loop-fin", "loop-dense"):
         raise UsageError(f"module wants loop-fin, loop-dense or imverma, got {kind!r}")
     A = build_affine(build_simple("A1"))
@@ -520,7 +518,7 @@ def _support_module(cfg):
             DegreeWindow(W.nmin - 2, W.nmax + 2),
         )
         factors = [dense, finite_dim_sl2(1)]
-    return A, loop_support(A, factors, [_ONE, Fraction(2)], W)
+    return A, loop_module(A, factors, [_ONE, Fraction(2)], W)
 
 
 def cmd_shadow(cfg):
@@ -654,7 +652,7 @@ def cmd_probe_bounded(cfg):
 
     def make_module(N):
         W = DegreeWindow(-N, N)
-        return _loop(loop_support, A, _loop_factors(A, factors_text, W), scalars, W)
+        return _loop(A, _loop_factors(A, factors_text, W), scalars, W)
 
     result = boundedness_probe(make_module, sizes)
     maxima = [m for _, m in result["max_mult"]]

@@ -100,8 +100,28 @@ def _scaled(vec, c):
 # ----------------------------------------------------------- graded modules
 
 
-class _WeightView:
-    """Weight bands and generator weights, for a Support and a GradedModule."""
+@dataclass
+class GradedModule:
+    """Finite-basis weight module with tabulated generator actions.
+
+    The algebra fixes kind: "aff" over an AffineAlgebra, "fin" over a
+    SimpleLieAlgebra.  Generators are keyed ("fin", name) for kind "fin" and
+    ("t", label, m), "D", "K" for kind "aff".  action is a mapping from
+    (gen, label) to a sparse vector over labels: a dict, or for a loop
+    module, the vacuum, an induced or a twisted module a read-only mapping
+    (_LazyRows) that fills each row on its first read and iterates labels
+    first, then gens in order (a full iteration fills everything).  Reading
+    weight_of, boundary, gens, weights or gen_disp fills no row.  boundary
+    is the truncation mask: the set of labels whose tabulated action lost
+    at least one term to the window.
+    """
+
+    algebra: object
+    weight_of: dict
+    action: Mapping
+    boundary: set
+    k_value: Fraction
+    gens: list
 
     @cached_property
     def kind(self):
@@ -133,38 +153,6 @@ class _WeightView:
 
     def support_sorted(self):
         return sorted(self.weights, key=lambda w: (w.fin, w.d, w.k))
-
-
-@dataclass
-class Support(_WeightView):
-    """The labels, weights, mask and generators of a module, without its rows."""
-
-    algebra: object
-    weight_of: dict
-    boundary: set
-    gens: list
-
-
-@dataclass
-class GradedModule(_WeightView):
-    """Finite-basis weight module with tabulated generator actions.
-
-    The algebra fixes kind: "aff" over an AffineAlgebra, "fin" over a
-    SimpleLieAlgebra.  Generators are keyed ("fin", name) for kind "fin" and
-    ("t", label, m), "D", "K" for kind "aff".  action is a mapping from
-    (gen, label) to a sparse vector over labels: a dict, or for an induced
-    or a twisted module a read-only mapping (_LazyRows) that fills each row
-    on its first read (a full iteration fills everything).  boundary is the
-    truncation mask: the set of labels whose tabulated action lost at least
-    one term to the window.
-    """
-
-    algebra: object
-    weight_of: dict
-    action: Mapping
-    boundary: set
-    k_value: Fraction
-    gens: list
 
     @cached_property
     def twist_tables(self):
@@ -461,7 +449,13 @@ def adjoint_rep(g):
 
 
 def _loop_gens(A, gen_window):
-    """Generator keys ("t", label, m) for |m| <= gen_window, then D and K."""
+    """Generator keys ("t", label, m) for |m| <= gen_window, then D and K.
+
+    A negative gen_window would leave only D and K, so that no law compares
+    a loop generator, and raises ValueError.
+    """
+    if gen_window < 0:
+        raise ValueError(f"gen_window must be nonnegative, got {gen_window}")
     gens = []
     for m in range(-gen_window, gen_window + 1):
         gens.extend(("t", lab, m) for lab in A.class_labels(m))
@@ -479,26 +473,37 @@ def _coroot_weight(A, Fm, lab):
     return out
 
 
-def loop_support(A, factors, scalars, window, gen_window=2):
-    """The Support of loop_module(A, factors, scalars, window, gen_window).
+def loop_module(A, factors, scalars, window, gen_window=2):
+    """Loop module on a tensor product of evaluation factors.
+
+    (X t^n) acts on (v_1 x ... x v_k) t^s as sum_i a_i^n (... X v_i ...)
+    t^{n+s}; D reads the loop degree s and K acts by zero.  Generators run
+    over the class basis of each degree, and weights are read on
+    A.tw_coroots, so over a twisted algebra this is the restriction of the
+    untwisted loop module to the twisted subalgebra.
+    twisted_loop_fixed_points cuts a smaller twisted module out of it.
 
     Labels are (tlab, s): a factor label tuple tlab and a loop degree s in
     window.  A label is masked when a factor label in tlab is masked, or
-    when some generator degree m has s + m outside the window.  The input
-    checks are loop_module's: matching nonempty factors and scalars,
-    nonzero scalars and finite-algebra factors.
+    when some generator degree m has s + m outside the window; that row
+    would leave the window and is empty.  Factors and scalars must match
+    and be nonempty, scalars nonzero and factors finite-algebra modules.
+    Labels, weights and the mask are computed here, with each class-basis
+    element applied once to each factor label; the rows are filled on first
+    read (_LazyRows).
     """
     if len(factors) != len(scalars) or not factors:
         raise ValueError("need matching nonempty factors and scalars")
-    if 0 in [Fraction(a) for a in scalars]:
+    scalars = [Fraction(a) for a in scalars]
+    if 0 in scalars:
         raise ValueError("evaluation points must be nonzero")
     for Fm in factors:
         if Fm.kind != "fin":
             raise ValueError("loop factors must be finite-algebra modules")
+    gens = _loop_gens(A, gen_window)
 
     fweights = [{lab: _coroot_weight(A, Fm, lab) for lab in Fm.weight_of} for Fm in factors]
-    gens = _loop_gens(A, gen_window)
-    degrees = {gk[2] for gk in gens if gk not in ("D", "K")}
+    degrees = {gk[2] for gk in gens[:-2]}
     edge = {s for s in window if any(s + m not in window for m in degrees)}
     weight_of, boundary = {}, set()
     for tlab in itertools.product(*[list(Fm.weight_of) for Fm in factors]):
@@ -510,23 +515,7 @@ def loop_support(A, factors, scalars, window, gen_window=2):
             weight_of[lab] = AffWeight(fin, Fraction(s), _Z)
             if taint0 or s in edge:
                 boundary.add(lab)
-    return Support(A, weight_of, boundary, gens)
 
-
-def loop_module(A, factors, scalars, window, gen_window=2):
-    """Loop module on a tensor product of evaluation factors.
-
-    (X t^n) acts on (v_1 x ... x v_k) t^s as sum_i a_i^n (... X v_i ...)
-    t^{n+s}; D reads the loop degree s and K acts by zero.  Scalars must be
-    nonzero.  Generators run over the class basis of each degree, and
-    weights are read on A.tw_coroots, so over a twisted algebra this is the
-    restriction of the untwisted loop module to the twisted subalgebra.
-    twisted_loop_fixed_points cuts a smaller twisted module out of it.
-    Labels, weights and mask are loop_support's; a row that would leave the
-    window is empty.
-    """
-    support = loop_support(A, factors, scalars, window, gen_window)
-    scalars = [Fraction(a) for a in scalars]
     # each class-basis element acting on each factor label, once per degree class
     factor_rows = {}
     for c in range(A.s):
@@ -535,40 +524,40 @@ def loop_module(A, factors, scalars, window, gen_window=2):
             factor_rows[(c, name)] = [
                 {fl: Fm.apply_elt(u, {fl: _ONE}) for fl in Fm.weight_of} for Fm in factors
             ]
-    tgens = [
-        (gk, factor_rows[(A.class_of(gk[2]), gk[1])]) for gk in support.gens if gk not in ("D", "K")
-    ]
-    # a_i^m once per degree m for this call
-    powers = {m: [a ** m for a in scalars] for m in range(-gen_window, gen_window + 1)}
+    # per loop generator: its factor rows, zipped with a_i^m
+    tgens = {
+        gk: list(zip(factor_rows[(A.class_of(gk[2]), gk[1])], [a ** gk[2] for a in scalars]))
+        for gk in gens[:-2]
+    }
 
-    action = {}
-    for lab in support.weight_of:
+    def fill(gk, lab):
         tlab, s = lab
-        action[("D", lab)] = {lab: Fraction(s)} if s else {}
-        action[("K", lab)] = {}
-        for gk, rows in tgens:
-            m = gk[2]
-            if s + m not in window:
-                action[(gk, lab)] = {}
-                continue
-            vec = {}
-            for i, (frows, an) in enumerate(zip(rows, powers[m])):
-                for tgt, c in frows[tlab[i]].items():
-                    nl = (tlab[:i] + (tgt,) + tlab[i + 1 :], s + m)
-                    v = c * an
-                    old = vec.get(nl)
-                    if old is None:
-                        if v:
-                            vec[nl] = v
+        if gk == "D":
+            return {lab: Fraction(s)} if s else {}
+        if gk == "K":
+            return {}
+        m = gk[2]
+        if s + m not in window:
+            return {}
+        vec = {}
+        for i, (frows, an) in enumerate(tgens[gk]):
+            for tgt, c in frows[tlab[i]].items():
+                nl = (tlab[:i] + (tgt,) + tlab[i + 1 :], s + m)
+                v = c * an
+                old = vec.get(nl)
+                if old is None:
+                    if v:
+                        vec[nl] = v
+                else:
+                    # two factors can reach the same label on the diagonal
+                    v += old
+                    if v:
+                        vec[nl] = v
                     else:
-                        # two factors can reach the same label on the diagonal
-                        v += old
-                        if v:
-                            vec[nl] = v
-                        else:
-                            del vec[nl]
-            action[(gk, lab)] = vec
-    return GradedModule(A, support.weight_of, action, support.boundary, _Z, support.gens)
+                        del vec[nl]
+        return vec
+
+    return GradedModule(A, weight_of, _LazyRows(weight_of, gens, fill), boundary, _Z, gens)
 
 
 # ------------------------------------------------- twisted loop fixed points
@@ -705,17 +694,37 @@ def twisted_loop_fixed_points(At, factors, scalars, window, gen_window=2):
 # ------------------------------------------------------- imaginary Verma
 
 
-def vacuum_support(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0):
-    """The Support of imaginary_verma(lam, depth, length_cap, mode_cap,
-    gen_window, n0_ext): its labels in the same order, their weights, the
-    mask and the generators, with no row built.
+def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0):
+    """Truncated imaginary Verma module over the affine sl2.
 
-    Labels ("m", n0, mon) meet the caps: |grade(mon)| <= depth, every mode
-    |k| <= mode_cap, length(mon) <= length_cap and -n0_ext <= n0 <=
-    length_cap - length(mon).  A label is masked iff a row of
-    imaginary_verma puts a term (whatever its coefficient) on a target
-    that breaks a cap.  With L = length(mon), g = grade(mon) and m over
-    -W..W for W = gen_window, the targets are:
+    The vacuum is killed by every e t^n and by h t^n for n != 0, carries
+    h-eigenvalue lam, degree 0 and level 0.  The basis is ("m", n0, mon):
+    mon is an ordered monomial in the nonzero modes f t^k, recorded as a
+    tuple of (mode, power), and n0 is the exponent of the zero-mode letter
+    f t^0.  Four caps truncate: |degree| <= depth, n0 + length(mon) <=
+    length_cap, |mode| <= mode_cap (default depth) and n0 >= -n0_ext.  A
+    negative cap would drop the vacuum itself and raises ValueError.
+
+    With n0_ext = 0 this is the vacuum module itself.  With n0_ext > 0 the
+    zero-mode letter also runs over negative powers, which is the
+    localization along the zero-mode real root; its n0 >= 0 labels are the
+    labels of the n0_ext = 0 module, with the same rows.  Actions follow
+    from [e_m, f_k] = h_{m+k} (+ central term), [h_p, f_k] = -2 f_{p+k}:
+
+      f_m: insert a mode-m factor
+      h_m (m != 0): sum_k (-2 n_k) (replace one f_k by f_{k+m})
+      h_0: lam - 2 (n0 + L), D: degree, K: 0
+      e_m: sum over unordered occurrence pairs {a, b} in mon:
+             -2 (drop f_{k_a}, f_{k_b}; insert f_{m+k_a+k_b})
+           plus lam n_{-m} (drop one f_{-m}); commuting past f_0^{n0} adds
+           the exact two-step chain [e_m, f_0] = h_m, [h_m, f_0] = -2 f_m.
+
+    A row term whose target breaks a cap (falls outside the labels) is
+    dropped, and its label is masked.  The mask is computed here from the
+    caps alone, with no row: a label is masked iff a row puts a term
+    (whatever its coefficient) on a target that breaks a cap.  With L =
+    length(mon), g = grade(mon) and m over -W..W for W = gen_window, the
+    targets are:
 
       f_0: n0 + 1; it breaks a cap iff n0 + L = length_cap.
       f_m (m != 0): mon f_m; breaks iff L = length_cap, n0 + L =
@@ -734,24 +743,28 @@ def vacuum_support(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0
     W + |a + b| > mode_cap for a letter pair of mon, or W >= 1 and one of:
     L = length_cap; |g| + W > depth; W + |k| > mode_cap for a letter f_k of
     mon (W > mode_cap for the vacuum); n0 = 1 - n0_ext with n0_ext >= 2.
-    A negative depth, length_cap or n0_ext would drop the vacuum itself and
-    raises ValueError.
+    The rows are filled on first read (_LazyRows), one (generator, label)
+    at a time.
     """
-    for name, cap in (("depth", depth), ("length_cap", length_cap), ("n0_ext", n0_ext)):
+    if mode_cap is None:
+        mode_cap = depth
+    caps = (("depth", depth), ("length_cap", length_cap), ("mode_cap", mode_cap), ("n0_ext", n0_ext))
+    for name, cap in caps:
         if cap < 0:
             raise ValueError(f"{name} must be nonnegative, got {cap}")
     lam = Fraction(lam)
-    if mode_cap is None:
-        mode_cap = depth
     A = build_affine(build_simple("A1"))
     W = gen_window
+    gens = _loop_gens(A, W)
 
     modes = [k for k in range(-mode_cap, mode_cap + 1) if k]
     weight_of, boundary = {}, set()
+    shape = {}  # mon -> (length, grade)
 
     def add(mon, L, g):
         # mon lists its modes in increasing order, so its extreme letters
         # and extreme letter pairs sit at its ends
+        shape[mon] = (L, g)
         reach = W
         if mon:
             reach += max(-mon[0][0], mon[-1][0])
@@ -787,41 +800,8 @@ def vacuum_support(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0
             cur.pop()
 
     rec(0, [], 0, 0)
-    return Support(A, weight_of, boundary, _loop_gens(A, W))
 
-
-def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0):
-    """Truncated imaginary Verma module over the affine sl2.
-
-    The vacuum is killed by every e t^n and by h t^n for n != 0, carries
-    h-eigenvalue lam, degree 0 and level 0.  The basis is ("m", n0, mon):
-    mon is an ordered monomial in the nonzero modes f t^k, recorded as a
-    tuple of (mode, power), and n0 is the exponent of the zero-mode letter
-    f t^0.  Four caps truncate: |degree| <= depth, n0 + length(mon) <=
-    length_cap, |mode| <= mode_cap (default depth) and n0 >= -n0_ext.
-    Labels, weights and mask are vacuum_support's; a row term whose target
-    breaks a cap (falls outside the labels) is dropped, and the support
-    masks its label.
-
-    With n0_ext = 0 this is the vacuum module itself.  With n0_ext > 0 the
-    zero-mode letter also runs over negative powers, which is the
-    localization along the zero-mode real root; its n0 >= 0 labels are the
-    labels of the n0_ext = 0 module, with the same rows.  Actions follow
-    from [e_m, f_k] = h_{m+k} (+ central term), [h_p, f_k] = -2 f_{p+k}:
-
-      f_m: insert a mode-m factor
-      h_m (m != 0): sum_k (-2 n_k) (replace one f_k by f_{k+m})
-      h_0: lam - 2 (n0 + L), D: degree, K: 0
-      e_m: sum over unordered occurrence pairs {a, b} in mon:
-             -2 (drop f_{k_a}, f_{k_b}; insert f_{m+k_a+k_b})
-           plus lam n_{-m} (drop one f_{-m}); commuting past f_0^{n0} adds
-           the exact two-step chain [e_m, f_0] = h_m, [h_m, f_0] = -2 f_m.
-    """
-    support = vacuum_support(lam, depth, length_cap, mode_cap, gen_window, n0_ext)
-    lam = Fraction(lam)
-    weight_of = support.weight_of
-
-    bumped = {}  # (mon, k, delta) -> bump(mon, k, delta), for this call only
+    bumped = {}  # (mon, k, delta) -> bump(mon, k, delta), for this module only
 
     def bump(mon, k, delta):
         """mon with the multiplicity of mode k changed by delta; callers only
@@ -857,32 +837,28 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=
         else:
             put(vec, np, bump(base, k, +1), coeff)
 
-    action = {}
-    for lab in weight_of:
+    def fill(gk, lab):
         _, n0, mon = lab
-        L = sum(nk for _, nk in mon)
-        g = sum(k * nk for k, nk in mon)
-        occ = dict(mon)
-        action[("D", lab)] = {lab: Fraction(g)} if g else {}
-        action[("K", lab)] = {}
-        for m in range(-gen_window, gen_window + 1):
-            # f_m
-            vec = {}
+        if gk == "K":
+            return {}
+        if gk == "D":
+            g = shape[mon][1]
+            return {lab: Fraction(g)} if g else {}
+        _, name, m = gk
+        vec = {}
+        if name == "E21":
             put_mode(vec, n0, mon, m, _ONE)
-            action[(("t", "E21", m), lab)] = vec
-            # h_m
+        elif name == "H1":
             if m == 0:
-                val = lam - 2 * (n0 + L)
-                action[(("t", "H1", 0), lab)] = {lab: val} if val else {}
-            else:
-                vec = {}
-                for k, nk in mon:
-                    put_mode(vec, n0, bump(mon, k, -1), k + m, -2 * nk)
-                if n0:
-                    put_mode(vec, n0 - 1, mon, m, -2 * n0)
-                action[(("t", "H1", m), lab)] = vec
+                val = lam - 2 * (n0 + shape[mon][0])
+                return {lab: val} if val else {}
+            for k, nk in mon:
+                put_mode(vec, n0, bump(mon, k, -1), k + m, -2 * nk)
+            if n0:
+                put_mode(vec, n0 - 1, mon, m, -2 * n0)
+        else:
             # e_m: act on mon, then push the two-step chain past f_0^{n0}
-            vec = {}
+            occ = dict(mon)
             if occ.get(-m, 0) and lam:
                 put(vec, n0, bump(mon, -m, -1), lam * occ[-m])
             ks = sorted(occ)
@@ -900,16 +876,16 @@ def imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=
                     put_mode(vec, n0, base, m + ka + kb, -2 * cnt)
             if n0:
                 if m == 0:
-                    put(vec, n0 - 1, mon, n0 * (lam - 2 * L))
+                    put(vec, n0 - 1, mon, n0 * (lam - 2 * shape[mon][0]))
                 else:
                     for k, nk in mon:
                         put_mode(vec, n0 - 1, bump(mon, k, -1), k + m, -2 * n0 * nk)
             c3 = -n0 * (n0 - 1)
             if c3:
                 put_mode(vec, n0 - 2, mon, m, c3)
-            action[(("t", "E12", m), lab)] = vec
+        return vec
 
-    return GradedModule(support.algebra, weight_of, action, support.boundary, _Z, support.gens)
+    return GradedModule(A, weight_of, _LazyRows(weight_of, gens, fill), boundary, _Z, gens)
 
 
 # ----------------------------------------------------- parabolic induction
@@ -1320,7 +1296,7 @@ class ShadowReport:
 
 def shadow_detect(M, fin, n):
     """Tag a root direction (fin, n), real or imaginary (fin = 0), f or i
-    from the support; M may be a Support.
+    from the support; it reads M's weights and mask and fills no row.
 
     One walk gives each support weight its ray end (the last weight of
     w + k (fin, n) in the support) and step count.  The longest ray that
@@ -1413,8 +1389,9 @@ def build_PM(A, table, window):
 def boundedness_probe(make_module, sizes=(3, 6, 9)):
     """Track the largest weight multiplicity across a family of windows.
 
-    make_module(N) returns the family's module at window size N, or only
-    its Support (such as loop_support's): the probe reads weights alone.
+    make_module(N) returns the family's module at window size N.  The probe
+    reads weights alone, so it fills no row of a module whose rows are
+    filled on first read, such as loop_module's.
     """
     maxima = []
     for N in sizes:

@@ -38,7 +38,6 @@ from affinekit.modrep import (
     finite_dim_sl2,
     levi_dense_module,
     loop_module,
-    loop_support,
     prop42_matrix,
 )
 from affinekit.locfun import (
@@ -485,11 +484,11 @@ def test_prop42_reproduction():
 
 
 def test_boundedness_dichotomy():
-    # the probe reads weights alone, so each family comes as its support
+    # the probe reads weights alone, so it fills no row of a loop module
     A = build_affine(build_simple("A1"))
 
     def one_dense(N):
-        return loop_support(
+        return loop_module(
             A,
             [dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-N, N)), finite_dim_sl2(1)],
             [F(1), F(2)],
@@ -497,7 +496,7 @@ def test_boundedness_dichotomy():
         )
 
     def two_dense(N):
-        return loop_support(
+        return loop_module(
             A,
             [
                 dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-N, N)),

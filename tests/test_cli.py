@@ -199,22 +199,11 @@ def test_malformed_values_are_input_errors(tmp_path):
         (["--scalars=1,0"], "evaluation points must be nonzero"),
     ],
 )
-def test_probe_bounded_rejects_the_loop_data_loop_module_rejects(
-    tmp_path, capsys, monkeypatch, flags, message
-):
-    # the probe reads only the support, yet keeps every input check of the
-    # loop module: the same exit code and message as the row-building path
-    from affinekit import cli
-    from affinekit.modrep import loop_module
-
+def test_probe_bounded_rejects_the_loop_data_loop_module_rejects(tmp_path, capsys, flags, message):
+    # the probe keeps every input check of the loop module, with its message
     out = tmp_path / "x"
     assert main(["probe-bounded", *flags, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: loop module: {message}\n"
-    with monkeypatch.context() as mp:
-        mp.setattr(cli, "loop_support", loop_module)
-        assert main(["probe-bounded", *flags, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == err
+    assert capsys.readouterr().err == f"error: loop module: {message}\n"
     assert not out.exists()
 
 
@@ -353,11 +342,11 @@ _SUPPORT_ONLY_RUNS = [
 
 
 def test_support_only_commands_match_the_row_building_path(tmp_path, capsys, monkeypatch):
-    # probe-bounded, shadow and pm-build read only a module's support; with
-    # loop_module and imaginary_verma themselves behind them every report is
-    # byte-identical
+    # probe-bounded, shadow and pm-build read only a module's weights and
+    # mask; with the eager oracles of loop_module and imaginary_verma behind
+    # them every report is byte-identical
     from affinekit import cli
-    from affinekit.modrep import imaginary_verma, loop_module
+    from test_modrep import _eager_imaginary_verma, _eager_loop_module
 
     def run(argv, name):
         out = tmp_path / name
@@ -368,39 +357,67 @@ def test_support_only_commands_match_the_row_building_path(tmp_path, capsys, mon
 
     codes = set()
     for argv in _SUPPORT_ONLY_RUNS:
-        got = run(argv, "support")
+        got = run(argv, "lazy")
         with monkeypatch.context() as mp:
-            mp.setattr(cli, "loop_support", loop_module)
-            mp.setattr(cli, "vacuum_support", imaginary_verma)
-            want = run(argv, "rows")
+            mp.setattr(cli, "loop_module", _eager_loop_module)
+            mp.setattr(cli, "imaginary_verma", _eager_imaginary_verma)
+            want = run(argv, "eager")
         assert got == want, argv
         codes.add(got[0])
     assert codes == {0, 1, 2}
 
 
+def _spy_on_lazy_rows(monkeypatch):
+    """Lists that collect each lazy row mapping built and each row it fills."""
+    from affinekit import modrep
+
+    built, filled = [], []
+    init = modrep._LazyRows.__init__
+
+    def spy(self, labels, gens, fill):
+        def counted(gk, lab):
+            filled.append((gk, lab))
+            return fill(gk, lab)
+
+        built.append(self)
+        init(self, labels, gens, counted)
+
+    monkeypatch.setattr(modrep._LazyRows, "__init__", spy)
+    return built, filled
+
+
 @pytest.mark.parametrize("module", ["imverma", "loop-fin", "loop-dense"])
 @pytest.mark.parametrize("command", ["shadow", "pm-build"])
-def test_shadow_and_pm_build_read_a_support(command, module):
+def test_shadow_and_pm_build_read_a_support(tmp_path, monkeypatch, command, module):
+    # they read only the module's weights and mask: a report, and no row filled
     from affinekit import cli
-    from affinekit.modrep import Support
 
-    cfg = cli._resolve(cli._build_parser().parse_args([command, f"--module={module}"]))
-    A, M = cli._support_module(cfg)
-    assert type(M) is Support
-    assert M.algebra is A
+    built, filled = _spy_on_lazy_rows(monkeypatch)
+    argv = [command, f"--module={module}"]
+    A, M = cli._support_module(cli._resolve(cli._build_parser().parse_args(argv)))
+    assert M.algebra is A and len(built) == 1
+    assert main(argv + ["--out", str(tmp_path / "x")]) in (0, 2)
+    assert len(built) == 2 and filled == []
 
 
-def test_vacuum_support_shadows_equal_the_built_vacuum():
+def test_probe_bounded_fills_no_row(tmp_path, monkeypatch):
+    built, filled = _spy_on_lazy_rows(monkeypatch)
+    assert main(["probe-bounded", "--out", str(tmp_path / "x")]) == 0
+    assert len(built) == 3 and filled == []
+
+
+def test_lazy_vacuum_shadows_equal_the_eager_vacuum():
     from affinekit.affine import DegreeWindow, build_affine, roots_window
     from affinekit.finlie import build_simple
-    from affinekit.modrep import imaginary_verma, shadow_detect, vacuum_support
+    from affinekit.modrep import imaginary_verma, shadow_detect
+    from test_modrep import _eager_imaginary_verma
 
     roots = roots_window(build_affine(build_simple("A1")), DegreeWindow(-2, 2))
     assert {r.n for r in roots if not any(r.fin)} == {-2, -1, 1, 2}
     for lam in range(1, 6):
-        S, M = vacuum_support(lam, 3, 3), imaginary_verma(lam, 3, 3)
+        M, want = imaginary_verma(lam, 3, 3), _eager_imaginary_verma(lam, 3, 3)
         for r in roots:
-            assert shadow_detect(S, r.fin, r.n) == shadow_detect(M, r.fin, r.n), (lam, r)
+            assert shadow_detect(M, r.fin, r.n) == shadow_detect(want, r.fin, r.n), (lam, r)
 
 
 def test_rerun_csv_byte_identical_modulo_stamp(tmp_path):

@@ -33,10 +33,10 @@ from affinekit.modrep import (
     IncompatibleData,
     NothingCompared,
     ShadowReport,
-    Support,
     UntabulatedGenerator,
     _acc,
     _cartan_value,
+    _coroot_weight,
     _induction_push,
     _loop_gens,
     _scaled,
@@ -53,13 +53,11 @@ from affinekit.modrep import (
     levi_dense_module,
     levi_sl2_root,
     loop_module,
-    loop_support,
     natural_rep,
     prop42_matrix,
     shadow_detect,
     sigma_intertwiner,
     twisted_loop_fixed_points,
-    vacuum_support,
 )
 from affinekit.exact import kernel, rref
 
@@ -361,29 +359,75 @@ _SUPPORT_CASES = {
 }
 
 
+def _eager_loop_module(A, factors, scalars, window, gen_window=2):
+    """loop_module with every row built up front, kept as its oracle: the
+    same input checks and messages, labels in the same order, and a label
+    masked iff a factor label in it is masked or one of its rows was cut at
+    the window's edge."""
+    if len(factors) != len(scalars) or not factors:
+        raise ValueError("need matching nonempty factors and scalars")
+    scalars = [F(a) for a in scalars]
+    if 0 in scalars:
+        raise ValueError("evaluation points must be nonzero")
+    for Fm in factors:
+        if Fm.kind != "fin":
+            raise ValueError("loop factors must be finite-algebra modules")
+    gens = _loop_gens(A, gen_window)
+    fweights = [{lab: _coroot_weight(A, Fm, lab) for lab in Fm.weight_of} for Fm in factors]
+    weight_of, action, boundary = {}, {}, set()
+    for tlab in itertools.product(*[list(Fm.weight_of) for Fm in factors]):
+        fin = tuple(sum(col) for col in zip(*[fweights[i][t] for i, t in enumerate(tlab)]))
+        for s in window:
+            lab = (tlab, s)
+            weight_of[lab] = AffWeight(fin, F(s), _Z)
+            if any(t in Fm.boundary for t, Fm in zip(tlab, factors)):
+                boundary.add(lab)
+            action[("D", lab)] = {lab: F(s)} if s else {}
+            action[("K", lab)] = {}
+            for gk in gens[:-2]:
+                _, name, m = gk
+                if s + m not in window:
+                    action[(gk, lab)] = {}
+                    boundary.add(lab)
+                    continue
+                u = A.label_elt(A.class_of(m), name)
+                vec = {}
+                for i, Fm in enumerate(factors):
+                    for tgt, c in Fm.apply_elt(u, {tlab[i]: _ONE}).items():
+                        _acc(vec, {(tlab[:i] + (tgt,) + tlab[i + 1 :], s + m): c * scalars[i] ** m})
+                action[(gk, lab)] = vec
+    return GradedModule(A, weight_of, action, boundary, _Z, gens)
+
+
+def _assert_matches_the_oracle(M, want, rng):
+    """M equals the eager want: labels in the same order, weights, mask,
+    gens and every row, read in shuffled order.  Building M and reading its
+    weights and mask filled no row."""
+    assert list(M.weight_of.items()) == list(want.weight_of.items())
+    assert M.boundary == want.boundary
+    assert M.weights == want.weights
+    assert M.gens == want.gens
+    assert M.action._rows == {}
+    keys = list(want.action)
+    rng.shuffle(keys)
+    for key in keys:
+        assert M.action[key] == want.action[key], key
+    assert set(M.action) == set(keys) and len(M.action) == len(keys)
+
+
 @pytest.mark.parametrize("case", sorted(_SUPPORT_CASES))
-def test_loop_support_is_the_support_of_loop_module(case):
-    # loop_module is the oracle: the same labels in the same order, the same
-    # weights, and a mask that is exactly the tainted labels plus those with
-    # a generator row cut at the window's edge
+def test_loop_module_matches_the_eager_oracle(case):
     A, factors = _SUPPORT_CASES[case]
     scalars = [F(3, 2), F(-2)][: len(factors)]
+    rng = random.Random(case)
     for n in range(1, 5):
         W = DegreeWindow(-n, n)
         for gw in (1, 2):
-            S = loop_support(A, factors, scalars, W, gen_window=gw)
-            M = loop_module(A, factors, scalars, W, gen_window=gw)
-            assert list(S.weight_of.items()) == list(M.weight_of.items())
-            assert S.boundary == M.boundary
-            assert S.weights == M.weights
-            cut = {lab for (gk, lab) in M.action if gk[0] == "t" and lab[1] + gk[2] not in W}
-            tainted = {
-                lab for lab in M.weight_of
-                if any(t in Fm.boundary for t, Fm in zip(lab[0], factors))
-            }
-            assert S.boundary == cut | tainted
-            assert all(M.action[(gk, lab)] == {} for (gk, lab) in M.action
-                       if gk[0] == "t" and lab[1] + gk[2] not in W)
+            _assert_matches_the_oracle(
+                loop_module(A, factors, scalars, W, gen_window=gw),
+                _eager_loop_module(A, factors, scalars, W, gen_window=gw),
+                rng,
+            )
 
 
 @pytest.mark.parametrize(
@@ -396,13 +440,28 @@ def test_loop_support_is_the_support_of_loop_module(case):
         ([loop_module(A1aff, [finite_dim_sl2(1)], [F(1)], DegreeWindow(0, 0))], [F(1)]),
     ],
 )
-def test_loop_support_makes_the_input_checks_of_loop_module(factors, scalars):
+def test_loop_module_makes_the_input_checks_of_the_eager_oracle(factors, scalars):
     W = DegreeWindow(-1, 1)
     with pytest.raises(ValueError) as want:
-        loop_module(A1aff, factors, scalars, W)
+        _eager_loop_module(A1aff, factors, scalars, W)
     with pytest.raises(ValueError) as got:
-        loop_support(A1aff, factors, scalars, W)
+        loop_module(A1aff, factors, scalars, W)
     assert str(got.value) == str(want.value)
+
+
+def test_builders_reject_a_negative_gen_window():
+    # gen_window -1 would leave only D and K, so no law compares a loop
+    # generator
+    assert _loop_gens(A1aff, 0) == [("t", n, 0) for n in A1aff.class_labels(0)] + ["D", "K"]
+    builds = [
+        lambda gw: loop_module(A1aff, [finite_dim_sl2(1)], [F(1)], DegreeWindow(-1, 1), gw),
+        lambda gw: imaginary_verma(F(3), 2, 2, gen_window=gw),
+        lambda gw: induced_truncated(_standard_P(), _levi_N(), 1, gen_window=gw),
+    ]
+    for build in builds:
+        assert build(0).gens[-2:] == ["D", "K"]
+        with pytest.raises(ValueError, match="gen_window"):
+            build(-1)
 
 
 # ------------------------------------------------------------ twisted loops
@@ -597,7 +656,7 @@ def test_bracket_compat_refuses_to_pass_on_nothing():
 
 def _vacuum_rows_with_drops(lam, depth, length_cap, mode_cap, gen_window, n0_ext):
     """imaginary_verma's labels and rows, built with the drop tracking of its
-    old row path, kept as the oracle of vacuum_support: a row term whose
+    old row path, kept as the oracle of imaginary_verma: a row term whose
     target is not a label is dropped, and a label is masked iff one of its
     terms was dropped.  Labels come in lexicographic order of the power
     vectors over the modes -mode_cap..mode_cap.  Returns (weight_of,
@@ -689,38 +748,40 @@ _VACUUM_GRID = [
 ]
 
 
-def test_vacuum_support_is_the_support_of_imaginary_verma():
-    for lam, depth, cap, mode_cap, gw, ext in _VACUUM_GRID:
-        args = (lam, depth, cap, mode_cap, gw, ext)
-        S = vacuum_support(*args)
+def _eager_imaginary_verma(lam, depth, length_cap, mode_cap=None, gen_window=2, n0_ext=0):
+    """imaginary_verma with every row built up front by
+    _vacuum_rows_with_drops, kept as its oracle."""
+    weight_of, action, boundary = _vacuum_rows_with_drops(
+        F(lam), depth, length_cap, depth if mode_cap is None else mode_cap, gen_window, n0_ext
+    )
+    return GradedModule(A1aff, weight_of, action, boundary, _Z, _loop_gens(A1aff, gen_window))
+
+
+def test_imaginary_verma_matches_the_eager_oracle():
+    rng = random.Random(5)
+    for args in _VACUUM_GRID:
         M = imaginary_verma(*args)
-        weight_of, action, boundary = _vacuum_rows_with_drops(
-            lam, depth, cap, depth if mode_cap is None else mode_cap, gw, ext
-        )
-        assert list(S.weight_of.items()) == list(weight_of.items()), args
-        assert S.boundary == boundary, args
-        assert S.weights == M.weights
-        assert S.gens == M.gens == _loop_gens(A1aff, gw)
-        assert list(M.weight_of.items()) == list(weight_of.items())
-        assert M.boundary == boundary
-        assert M.action == action, args
+        want = _eager_imaginary_verma(*args)
+        assert M.gens == _loop_gens(A1aff, args[4]), args
+        _assert_matches_the_oracle(M, want, rng)
 
 
-def test_vacuum_support_rejects_a_negative_n0_ext():
+def test_imaginary_verma_rejects_a_negative_n0_ext():
     # n0 would start at 1, leaving out the vacuum ("m", 0, ())
-    assert ("m", 0, ()) in vacuum_support(F(3), 2, 2, n0_ext=0).weight_of
-    for build in (vacuum_support, imaginary_verma):
-        with pytest.raises(ValueError, match="n0_ext"):
-            build(F(3), 2, 2, n0_ext=-1)
+    assert ("m", 0, ()) in imaginary_verma(F(3), 2, 2, n0_ext=0).weight_of
+    with pytest.raises(ValueError, match="n0_ext"):
+        imaginary_verma(F(3), 2, 2, n0_ext=-1)
 
 
-def test_vacuum_support_rejects_a_negative_depth_or_length_cap():
-    # either cap below zero leaves no label at all, the vacuum included
-    for build in (vacuum_support, imaginary_verma):
-        with pytest.raises(ValueError, match="length_cap"):
-            build(F(3), 2, -1)
-        with pytest.raises(ValueError, match="depth"):
-            build(F(3), -1, 2)
+def test_imaginary_verma_rejects_a_negative_cap():
+    # a cap below zero leaves no label at all, the vacuum included
+    with pytest.raises(ValueError, match="length_cap"):
+        imaginary_verma(F(3), 2, -1)
+    with pytest.raises(ValueError, match="depth"):
+        imaginary_verma(F(3), -1, 2)
+    with pytest.raises(ValueError, match="mode_cap"):
+        imaginary_verma(F(3), 2, 2, mode_cap=-1)
+    assert len(imaginary_verma(F(3), 2, 2, mode_cap=0).weight_of) == 3
 
 
 # ------------------------------------------------------------ Prop-4.2 pairing
@@ -1500,11 +1561,11 @@ def _shadow_grid():
     yield imaginary_verma(F(3), 2, 2)
     yield imaginary_verma(F(1, 2), 3, 3)
     for W in (W1, W3):
-        yield loop_support(A1aff, fins, [F(1), F(2)], W)
-        yield loop_support(A1aff, dense, [F(1), F(2)], W)
+        yield loop_module(A1aff, fins, [F(1), F(2)], W)
+        yield loop_module(A1aff, dense, [F(1), F(2)], W)
     yield loop_module(A1aff, dense, [F(1), F(2)], W1)
     yield loop_module(A1aff, fins, [F(1), F(2)], W1, gen_window=1)
-    yield loop_support(A2aff, [natural_rep(A2)], [F(1)], W1)
+    yield loop_module(A2aff, [natural_rep(A2)], [F(1)], W1)
 
 
 def test_shadow_walk_matches_the_per_start_walk():
@@ -1521,7 +1582,7 @@ def test_shadow_walk_matches_the_per_start_walk():
     "M",
     [
         imaginary_verma(F(3), 4, 4),
-        loop_support(A1aff, [finite_dim_sl2(1)], [F(1)], DegreeWindow(-3, 3)),
+        loop_module(A1aff, [finite_dim_sl2(1)], [F(1)], DegreeWindow(-3, 3)),
     ],
     ids=["imverma", "loop"],
 )
@@ -1538,7 +1599,7 @@ def test_shadow_refuses_directions_no_tabulated_generator_moves_along(M):
 
 def test_shadow_of_an_empty_support_is_refused():
     with pytest.raises(IncompatibleData, match="empty support"):
-        shadow_detect(Support(A1aff, {}, set(), _loop_gens(A1aff, 2)), (F(2),), 0)
+        shadow_detect(GradedModule(A1aff, {}, {}, set(), _Z, _loop_gens(A1aff, 2)), (F(2),), 0)
 
 
 def _hw_table(window):
@@ -1722,9 +1783,9 @@ def test_exp_poly_matches_loop_eigenvalues():
 
 
 def test_boundedness_probe():
-    # the probe reads weights alone, so each family comes as its support
+    # the probe reads weights alone, so it fills no row of a loop module
     def finite_family(N):
-        return loop_support(
+        return loop_module(
             A1aff,
             [finite_dim_sl2(1), finite_dim_sl2(2)],
             [F(1), F(2)],
@@ -1732,7 +1793,7 @@ def test_boundedness_probe():
         )
 
     def one_dense(N):
-        return loop_support(
+        return loop_module(
             A1aff,
             [dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-N, N)), finite_dim_sl2(1)],
             [F(1), F(2)],
@@ -1740,7 +1801,7 @@ def test_boundedness_probe():
         )
 
     def two_dense(N):
-        return loop_support(
+        return loop_module(
             A1aff,
             [
                 dense_sl2(DenseSL2Params(F(1, 2), F(3)), DegreeWindow(-N, N)),
