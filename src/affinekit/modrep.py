@@ -488,9 +488,9 @@ def loop_module(A, factors, scalars, window, gen_window=2):
     when some generator degree m has s + m outside the window; that row
     would leave the window and is empty.  Factors and scalars must match
     and be nonempty, scalars nonzero and factors finite-algebra modules.
-    Labels, weights and the mask are computed here, with each class-basis
-    element applied once to each factor label; the rows are filled on first
-    read (_LazyRows).
+    Labels, weights, the mask and the action of each class-basis element
+    on each factor label are computed here, so every error shows at
+    construction; the rows are filled on first read (_LazyRows).
     """
     if len(factors) != len(scalars) or not factors:
         raise ValueError("need matching nonempty factors and scalars")
